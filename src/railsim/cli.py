@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -469,7 +470,9 @@ def cmd_table4(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and then reused by every `main` call."""
     ap = argparse.ArgumentParser(
         prog="railsim",
         description="Simulator and analysis toolkit for circuit-switched GPU rails")
@@ -492,7 +495,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a schedule trace")
     scenario_flags(p)
     p.add_argument("--out", default="trace.csv")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("windows", help="idle-window analysis")
     scenario_flags(p)
@@ -500,19 +502,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", default=None,
                    help="comma-separated volume class edges in bytes")
     p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_windows)
 
     p = sub.add_parser("sim", help="single simulation run")
     scenario_flags(p)
     p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_sim)
 
     p = sub.add_parser("sweep", help="reconfiguration delay sweep")
     scenario_flags(p)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--jobs", type=int, default=1,
                    help="run sweep points in parallel")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("econ", help="fabric cost and power comparison")
     p.add_argument("--config", default=DEFAULT_ECON_CONFIG,
@@ -520,11 +519,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default=None,
                    help="take the topology from this scenario instead")
     p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_econ)
 
     p = sub.add_parser("table4", help="OCS scalability table")
     p.add_argument("--out", default="table4.csv")
-    p.set_defaults(func=cmd_table4)
     return ap
 
 
@@ -536,8 +533,11 @@ _INFEASIBLE_ERRORS = (DegreeInfeasible, RadixExceeded)
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    # Looked up on every call rather than stored in the cached parser, so a
+    # replaced cmd_* function takes effect.
+    command = globals()["cmd_" + args.command]
     try:
-        return args.func(args)
+        return command(args)
     except _INFEASIBLE_ERRORS as e:
         print(f"error: infeasible: {e}", file=sys.stderr)
         return 3

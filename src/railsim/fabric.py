@@ -8,20 +8,28 @@ the event's ring to be configured; reconfiguration timing is delegated to
 the control plane.  A reconfiguration delay of zero is modeled as full
 connectivity (switching is free), which makes the zero-delay circuit fabric
 exactly equivalent to the electrical baseline.
+
+Each `simulate` call compiles the DAG once into integer-indexed arrays
+(`_CompiledDag`): events numbered in sorted id order, dependent lists,
+in-degrees, durations, group ids, needs-circuit flags and, for multi-rank
+events, the ranks each dependency edge gates.  The electrical longest path,
+the provisioning profiler's input and the circuit engine all run from it.  Compiling also rejects inputs the circuit model cannot place:
+a collective whose ranks differ from its group's members, and a scale-out
+group that does not sit on exactly its one declared rail.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field, replace
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .control import Controller, profile_iteration, provision
-from .errors import ConflictDeadlock, CyclicDependency, UnsupportedKind
+from .control import Controller, profile_iteration
+from .errors import ConflictDeadlock, CyclicDependency, NotMember, UnsupportedKind
 from .model import Topology
-from .workload import (ALLGATHER, ALLREDUCE, ALLTOALL, COLLECTIVE, REDUCESCATTER,
-                       SENDRECV, EventDag)
+from .workload import (ALLGATHER, ALLREDUCE, COLLECTIVE, REDUCESCATTER, SENDRECV,
+                       EventDag)
 
 
 def collective_time(kind: str, bytes_per_rank: int, n: int, bandwidth: float,
@@ -54,7 +62,7 @@ class ControlPolicy:
 
 @dataclass
 class EventTiming:
-    starts: Dict[int, float]  # per-rank join time
+    starts: Optional[Dict[int, float]]  # per-rank join time (None: only `start` known)
     start: float  # actual transfer/compute start
     end: float
 
@@ -69,105 +77,176 @@ class SimResult:
     transfer_log: list = field(default_factory=list)  # (event, rank, port, start, end)
 
 
-def _duration(ev, dag: EventDag, topo: Topology, alpha: float) -> float:
-    if ev.kind != COLLECTIVE:
-        return ev.duration
-    group = dag.groups[ev.group]
-    if group.axis == "TP":
-        bandwidth = topo.scaleup_bandwidth
-    else:
-        bandwidth = topo.nic.per_port_bandwidth
-    return collective_time(ev.coll_kind, ev.bytes, group.size, bandwidth, alpha)
-
-
-def _dep_structures(dag: EventDag):
-    dependents: Dict[str, List[str]] = {eid: [] for eid in dag.events}
-    indeg: Dict[str, int] = {}
-    for ev in dag.events.values():
-        n = 0
-        for d in ev.deps:
-            if d in dag.events:
-                dependents[d].append(ev.id)
-                n += 1
-        indeg[ev.id] = n
-    return dependents, indeg
-
-
-def _rank_join_times(ev, dag: EventDag, times: Dict[str, EventTiming]) -> Dict[int, float]:
-    """Per-rank issue time: a rank joins once its own dependencies finish."""
-    joins = {r: 0.0 for r in ev.rank_set}
-    for d in ev.deps:
-        dep = dag.events.get(d)
-        if dep is None:
+def _check_groups(dag: EventDag, topo: Topology) -> Dict[str, Set[int]]:
+    """Reject scale-out groups off their declared rail; returns member sets."""
+    members = {}
+    for gid, g in dag.groups.items():
+        members[gid] = set(g.members)
+        if not g.is_scaleout:
             continue
-        end = times[d].end
-        shared = set(dep.rank_set) & set(ev.rank_set)
-        for r in (shared if shared else ev.rank_set):
-            if end > joins[r]:
-                joins[r] = end
+        rails = {topo.rail_of(m) for m in g.members}
+        if rails != g.rails_touched or len(rails) > 1:
+            raise NotMember(f"group {gid} members sit on rails {sorted(rails)}, declared "
+                            f"{sorted(g.rails_touched)}; a scale-out group needs one rail")
+    return members
+
+
+class _CompiledDag:
+    """One EventDag on one topology, as integer-indexed arrays.
+
+    Events are numbered in sorted id order, so sorting indices sorts ids.
+    `dependents` lists follow `dag.events` insertion order: the engine's heap
+    sequence numbers, and with them every controller decision, depend on it.
+    Dependencies naming unknown events are dropped.  An event with one rank
+    joins at the latest end of its dependencies, which the schedulers
+    accumulate as dependencies finish; its `gate_deps` entry is None.  For an
+    event with more ranks, `gate_deps` lists its dependencies and `gate_ranks`
+    the ranks each one gates: the ranks both events share, or every rank when
+    they share none.
+    """
+
+    __slots__ = ("ids", "index", "ranks", "gate_deps", "gate_ranks", "dependents",
+                 "indeg", "duration", "group", "circuit")
+
+    def __init__(self, dag: EventDag, topo: Topology, alpha: float):
+        members = _check_groups(dag, topo)
+        events, groups = dag.events, dag.groups
+        self.ids = ids = sorted(events)
+        self.index = index = {eid: i for i, eid in enumerate(ids)}
+        n = len(ids)
+        self.ranks = ranks = [()] * n
+        self.gate_deps: List[Optional[List[int]]] = [None] * n
+        self.gate_ranks: List[Optional[List[tuple]]] = [None] * n
+        self.dependents = dependents = [[] for _ in range(n)]
+        self.indeg = indeg = [0] * n
+        self.duration = duration = [0.0] * n
+        self.group = group = [None] * n
+        self.circuit = circuit = [False] * n
+        solo: Dict[int, tuple] = {}  # rank -> (rank,), shared by every edge gating it alone
+        for eid, ev in events.items():
+            i = index[eid]
+            ds = [index[d] for d in ev.deps if d in index]
+            for d in ds:
+                dependents[d].append(i)
+            indeg[i] = len(ds)
+            rs = ev.rank_set
+            if ev.kind == COLLECTIVE:
+                gid = ev.group
+                g = groups[gid]
+                if set(rs) != members[gid]:
+                    raise NotMember(f"collective {eid} ranks {sorted(rs)} differ from "
+                                    f"group {gid} members {sorted(g.members)}")
+                bandwidth = (topo.scaleup_bandwidth if g.axis == "TP"
+                             else topo.nic.per_port_bandwidth)
+                duration[i] = collective_time(ev.coll_kind, ev.bytes, g.size, bandwidth, alpha)
+                group[i] = gid
+                circuit[i] = g.is_scaleout and g.size >= 2
+            else:
+                duration[i] = ev.duration
+            if len(rs) > 1:
+                own = set(rs)
+                if len(own) < len(rs):
+                    rs = tuple(dict.fromkeys(rs))
+                self.gate_deps[i] = ds
+                self.gate_ranks[i] = [_gated(events[ids[d]].rank_set, rs, own, solo)
+                                      for d in ds]
+            ranks[i] = rs
+
+
+def _gated(dep_ranks: tuple, ranks: tuple, own: Set[int],
+           solo: Dict[int, tuple]) -> tuple:
+    """The ranks of an event (`ranks`, as a set `own`) that one dependency
+    gates.  Common answers are shared objects: most edges come from
+    single-rank events, and compiling a large DAG allocates little."""
+    shared = {r for r in dep_ranks if r in own}
+    if not shared or shared == own:
+        return ranks
+    if len(shared) == 1:
+        r = shared.pop()
+        return solo.setdefault(r, (r,))
+    return tuple(sorted(shared))
+
+
+def _joins(c: _CompiledDag, i: int, latest: List[float],
+           end: List[float]) -> Dict[int, float]:
+    """Per-rank issue time: a rank joins once its own dependencies finish.
+
+    `latest[i]` is the latest end among event i's dependencies.
+    """
+    deps = c.gate_deps[i]
+    if deps is None:
+        ranks = c.ranks[i]
+        return {ranks[0]: latest[i]} if ranks else {}
+    joins = dict.fromkeys(c.ranks[i], 0.0)
+    for d, gated in zip(deps, c.gate_ranks[i]):
+        e = end[d]
+        for r in gated:
+            if e > joins[r]:
+                joins[r] = e
     return joins
 
 
-def _simulate_unconstrained(dag: EventDag, topo: Topology, alpha: float) -> Dict[str, EventTiming]:
-    """Timing with full connectivity (electrical rails or zero switching delay)."""
-    dependents, indeg = _dep_structures(dag)
-    ready = sorted(eid for eid, n in indeg.items() if n == 0)
-    times: Dict[str, EventTiming] = {}
-    done = 0
+def _longest_path(c: _CompiledDag) -> Tuple[List[float], List[float], List[int]]:
+    """Start and end of every event with full connectivity (electrical rails
+    or free switching), and the order they were timed in: level by level,
+    each level in id order."""
+    n = len(c.ids)
+    start = [0.0] * n  # the latest end among dependencies timed so far
+    end = [0.0] * n
+    indeg = list(c.indeg)
+    ranks, duration, dependents = c.ranks, c.duration, c.dependents
+    order: List[int] = []
+    ready = [i for i in range(n) if not indeg[i]]
     while ready:
-        next_ready: List[str] = []
-        for eid in ready:
-            ev = dag.events[eid]
-            joins = _rank_join_times(ev, dag, times)
-            start = max(joins.values()) if joins else 0.0
-            end = start + _duration(ev, dag, topo, alpha)
-            times[eid] = EventTiming(starts=joins, start=start, end=end)
-            done += 1
-            for nxt in dependents[eid]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    next_ready.append(nxt)
-        ready = sorted(next_ready)
-    if done != len(dag.events):
+        order += ready
+        next_ready: List[int] = []
+        for i in ready:
+            if not ranks[i]:
+                start[i] = 0.0  # a rankless event joins at time zero
+            e = end[i] = start[i] + duration[i]
+            for j in dependents[i]:
+                if e > start[j]:
+                    start[j] = e
+                indeg[j] -= 1
+                if not indeg[j]:
+                    next_ready.append(j)
+        next_ready.sort()
+        ready = next_ready
+    if len(order) != n:
         raise CyclicDependency("event DAG contains a cycle")
-    return times
+    return start, end, order
+
+
+_DEPS_DONE, _FINISH, _CIRCUIT_UP = range(3)
 
 
 class _Engine:
     """Time-ordered simulation with circuit lifecycle on OCS rails."""
 
-    def __init__(self, dag: EventDag, topo: Topology, policy: ControlPolicy,
-                 schedule: Optional[dict]):
-        self.dag = dag
-        self.topo = topo
-        self.policy = policy
-        self.alpha = policy.alpha
+    def __init__(self, c: _CompiledDag, dag: EventDag, topo: Topology,
+                 policy: ControlPolicy, schedule: Optional[dict]):
+        self.c = c
+        self.provisioning = policy.provisioning
         self.controller = Controller(topo, dag.groups, topo.rail_switch.reconfig_delay)
+        n = len(c.ids)
         self.times: Dict[str, EventTiming] = {}
-        self.joins: Dict[str, Dict[int, float]] = {}
-        self.dependents, self.indeg = _dep_structures(dag)
-        self.heap: List[tuple] = []
+        self.latest = [0.0] * n  # latest end among finished dependencies
+        self.end = [0.0] * n
+        self.joins: List[Optional[Dict[int, float]]] = [None] * n
+        self.indeg = list(c.indeg)
+        self.heap: List[tuple] = []  # (time, sequence number, tag, event or group)
         self.seq = itertools.count()
-        self.waiting: Dict[str, List[str]] = {}  # group -> issued events awaiting circuits
+        self.waiting: Dict[str, List[int]] = {}  # group -> issued events awaiting circuits
         self.transfer_log: List[tuple] = []
         # Provisioning state: profiled schedule and per-phase completion counts.
         self.schedule = schedule or {}
-        self.phase_of: Dict[str, Tuple[int, int]] = {}
+        self.phase_of: Dict[int, Tuple[int, int]] = {}
         self.phase_left: Dict[Tuple[int, int], int] = {}
         for rail, phases in self.schedule.items():
-            for i, ph in enumerate(phases):
-                self.phase_left[(rail, i)] = len(ph.events)
+            for k, ph in enumerate(phases):
+                self.phase_left[(rail, k)] = len(ph.events)
                 for e in ph.events:
-                    self.phase_of[e] = (rail, i)
-
-    def _push(self, t: float, tag: str, data) -> None:
-        heapq.heappush(self.heap, (t, next(self.seq), tag, data))
-
-    def _needs_circuits(self, ev) -> bool:
-        if ev.kind != COLLECTIVE:
-            return False
-        g = self.dag.groups[ev.group]
-        return g.is_scaleout and g.size >= 2
+                    self.phase_of[c.index[e]] = (rail, k)
 
     def _protected(self) -> Set[str]:
         protected = {g for g, evs in self.waiting.items() if evs}
@@ -175,44 +254,42 @@ class _Engine:
             protected.update(p.group for p in q)
         return protected
 
-    def _start_event(self, eid: str, start: float) -> None:
-        ev = self.dag.events[eid]
-        end = start + _duration(ev, self.dag, self.topo, self.alpha)
-        self.times[eid] = EventTiming(starts=self.joins[eid], start=start, end=end)
-        if self._needs_circuits(ev) and self.topo.rail_switch.reconfig_delay > 0:
-            for rank, port in self.controller.mark_busy(ev.group, start, end):
+    def _start_event(self, i: int, start: float) -> None:
+        c = self.c
+        end = start + c.duration[i]
+        self.end[i] = end
+        eid = c.ids[i]
+        self.times[eid] = EventTiming(self.joins[i], start, end)
+        if c.circuit[i]:
+            for rank, port in self.controller.mark_busy(c.group[i], start, end):
                 self.transfer_log.append((eid, rank, port, start, end))
-        self._push(end, "finish", eid)
+        heappush(self.heap, (end, next(self.seq), _FINISH, i))
 
-    def _dispatch(self, eid: str, now: float) -> None:
+    def _dispatch(self, i: int, now: float) -> None:
         """All dependencies done: serve, start, or request circuits."""
-        ev = self.dag.events[eid]
-        joins = _rank_join_times(ev, self.dag, self.times)
-        self.joins[eid] = joins
+        c = self.c
+        joins = self.joins[i] = _joins(c, i, self.latest, self.end)
         barrier = max(joins.values()) if joins else now
-        if not self._needs_circuits(ev):
-            self._start_event(eid, barrier)
+        gid = c.group[i]
+        if not c.circuit[i] or self.controller.group_up(gid, barrier):
+            self._start_event(i, barrier)
             return
-        gid = ev.group
-        if self.controller.group_up(gid, barrier):
-            self._start_event(eid, barrier)
-            return
-        self.waiting.setdefault(gid, []).append(eid)
+        self.waiting.setdefault(gid, []).append(i)
         self.controller.request(gid, joins, speculative=False)
 
-    def _provision_on_finish(self, eid: str, now: float) -> None:
-        key = self.phase_of.get(eid)
+    def _provision_on_finish(self, i: int, now: float) -> None:
+        key = self.phase_of.get(i)
         if key is None:
             return
         self.phase_left[key] -= 1
         if self.phase_left[key] > 0:
             return
-        rail, i = key
+        rail, k = key
         phases = self.schedule[rail]
-        if i + 1 >= len(phases):
+        if k + 1 >= len(phases):
             return
-        for gid in sorted(phases[i + 1].groups):
-            g = self.dag.groups[gid]
+        for gid in sorted(phases[k + 1].groups):
+            g = self.controller.groups[gid]
             if not g.is_scaleout or g.size < 2:
                 continue
             if self.controller.group_up(gid, now) or self.controller.has_pending(gid):
@@ -222,46 +299,56 @@ class _Engine:
             self.controller.request(gid, {r: now for r in g.members}, speculative=True)
 
     def run(self) -> Tuple[Dict[str, EventTiming], Controller, List[tuple]]:
-        for eid in sorted(e for e, n in self.indeg.items() if n == 0):
-            self._push(0.0, "deps_done", eid)
+        c = self.c
+        controller = self.controller
+        queues = controller.table.queue
+        heap, seq, waiting = self.heap, self.seq, self.waiting
+        indeg, latest, end = self.indeg, self.latest, self.end
+        for i, n in enumerate(indeg):
+            if not n:
+                heappush(heap, (0.0, next(seq), _DEPS_DONE, i))
         finished = 0
-        total = len(self.dag.events)
-        while self.heap:
-            now = self.heap[0][0]
+        while heap:
+            now = heap[0][0]
             batch = []
-            while self.heap and self.heap[0][0] == now:
-                batch.append(heapq.heappop(self.heap))
-            for _, _, tag, data in batch:
-                if tag == "deps_done":
-                    self._dispatch(data, now)
-                elif tag == "finish":
+            while heap and heap[0][0] == now:
+                batch.append(heappop(heap))
+            for _, _, tag, i in batch:
+                if tag == _DEPS_DONE:
+                    self._dispatch(i, now)
+                elif tag == _FINISH:
                     finished += 1
-                    ev = self.dag.events[data]
-                    if self.policy.provisioning:
-                        self._provision_on_finish(data, now)
-                    for nxt in self.dependents[data]:
-                        self.indeg[nxt] -= 1
-                        if self.indeg[nxt] == 0:
-                            self._push(now, "deps_done", nxt)
-                elif tag == "circuit_up":
-                    pass  # state already recorded; serves as a scan wake-up
-            for gid, ready in self.controller.scan(now, self._protected()):
-                if ready > now:
-                    self._push(ready, "circuit_up", gid)
-                    continue
-                for eid in self.waiting.pop(gid, []):
-                    self._start_event(eid, max(ready, max(self.joins[eid].values())))
+                    if self.provisioning:
+                        self._provision_on_finish(i, now)
+                    e = end[i]
+                    for nxt in c.dependents[i]:
+                        if e > latest[nxt]:
+                            latest[nxt] = e
+                        indeg[nxt] -= 1
+                        if not indeg[nxt]:
+                            heappush(heap, (now, next(seq), _DEPS_DONE, nxt))
+                # _CIRCUIT_UP: state already recorded; serves as a scan wake-up
+            # With every queue empty, a scan grants nothing.
+            if any(queues.values()):
+                for gid, ready in controller.scan(now, self._protected()):
+                    if ready > now:
+                        heappush(heap, (ready, next(seq), _CIRCUIT_UP, gid))
+                        continue
+                    for i in waiting.pop(gid, []):
+                        self._start_event(i, max(ready, max(self.joins[i].values())))
             # Circuits that just came up release their waiting events.
-            for gid in [g for g, evs in self.waiting.items()
-                        if evs and self.controller.group_up(g, now)]:
-                for eid in self.waiting.pop(gid):
-                    self._start_event(eid, max(now, max(self.joins[eid].values())))
+            if waiting:
+                for gid in [g for g, evs in waiting.items()
+                            if evs and controller.group_up(g, now)]:
+                    for i in waiting.pop(gid):
+                        self._start_event(i, max(now, max(self.joins[i].values())))
+        total = len(c.ids)
         if finished != total:
-            if any(self.controller.table.queue.values()) or any(self.waiting.values()):
+            if any(queues.values()) or any(waiting.values()):
                 raise ConflictDeadlock(
                     f"{total - finished} events stuck behind the reconfiguration queue")
             raise CyclicDependency("event DAG contains a cycle")
-        return self.times, self.controller, self.transfer_log
+        return self.times, controller, self.transfer_log
 
 
 def simulate(dag: EventDag, topo: Topology, policy: Optional[ControlPolicy] = None,
@@ -270,29 +357,36 @@ def simulate(dag: EventDag, topo: Topology, policy: Optional[ControlPolicy] = No
 
     With ``force_baseline`` the run ignores circuit switching and returns the
     full-connectivity timing (useful for idealized reference timelines).
+    Raises NotMember for a collective whose ranks differ from its group's
+    members, or a scale-out group not on exactly its one declared rail.
     """
     policy = policy or ControlPolicy()
-    baseline = _simulate_unconstrained(dag, topo, policy.alpha)
-    baseline_makespan = max((t.end for t in baseline.values()), default=0.0)
+    c = _CompiledDag(dag, topo, policy.alpha)
+    start, end, order = _longest_path(c)
+    baseline_makespan = max(end, default=0.0)
     ocs_active = topo.rail_switch.is_ocs and topo.rail_switch.reconfig_delay > 0
     if force_baseline or not ocs_active:
         # Full connectivity (electrical, or free switching): no circuit events.
-        return SimResult(makespan=baseline_makespan, event_times=baseline,
+        times = {c.ids[i]: EventTiming(_joins(c, i, start, end), start[i], end[i])
+                 for i in order}
+        return SimResult(makespan=baseline_makespan, event_times=times,
                          reconfig_log=[], overhead_vs_baseline=1.0)
     schedule = None
     if policy.provisioning:
-        rails = range(topo.num_rails)
-        schedule = profile_iteration(dag, baseline, rails)
-    engine = _Engine(dag, topo, policy, schedule)
+        # The profiler reads start and end only; at full connectivity every
+        # rank of a collective has joined by its start.
+        collectives = {c.ids[i]: EventTiming(None, start[i], end[i])
+                       for i, gid in enumerate(c.group) if gid is not None}
+        schedule = profile_iteration(dag, collectives, range(topo.num_rails))
+    engine = _Engine(c, dag, topo, policy, schedule)
     times, controller, transfers = engine.run()
-    makespan = max((t.end for t in times.values()), default=0.0)
+    makespan = max(engine.end, default=0.0)
     controller.close(makespan)
-    electrical_baseline = baseline_makespan
     return SimResult(
         makespan=makespan,
         event_times=times,
         reconfig_log=controller.log,
-        overhead_vs_baseline=(makespan / electrical_baseline if electrical_baseline else 1.0),
+        overhead_vs_baseline=(makespan / baseline_makespan if baseline_makespan else 1.0),
         circuit_log=controller.circuit_intervals,
         transfer_log=transfers,
     )

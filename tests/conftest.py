@@ -39,6 +39,25 @@ def make_params(pp=2, dp=2, tp=4, n_layer=8, n_microbatch=2,
 REACTIVE = ControlPolicy(provisioning=False)
 PROVISIONED = ControlPolicy(provisioning=True)
 
+HEADER = ("event_id,rank,stream,kind,coll_kind,group_id,bytes,dep_ids,"
+          "observed_start_s,observed_end_s\n")
+
+# Traces the circuit model cannot place, on 4 domains x 2 GPUs (rank r on
+# rail r % 2).
+BAD_TRACES = {
+    "collective covers part of its group": (
+        "#group,g,DP,0;2,0\n"
+        "c,0,dp,collective,AllGather,g,100,,,\n"),
+    "group members off the declared rail": (
+        "#group,g,DP,0;1,0\n"
+        "c,0,dp,collective,AllGather,g,100,,,\n"
+        "c,1,dp,collective,AllGather,g,100,,,\n"),
+    "group spans two rails": (
+        "#group,g,DP,0;1,0;1\n"
+        "c,0,dp,collective,AllGather,g,100,,,\n"
+        "c,1,dp,collective,AllGather,g,100,,,\n"),
+}
+
 
 @pytest.fixture(scope="session")
 def shipped_scenario_path():

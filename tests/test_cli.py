@@ -1,10 +1,13 @@
 """Command line entry points: exit codes, overrides, and output files."""
 
+import hashlib
 import os
 
 import pytest
 
 from railsim.cli import DEFAULT_CLASS_EDGES, load_scenario, main
+
+from conftest import BAD_TRACES, HEADER
 
 SCENARIO = """\
 [scenario]
@@ -79,6 +82,17 @@ class TestExitCodes:
 
     def test_missing_scenario_file(self, capsys):
         assert main(["sim", "--scenario", "/no/such/file.ini"]) == 4
+
+    @pytest.mark.parametrize("body", BAD_TRACES.values(), ids=BAD_TRACES.keys())
+    def test_bad_trace_rejected(self, body, tmp_path, capsys):
+        trace = tmp_path / "bad.csv"
+        trace.write_text(HEADER + body)
+        topology = SCENARIO[SCENARIO.index("[topology]"):SCENARIO.index("[workload]")]
+        ini = tmp_path / "bad.ini"
+        ini.write_text(topology.replace("gpus_per_domain = 4", "gpus_per_domain = 2")
+                       + f"[workload]\ntrace = {trace}\n")
+        assert main(["sim", "--scenario", str(ini), "--out-dir", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestOverrides:
@@ -210,3 +224,24 @@ class TestDefaults:
 
     def test_default_class_edges(self):
         assert DEFAULT_CLASS_EDGES == (1e6, 500e6, 2e9)
+
+
+class TestShippedOutputs:
+    # sha256 of the shipped scenario's outputs; a change that moves any of
+    # them changes what the simulator reports.
+    PINNED = {
+        "sim/timeline.csv": "454943d8bfce5e8cabebe910433bc8c4dead13afa659a2031a6c8c32d46017e7",
+        "sim/reconfig.csv": "59b0a48b3bb7a55c9513861401262ceeb09c7defa1db68dcef0688ac166a98e1",
+        "sweep/sweep.csv": "f87328c1aceb28fed0134b4f6bb73891524bd12c22adf68ee8c57792f2c83f58",
+        "sweep/sweep.svg": "efdf2541535b9f52bbd2d6ba61344d2cfecdcba1417a3c6ae485765b70fd18b3",
+        "windows.csv": "ce905fe260ff638b1bda72093351f4bab932420530f349fbb9be7902083b7aa7",
+        "cdf.csv": "c8be42572d1bb6acdce2dbc1562c4fff2d90151a9ddbc89fda96ea005d015392",
+    }
+
+    def test_outputs_pinned(self, tmp_path, capsys):
+        assert main(["sim", "--out-dir", str(tmp_path / "sim")]) == 0
+        assert main(["sweep", "--out-dir", str(tmp_path / "sweep")]) == 0
+        assert main(["windows", "--out-dir", str(tmp_path)]) == 0
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in self.PINNED}
+        assert got == self.PINNED

@@ -3,10 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from railsim import (ControlPolicy, UnsupportedKind, collective_time,
-                     generate_3d_schedule, simulate, sweep_delay)
+from railsim import (ControlPolicy, NotMember, UnsupportedKind, collective_time,
+                     generate_3d_schedule, load_trace, loads_trace, save_trace,
+                     simulate, sweep_delay)
 
-from conftest import PROVISIONED, REACTIVE, make_params, make_topo
+from conftest import (BAD_TRACES, HEADER, PROVISIONED, REACTIVE, make_params,
+                      make_topo)
 
 
 class TestCollectiveTime:
@@ -140,3 +142,56 @@ class TestSweep:
         serial = sweep_delay(dag, topo, delays, [REACTIVE, PROVISIONED], jobs=1)
         parallel = sweep_delay(dag, topo, delays, [REACTIVE, PROVISIONED], jobs=3)
         assert serial == parallel
+
+
+class TestJoins:
+    @pytest.mark.parametrize("kind,delay", [("electrical", 0.0), ("ocs", 0.01)])
+    def test_dependency_gates_shared_ranks_or_all(self, kind, delay):
+        # Collective c on ranks 0 and 2 waits for a (rank 0, ends at 3 s) and
+        # b (rank 4, ends at 2 s).  b shares no rank with c, so it gates both
+        # ranks; a shares rank 0, so it gates rank 0 only.
+        dag = loads_trace(HEADER + "#group,g,DP,0;2,0\n"
+                          "a,0,compute,compute,,,0,,0.0,3.0\n"
+                          "b,4,compute,compute,,,0,,0.0,2.0\n"
+                          "c,0,dp,collective,AllReduce,g,1000,a;b,,\n"
+                          "c,2,dp,collective,AllReduce,g,1000,a;b,,\n")
+        topo = make_topo(num_domains=4, gpus_per_domain=2, kind=kind, delay=delay)
+        c = simulate(dag, topo, REACTIVE).event_times["c"]
+        assert c.starts == {0: 3.0, 2: 2.0}
+        assert c.start == 3.0 + delay
+
+
+def assert_overhead_is_over_baseline(dag, topo, policy):
+    res = simulate(dag, topo, policy)
+    base = simulate(dag, topo, policy, force_baseline=True)
+    assert res.makespan > base.makespan
+    assert res.makespan / res.overhead_vs_baseline == pytest.approx(base.makespan, rel=1e-12)
+
+
+class TestBaseline:
+    @pytest.mark.parametrize("policy", [REACTIVE, PROVISIONED])
+    @pytest.mark.parametrize("params", [{}, {"pp": 4, "dp": 1, "n_microbatch": 3},
+                                        {"pp": 1, "dp": 4, "n_layer": 5}])
+    def test_overhead_is_over_force_baseline(self, params, policy):
+        topo = make_topo(delay=0.02)
+        dag = generate_3d_schedule(make_params(**params), topo)
+        assert_overhead_is_over_baseline(dag, topo, policy)
+
+    def test_overhead_after_trace_round_trip(self, tmp_path):
+        topo = make_topo(delay=0.02)
+        dag = generate_3d_schedule(make_params(), topo)
+        for eid, t in simulate(dag, topo, force_baseline=True).event_times.items():
+            dag.events[eid].observed_start, dag.events[eid].observed_end = t.start, t.end
+        path = str(tmp_path / "t.csv")
+        save_trace(dag, path)
+        assert_overhead_is_over_baseline(load_trace(path), topo, PROVISIONED)
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("body", BAD_TRACES.values(), ids=BAD_TRACES.keys())
+    @pytest.mark.parametrize("kind", ["electrical", "ocs"])
+    def test_not_simulated(self, body, kind):
+        dag = loads_trace(HEADER + body)
+        topo = make_topo(num_domains=4, gpus_per_domain=2, kind=kind, delay=0.01)
+        with pytest.raises(NotMember):
+            simulate(dag, topo, PROVISIONED)
