@@ -332,11 +332,13 @@ def cmd_windows(args: argparse.Namespace) -> int:
 def _write_sim_outputs(res: SimResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     rows = []
+    # Simulated times are floats already, so `!r` formats them as `_fmt` does.
     for eid in sorted(res.event_times):
         t = res.event_times[eid]
         starts = t.starts or {}
+        end = repr(t.end)
         for rank in sorted(starts):
-            rows.append(f"{eid},{rank},{_fmt(starts[rank])},{_fmt(t.end)}")
+            rows.append(f"{eid},{rank},{starts[rank]!r},{end}")
     _write_csv(os.path.join(out_dir, "timeline.csv"),
                "event_id,rank,start_s,end_s", rows)
     rrows = []
@@ -511,7 +513,8 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario_flags(p)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--jobs", type=int, default=1,
-                   help="run sweep points in parallel")
+                   help="accepted for compatibility; points run serially on "
+                        "one prepared simulation")
 
     p = sub.add_parser("econ", help="fabric cost and power comparison")
     p.add_argument("--config", default=DEFAULT_ECON_CONFIG,

@@ -81,15 +81,15 @@ def profile_iteration(dag: EventDag, times: Dict[str, object], rails: Sequence[i
     part of it or when they overlap the phase in time; otherwise a new phase
     starts.  Idempotent: identical timelines give identical schedules.
     """
-    from .windows import comm_start, rail_collectives
+    from .windows import collectives_by_rail, comm_start
 
     schedule: Dict[int, List[ControlPhase]] = {}
-    for rail in rails:
+    for rail, eids in collectives_by_rail(dag, times, rails).items():
         phases: List[ControlPhase] = []
         cur_events: List[str] = []
         cur_groups: Set[str] = set()
         cur_max_end = float("-inf")
-        for eid in rail_collectives(dag, times, rail):
+        for eid in eids:
             g = dag.events[eid].group
             start = comm_start(times, eid)
             if cur_events and g not in cur_groups and start >= cur_max_end:

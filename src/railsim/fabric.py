@@ -9,11 +9,13 @@ the control plane.  A reconfiguration delay of zero is modeled as full
 connectivity (switching is free), which makes the zero-delay circuit fabric
 exactly equivalent to the electrical baseline.
 
-Each `simulate` call compiles the DAG once into integer-indexed arrays
+A `Prepared` simulation compiles the DAG once into integer-indexed arrays
 (`_CompiledDag`): events numbered in sorted id order, dependent lists,
 in-degrees, durations, group ids, needs-circuit flags and, for multi-rank
 events, the ranks each dependency edge gates.  The electrical longest path,
-the provisioning profiler's input and the circuit engine all run from it.  Compiling also rejects inputs the circuit model cannot place:
+the provisioning profiler's input and the circuit engine all run from it,
+and a delay sweep reuses it at every point.  Compiling also rejects inputs
+the circuit model cannot place:
 a collective whose ranks differ from its group's members, and a scale-out
 group that does not sit on exactly its one declared rail.
 """
@@ -351,33 +353,82 @@ class _Engine:
         return self.times, controller, self.transfer_log
 
 
+class Prepared:
+    """The delay-independent part of simulating one DAG on one topology.
+
+    Holds the compiled DAG, the full-connectivity start/end/order arrays and
+    the baseline makespan; the profiled phase schedule is built on the first
+    provisioned run.  Pass it to `simulate` as ``prepared`` to run the same
+    DAG at other reconfiguration delays without repeating that work.  A run
+    whose DAG, alpha or topology (other than `rail_switch.reconfig_delay`)
+    differs is refused.
+    """
+
+    __slots__ = ("dag", "alpha", "c", "start", "end", "order", "baseline_makespan",
+                 "_topo", "_schedule")
+
+    def __init__(self, dag: EventDag, topo: Topology, alpha: float):
+        self.dag, self.alpha = dag, alpha
+        self._topo = _without_delay(topo)
+        self.c = _CompiledDag(dag, topo, alpha)
+        self.start, self.end, self.order = _longest_path(self.c)
+        self.baseline_makespan = max(self.end, default=0.0)
+        self._schedule: Optional[dict] = None
+
+    def check(self, dag: EventDag, topo: Topology, alpha: float) -> None:
+        if dag is not self.dag:
+            raise ValueError("prepared for another event DAG")
+        if alpha != self.alpha:
+            raise ValueError(f"prepared for alpha {self.alpha!r}, not {alpha!r}")
+        if _without_delay(topo) != self._topo:
+            raise ValueError("prepared for a topology that differs in more than "
+                             "the reconfiguration delay")
+
+    def schedule(self) -> dict:
+        """The provisioning profiler's per-rail phase schedule."""
+        if self._schedule is None:
+            c, start, end = self.c, self.start, self.end
+            # The profiler reads start and end only; at full connectivity every
+            # rank of a collective has joined by its start.
+            collectives = {c.ids[i]: EventTiming(None, start[i], end[i])
+                           for i, gid in enumerate(c.group) if gid is not None}
+            self._schedule = profile_iteration(self.dag, collectives,
+                                               range(self._topo.num_rails))
+        return self._schedule
+
+
+def _without_delay(topo: Topology) -> Topology:
+    return replace(topo, rail_switch=replace(topo.rail_switch, reconfig_delay=0.0))
+
+
 def simulate(dag: EventDag, topo: Topology, policy: Optional[ControlPolicy] = None,
-             force_baseline: bool = False) -> SimResult:
+             force_baseline: bool = False, *,
+             prepared: Optional[Prepared] = None) -> SimResult:
     """Simulate one iteration of `dag` on `topo` under a control policy.
 
     With ``force_baseline`` the run ignores circuit switching and returns the
     full-connectivity timing (useful for idealized reference timelines).
+    ``prepared`` reuses the delay-independent work of an earlier
+    `Prepared(dag, topo, policy.alpha)`; ValueError if it was built for
+    another DAG, alpha or topology.
     Raises NotMember for a collective whose ranks differ from its group's
     members, or a scale-out group not on exactly its one declared rail.
     """
     policy = policy or ControlPolicy()
-    c = _CompiledDag(dag, topo, policy.alpha)
-    start, end, order = _longest_path(c)
-    baseline_makespan = max(end, default=0.0)
+    if prepared is None:
+        prepared = Prepared(dag, topo, policy.alpha)
+    else:
+        prepared.check(dag, topo, policy.alpha)
+    c, start, end = prepared.c, prepared.start, prepared.end
+    baseline_makespan = prepared.baseline_makespan
     ocs_active = topo.rail_switch.is_ocs and topo.rail_switch.reconfig_delay > 0
     if force_baseline or not ocs_active:
         # Full connectivity (electrical, or free switching): no circuit events.
         times = {c.ids[i]: EventTiming(_joins(c, i, start, end), start[i], end[i])
-                 for i in order}
+                 for i in prepared.order}
         return SimResult(makespan=baseline_makespan, event_times=times,
                          reconfig_log=[], overhead_vs_baseline=1.0)
-    schedule = None
-    if policy.provisioning:
-        # The profiler reads start and end only; at full connectivity every
-        # rank of a collective has joined by its start.
-        collectives = {c.ids[i]: EventTiming(None, start[i], end[i])
-                       for i, gid in enumerate(c.group) if gid is not None}
-        schedule = profile_iteration(dag, collectives, range(topo.num_rails))
+    schedule = prepared.schedule() if policy.provisioning else None
     engine = _Engine(c, dag, topo, policy, schedule)
     times, controller, transfers = engine.run()
     makespan = max(engine.end, default=0.0)
@@ -394,18 +445,20 @@ def simulate(dag: EventDag, topo: Topology, policy: Optional[ControlPolicy] = No
 
 def sweep_delay(dag: EventDag, topo: Topology, delays: Sequence[float],
                 policies: Sequence[ControlPolicy], jobs: int = 1) -> List[tuple]:
-    """Makespan and overhead per (delay, policy); rows ordered by input order."""
-    points = [(d, p) for d in delays for p in policies]
+    """Makespan and overhead per (delay, policy); rows ordered by input order.
 
-    def run(point):
-        d, p = point
-        switch = replace(topo.rail_switch, reconfig_delay=d)
-        t = replace(topo, rail_switch=switch)
-        r = simulate(dag, t, p)
-        return (d, p.label, r.makespan, r.overhead_vs_baseline)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(run, points))
-    return [run(pt) for pt in points]
+    Points run serially through `simulate`, sharing one `Prepared` per
+    distinct policy alpha.  `jobs` is accepted and ignored: threads ran the
+    CPU-bound points slower than one thread does.
+    """
+    prepared: Dict[float, Prepared] = {}
+    rows = []
+    for d in delays:
+        t = replace(topo, rail_switch=replace(topo.rail_switch, reconfig_delay=d))
+        for p in policies:
+            prep = prepared.get(p.alpha)
+            if prep is None:
+                prep = prepared[p.alpha] = Prepared(dag, topo, p.alpha)
+            r = simulate(dag, t, p, prepared=prep)
+            rows.append((d, p.label, r.makespan, r.overhead_vs_baseline))
+    return rows

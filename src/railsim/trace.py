@@ -108,29 +108,32 @@ def _parse(f) -> EventDag:
                 raise ParseError("collective record without group_id", lineno)
             if group_id not in dag.groups:
                 raise ParseError(f"unknown group id {group_id!r}", lineno)
-        deps = set(d for d in deps_s.split(";") if d)
-        key = (rank, stream)
-        if key in stream_tail and stream_tail[key] != eid:
-            deps.add(stream_tail[key])
-        stream_tail[key] = eid
+        # Until the last record is read, an event gathers its ranks and
+        # dependencies in lists, deduplicated and sorted once at the end.
         ev = dag.events.get(eid)
         if ev is None:
-            ev = Event(
-                id=eid, kind=kind, rank_set=(rank,), streams={rank: stream},
+            ev = dag.add(Event(
+                id=eid, kind=kind, rank_set=[rank], streams={rank: stream},
                 group=group_id or None, coll_kind=coll_kind or None, bytes=nbytes,
-                deps=tuple(sorted(deps)), observed_start=start, observed_end=end,
-            )
+                deps=deps_s.split(";"), observed_start=start, observed_end=end,
+            ))
             if start is not None and end is not None:
                 ev.duration = end - start
-            dag.add(ev)
         else:
-            if rank not in ev.rank_set:
-                ev.rank_set = tuple(ev.rank_set) + (rank,)
+            ev.rank_set.append(rank)
             ev.streams[rank] = stream
-            ev.deps = tuple(sorted(set(ev.deps) | deps))
-    for ev in dag.events.values():
-        ev.rank_set = tuple(sorted(ev.rank_set))
-        ev.deps = tuple(d for d in ev.deps if d != ev.id)
+            ev.deps += deps_s.split(";")
+        key = (rank, stream)
+        tail = stream_tail.get(key)
+        if tail is not None:
+            ev.deps.append(tail)
+        stream_tail[key] = eid
+    for eid, ev in dag.events.items():
+        deps = set(ev.deps)
+        deps.discard(eid)
+        deps.discard("")
+        ev.rank_set = tuple(sorted(set(ev.rank_set)))
+        ev.deps = tuple(sorted(deps))
     if topological_order(dag) is None:
         raise CyclicDependency("trace dependency edges contain a cycle")
     return dag

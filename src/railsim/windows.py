@@ -65,18 +65,22 @@ def comm_start(times: Dict[str, object], eid: str) -> float:
     return t.start
 
 
-def rail_collectives(dag: EventDag, times: Dict[str, object], rail: int) -> List[str]:
-    """Scale-out collectives on one rail, ordered by communication start."""
-    out = []
+def collectives_by_rail(dag: EventDag, times: Dict[str, object],
+                        rails: Iterable[int]) -> Dict[int, List[str]]:
+    """Scale-out collectives on each of `rails`, found in one pass over the
+    events; each rail's are ordered by communication start, then id."""
+    by_rail: Dict[int, List[Tuple[float, str]]] = {rail: [] for rail in rails}
     for eid, ev in dag.events.items():
         if ev.kind != COLLECTIVE or eid not in times:
             continue
         g = dag.groups.get(ev.group or "")
-        if g is None or not g.is_scaleout or rail not in g.rails_touched:
+        if g is None or not g.is_scaleout:
             continue
-        out.append(eid)
-    out.sort(key=lambda e: (comm_start(times, e), e))
-    return out
+        for rail in g.rails_touched:
+            bucket = by_rail.get(rail)
+            if bucket is not None:
+                bucket.append((comm_start(times, eid), eid))
+    return {rail: [eid for _, eid in sorted(bucket)] for rail, bucket in by_rail.items()}
 
 
 def segment_phases(dag: EventDag, times: Dict[str, object], rail: int) -> List[Phase]:
@@ -91,7 +95,7 @@ def segment_phases(dag: EventDag, times: Dict[str, object], rail: int) -> List[P
             phases.append(Phase(id=f"rail{rail}.ph{len(phases)}", groups=groups,
                                 events=tuple(current), axis=key[0], kind=key[1]))
 
-    for eid in rail_collectives(dag, times, rail):
+    for eid in collectives_by_rail(dag, times, (rail,))[rail]:
         ev = dag.events[eid]
         k = (dag.groups[ev.group].axis, ev.coll_kind)
         if k != key:

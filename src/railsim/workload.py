@@ -32,7 +32,7 @@ SENDRECV = "SendRecv"
 ALLTOALL = "AllToAll"
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     id: str
     kind: str  # COMPUTE or COLLECTIVE
@@ -119,16 +119,19 @@ class _Builder:
         self.dag = dag
         self.stream_tail: Dict[Tuple[int, str], str] = {}
 
-    def add(self, id, kind, ranks, stream_of, deps, **kw) -> Event:
-        streams = {r: stream_of(r) for r in ranks}
-        deps = set(d for d in deps if d)
-        for r in ranks:
-            key = (r, streams[r])
-            tail = self.stream_tail.get(key)
+    def add(self, id, kind, ranks, stream, deps, **kw) -> Event:
+        """`stream` names every rank's issue stream, or is a dict of them by
+        rank, in `ranks` order."""
+        streams = stream if isinstance(stream, dict) else dict.fromkeys(ranks, stream)
+        deps = set(deps)
+        tails = self.stream_tail
+        for key in streams.items():
+            tail = tails.get(key)
             if tail:
                 deps.add(tail)
-            self.stream_tail[key] = id
-        ev = Event(id=id, kind=kind, rank_set=tuple(ranks), streams=streams, deps=tuple(sorted(deps)), **kw)
+            tails[key] = id
+        ev = Event(id=id, kind=kind, rank_set=tuple(ranks), streams=streams,
+                   deps=tuple(sorted(deps)), **kw)
         return self.dag.add(ev)
 
 
@@ -176,7 +179,7 @@ def generate_3d_schedule(params: WorkloadParams, topo: Topology) -> EventDag:
         for q in range(dp):
             for l in range(G):
                 deps = [f"sra.m0.p{p - 1}.q{q}.l{l}"] if p > 0 else []
-                b.add(f"prep.p{p}.q{q}.l{l}", COMPUTE, (rank(p, q, l),), lambda r: "compute",
+                b.add(f"prep.p{p}.q{q}.l{l}", COMPUTE, (rank(p, q, l),), "compute",
                       deps, duration=ct["pre_stage"])
 
     # Per-layer parameter AllGather, one per stage (first forward only).
@@ -185,7 +188,7 @@ def generate_3d_schedule(params: WorkloadParams, topo: Topology) -> EventDag:
             for j in range(stage_layers[p]):
                 deps = [f"prep.p{p}.q{q}.l{l}" for q in range(dp)]
                 b.add(f"ag.p{p}.j{j}.l{l}", COLLECTIVE,
-                      tuple(sorted(rank(p, q, l) for q in range(dp))), lambda r: "dp",
+                      tuple(sorted(rank(p, q, l) for q in range(dp))), "dp",
                       deps, group=f"dp.p{p}.l{l}", coll_kind=ALLGATHER,
                       bytes=params.bytes_per_layer_param)
 
@@ -202,17 +205,17 @@ def generate_3d_schedule(params: WorkloadParams, topo: Topology) -> EventDag:
                             if j == 0 and m > 0 and p > 0:
                                 deps.append(f"sra.m{m}.p{p - 1}.q{q}.l{l}")
                             b.add(f"f.p{p}.q{q}.m{m}.j{j}.l{l}", COMPUTE, (r,),
-                                  lambda _: "compute", deps, duration=ct["fwd_layer"])
+                                  "compute", deps, duration=ct["fwd_layer"])
                         if p < pp - 1:
                             peer = rank(p + 1, q, l)
                             b.add(f"sra.m{m}.p{p}.q{q}.l{l}", COLLECTIVE, (r, peer),
-                                  lambda x: "pp_send_fwd" if x == r else "pp_recv_fwd",
+                                  {r: "pp_send_fwd", peer: "pp_recv_fwd"},
                                   [f"f.p{p}.q{q}.m{m}.j{L - 1}.l{l}"],
                                   group=f"pp.p{p}-{p + 1}.q{q}.l{l}", coll_kind=SENDRECV,
                                   bytes=params.bytes_activation)
                         if tp >= 2 and l == 0:
                             b.add(f"tar.f.p{p}.q{q}.m{m}", COLLECTIVE,
-                                  dag.groups[f"tp.d{p * dp + q}"].members, lambda _: "tp",
+                                  dag.groups[f"tp.d{p * dp + q}"].members, "tp",
                                   [f"f.p{p}.q{q}.m{m}.j{L - 1}.l{ll}" for ll in range(G)],
                                   group=f"tp.d{p * dp + q}", coll_kind=ALLREDUCE,
                                   bytes=params.bytes_activation)
@@ -222,7 +225,7 @@ def generate_3d_schedule(params: WorkloadParams, topo: Topology) -> EventDag:
                             if j == L - 1 and p < pp - 1:
                                 deps.append(f"srg.m{m}.p{p + 1}.q{q}.l{l}")
                             b.add(f"b.p{p}.q{q}.m{m}.j{j}.l{l}", COMPUTE, (r,),
-                                  lambda _: "compute", deps, duration=ct["bwd_layer"])
+                                  "compute", deps, duration=ct["bwd_layer"])
                             if m == M - 1:
                                 # Gradient ReduceScatter per layer once partial
                                 # gradients are final (last microbatch).
@@ -230,18 +233,18 @@ def generate_3d_schedule(params: WorkloadParams, topo: Topology) -> EventDag:
                                     rs_deps = [f"b.p{p}.q{qq}.m{m}.j{j}.l{l}" for qq in range(dp)]
                                     b.add(f"rs.p{p}.j{j}.l{l}", COLLECTIVE,
                                           tuple(sorted(rank(p, qq, l) for qq in range(dp))),
-                                          lambda _: "dp", rs_deps, group=f"dp.p{p}.l{l}",
+                                          "dp", rs_deps, group=f"dp.p{p}.l{l}",
                                           coll_kind=REDUCESCATTER, bytes=rs_bytes)
                         if p > 0:
                             peer = rank(p - 1, q, l)
                             b.add(f"srg.m{m}.p{p}.q{q}.l{l}", COLLECTIVE, (r, peer),
-                                  lambda x: "pp_send_grad" if x == r else "pp_recv_grad",
+                                  {r: "pp_send_grad", peer: "pp_recv_grad"},
                                   [f"b.p{p}.q{q}.m{m}.j0.l{l}"],
                                   group=f"pp.p{p - 1}-{p}.q{q}.l{l}", coll_kind=SENDRECV,
                                   bytes=params.bytes_activation)
                         if tp >= 2 and l == 0:
                             b.add(f"tar.b.p{p}.q{q}.m{m}", COLLECTIVE,
-                                  dag.groups[f"tp.d{p * dp + q}"].members, lambda _: "tp",
+                                  dag.groups[f"tp.d{p * dp + q}"].members, "tp",
                                   [f"b.p{p}.q{q}.m{m}.j0.l{ll}" for ll in range(G)],
                                   group=f"tp.d{p * dp + q}", coll_kind=ALLREDUCE,
                                   bytes=params.bytes_activation)
@@ -251,13 +254,13 @@ def generate_3d_schedule(params: WorkloadParams, topo: Topology) -> EventDag:
         for q in range(dp):
             for l in range(G):
                 deps = [f"rs.p{p}.j{j}.l{l}" for j in range(stage_layers[p])]
-                b.add(f"opt.p{p}.q{q}.l{l}", COMPUTE, (rank(p, q, l),), lambda _: "compute",
+                b.add(f"opt.p{p}.q{q}.l{l}", COMPUTE, (rank(p, q, l),), "compute",
                       deps, duration=ct["optim"])
     for l in range(G):
         members = dag.groups[f"sync.l{l}"].members
         for k in range(params.n_sync_allreduce):
             deps = [f"opt.p{p}.q{q}.l{l}" for p in range(pp) for q in range(dp)] if k == 0 else []
-            b.add(f"ar.k{k}.l{l}", COLLECTIVE, members, lambda _: "sync", deps,
+            b.add(f"ar.k{k}.l{l}", COLLECTIVE, members, "sync", deps,
                   group=f"sync.l{l}", coll_kind=ALLREDUCE, bytes=params.bytes_sync_allreduce)
 
     return dag

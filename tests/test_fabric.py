@@ -1,11 +1,14 @@
 """Collective timing model and the discrete-event engine."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from railsim import (ControlPolicy, NotMember, UnsupportedKind, collective_time,
-                     generate_3d_schedule, load_trace, loads_trace, save_trace,
-                     simulate, sweep_delay)
+                     fabric, generate_3d_schedule, load_trace, loads_trace,
+                     save_trace, simulate, sweep_delay)
+from railsim.fabric import Prepared
 
 from conftest import (BAD_TRACES, HEADER, PROVISIONED, REACTIVE, make_params,
                       make_topo)
@@ -142,6 +145,83 @@ class TestSweep:
         serial = sweep_delay(dag, topo, delays, [REACTIVE, PROVISIONED], jobs=1)
         parallel = sweep_delay(dag, topo, delays, [REACTIVE, PROVISIONED], jobs=3)
         assert serial == parallel
+
+
+SWEEP_DELAYS = (0.0, 0.002, 0.05, 0.3)
+
+
+class TestPrepared:
+    @pytest.mark.parametrize("topo_kw,params", [
+        ({"nic_ports": 2, "delay": 0.01}, {}),
+        ({"nic_ports": 4, "delay": 0.0}, {"pp": 1, "dp": 4, "n_layer": 5, "n_microbatch": 3}),
+        ({"kind": "electrical"}, {"pp": 4, "dp": 1}),
+    ], ids=["nic2", "nic4-zero-delay", "electrical"])
+    def test_sweep_rows_equal_standalone_runs(self, topo_kw, params):
+        topo = make_topo(**topo_kw)
+        dag = generate_3d_schedule(make_params(**params), topo)
+        policies = [REACTIVE, PROVISIONED, ControlPolicy(provisioning=True, alpha=5e-6)]
+        want = []
+        for d in SWEEP_DELAYS:
+            t = replace(topo, rail_switch=replace(topo.rail_switch, reconfig_delay=d))
+            for p in policies:
+                r = simulate(dag, t, p)
+                want.append((d, p.label, r.makespan, r.overhead_vs_baseline))
+        assert sweep_delay(dag, topo, SWEEP_DELAYS, policies) == want
+
+    def test_one_simulate_per_point_one_compile_per_alpha(self, monkeypatch):
+        calls = {"simulate": 0, "compile": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fabric, "simulate", counted("simulate", fabric.simulate))
+        monkeypatch.setattr(fabric, "_CompiledDag", counted("compile", fabric._CompiledDag))
+        topo = make_topo(delay=0.01)
+        dag = generate_3d_schedule(make_params(), topo)
+        sweep_delay(dag, topo, SWEEP_DELAYS, [REACTIVE, PROVISIONED], jobs=2)
+        assert calls == {"simulate": 8, "compile": 1}
+        sweep_delay(dag, topo, SWEEP_DELAYS[1:],
+                    [REACTIVE, ControlPolicy(provisioning=True, alpha=5e-6)])
+        assert calls == {"simulate": 14, "compile": 3}
+
+    def test_reused_across_delays(self):
+        topo = make_topo(delay=0.01)
+        dag = generate_3d_schedule(make_params(), topo)
+        prep = Prepared(dag, topo, PROVISIONED.alpha)
+        for d in (0.05, 0.0, 0.01):
+            t = replace(topo, rail_switch=replace(topo.rail_switch, reconfig_delay=d))
+            got = simulate(dag, t, PROVISIONED, prepared=prep)
+            want = simulate(dag, t, PROVISIONED)
+            assert got.makespan == want.makespan
+            assert got.reconfig_log == want.reconfig_log
+            assert got.transfer_log == want.transfer_log
+
+    @pytest.mark.parametrize("change", [
+        {"nic": replace(make_topo().nic, ports=4)},
+        {"num_domains": 8},
+        {"scaleup_bandwidth": 1e12},
+        {"rail_switch": replace(make_topo().rail_switch, radix=64)},
+        {"rail_switch": replace(make_topo().rail_switch, kind="electrical")},
+    ], ids=["nic", "domains", "scaleup", "radix", "kind"])
+    def test_mismatched_topology_rejected(self, change):
+        topo = make_topo(delay=0.01)
+        dag = generate_3d_schedule(make_params(), topo)
+        prep = Prepared(dag, topo, REACTIVE.alpha)
+        with pytest.raises(ValueError, match="topology"):
+            simulate(dag, replace(topo, **change), REACTIVE, prepared=prep)
+
+    def test_mismatched_alpha_or_dag_rejected(self):
+        topo = make_topo(delay=0.01)
+        dag = generate_3d_schedule(make_params(), topo)
+        prep = Prepared(dag, topo, REACTIVE.alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            simulate(dag, topo, ControlPolicy(alpha=2e-6), prepared=prep)
+        other = generate_3d_schedule(make_params(), topo)
+        with pytest.raises(ValueError, match="DAG"):
+            simulate(other, topo, REACTIVE, prepared=prep)
 
 
 class TestJoins:

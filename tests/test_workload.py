@@ -5,11 +5,11 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from railsim import (CyclicDependency, InvalidParams, ParseError,
+from railsim import (CyclicDependency, Event, InvalidParams, ParseError,
                      generate_3d_schedule, load_trace, loads_trace,
                      one_f_one_b, save_trace, topological_order, validate_dag)
 
-from conftest import make_params, make_topo
+from conftest import HEADER, make_params, make_topo
 
 
 def small_dag(**kw):
@@ -188,6 +188,30 @@ class TestTrace:
             assert got.bytes == ev.bytes
             assert got.coll_kind == ev.coll_kind
         assert validate_dag(back).ok
+
+    def test_multi_record_event(self, tmp_path):
+        # c's dependencies are split over its three records: a and e
+        # explicitly, b as rank 1's compute-stream tail; c itself and an
+        # empty id are dropped.
+        text = (HEADER + "#group,g,DP,0;1;2,0\n"
+                "a,0,compute,compute,,,0,,0.0,1.0\n"
+                "b,1,compute,compute,,,0,,0.5,2.0\n"
+                "e,2,compute,compute,,,0,,0.0,0.5\n"
+                "c,2,dp,collective,AllReduce,g,64,a,,\n"
+                "c,0,dp,collective,AllReduce,g,64,c;;e;a,,\n"
+                "c,1,compute,collective,AllReduce,g,64,,,\n"
+                "d,0,dp,compute,,,0,,3.0,4.5\n")
+        want = Event(id="c", kind="collective", rank_set=(0, 1, 2),
+                     streams={2: "dp", 0: "dp", 1: "compute"}, group="g",
+                     coll_kind="AllReduce", bytes=64, deps=("a", "b", "e"))
+        dag = loads_trace(text)
+        assert list(dag.events["c"].streams) == [2, 0, 1]  # record order
+        path = tmp_path / "t.csv"
+        save_trace(dag, str(path))
+        for got in (dag, load_trace(str(path))):
+            assert got.events["c"] == want
+            assert got.events["d"].deps == ("c",)
+            assert got.events["b"].duration == 1.5
 
     def test_parse_error_carries_line_number(self):
         text = ("event_id,rank,stream,kind,coll_kind,group_id,bytes,dep_ids,"
