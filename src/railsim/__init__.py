@@ -21,9 +21,8 @@ from .trace import load_trace, loads_trace, save_trace
 from .windows import (Overlap, Phase, VolumeClassStats, Window, WindowReport,
                       analyze_rail, classify_by_volume, eq1_bound,
                       extract_windows, segment_phases, window_cdf)
-from .control import (Controller, ControlPhase, GroupTable, ReconfigLogEntry,
-                      ReconfigRequest, controller_apply, profile_iteration,
-                      provision, shim_intercept)
+from .control import (Controller, ControlPhase, ReconfigLogEntry,
+                      profile_iteration)
 from .fabric import (ControlPolicy, EventTiming, SimResult, collective_time,
                      simulate, sweep_delay)
 from .econ import (BomItem, EconConfig, FabricBom, electrical_fabric_bom,
@@ -45,9 +44,7 @@ __all__ = [
     "Phase", "Window", "Overlap", "WindowReport", "VolumeClassStats",
     "segment_phases", "extract_windows", "analyze_rail", "window_cdf",
     "classify_by_volume", "eq1_bound",
-    "Controller", "ControlPhase", "GroupTable", "ReconfigRequest",
-    "ReconfigLogEntry", "shim_intercept", "profile_iteration", "provision",
-    "controller_apply",
+    "Controller", "ControlPhase", "ReconfigLogEntry", "profile_iteration",
     "ControlPolicy", "EventTiming", "SimResult", "collective_time", "simulate",
     "sweep_delay",
     "EconConfig", "BomItem", "FabricBom", "electrical_fabric_bom",

@@ -24,14 +24,13 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .control import ReconfigLogEntry
 from .econ import (EconConfig, FabricBom, electrical_fabric_bom,
                    ocs_fabric_bom, savings, scalability_table)
 from .errors import (ConfigError, ConflictDeadlock, CyclicDependency,
                      DegreeInfeasible, EmptyInput, EmptyPhase, InvalidNicConfig,
                      InvalidParams, NotMember, ParseError, RadixExceeded,
                      UnsupportedKind)
-from .fabric import ControlPolicy, SimResult, simulate, sweep_delay
+from .fabric import ControlPolicy, EventTiming, SimResult, simulate, sweep_delay
 from .model import Topology, TopologySpec, build_topology
 from .trace import load_trace, save_trace
 from .windows import Window, analyze_rail, classify_by_volume, window_cdf
@@ -265,17 +264,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _observed_times(dag: EventDag) -> Dict[str, object]:
-    class _T:
-        __slots__ = ("start", "end", "starts")
-
-        def __init__(self, s, e):
-            self.start, self.end, self.starts = s, e, None
-
+def _observed_times(dag: EventDag) -> Dict[str, EventTiming]:
     times = {}
     for eid, ev in dag.events.items():
         if ev.observed_start is not None and ev.observed_end is not None:
-            times[eid] = _T(ev.observed_start, ev.observed_end)
+            times[eid] = EventTiming(ev.observed_start, ev.observed_end)
     return times
 
 
@@ -367,7 +360,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     dag = _scenario_dag(scn, topo)
     policies = (ControlPolicy(provisioning=False, alpha=scn.alpha),
                 ControlPolicy(provisioning=True, alpha=scn.alpha))
-    rows = sweep_delay(dag, topo, scn.delays, policies, jobs=args.jobs)
+    rows = sweep_delay(dag, topo, scn.delays, policies)
     os.makedirs(args.out_dir, exist_ok=True)
     _write_csv(os.path.join(args.out_dir, "sweep.csv"),
                "delay_s,policy,makespan_s,overhead",
@@ -513,8 +506,8 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario_flags(p)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; points run serially on "
-                        "one prepared simulation")
+                   help="accepted for compatibility and ignored; points run "
+                        "serially on one prepared simulation")
 
     p = sub.add_parser("econ", help="fabric cost and power comparison")
     p.add_argument("--config", default=DEFAULT_ECON_CONFIG,

@@ -1,36 +1,32 @@
 """Circuit control plane for reconfigurable rails.
 
-The shim sits between the application and the collective layer: it intercepts
-collective calls, profiles the first iteration's phase schedule, and issues
-reconfiguration requests only when the demand matrix changes.  With
-provisioning enabled it issues the request speculatively as soon as the
-previous phase's traffic completes, so the switching delay hides inside the
-idle window.  The controller realizes requests rail by rail: a group's
-reconfiguration starts only once every member rank has requested it
-(collective-barrier semantics), it is at the head of the first-come-first-serve
-order for every port it touches, and no touched port carries ongoing traffic.
-Ring pairings are cached per group and reused for the rest of the job.
+The paper's shim, which intercepts collective calls and asks for a ring only
+when its group's circuits are not up, is the circuit engine's dispatch step
+(`fabric._Engine._dispatch`).  The first iteration's phase schedule comes
+from `profile_iteration`.  With provisioning enabled, the engine
+(`fabric._Engine._provision_on_finish`) requests the next phase's rings
+speculatively as soon as the previous phase's traffic completes, so the
+switching delay hides inside the idle window.  The `Controller` realizes
+requests rail by rail: a group's reconfiguration starts only once every
+member rank has requested it (collective-barrier semantics), it is at the
+head of the first-come-first-serve order for every port it touches, and no
+touched port carries ongoing traffic.  A group's circuits stay cached on its
+ports until another group evicts them, so a ring that is still up is reused
+without a new reconfiguration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import DegreeInfeasible
-from .model import CommGroup, Topology, ports_needed, ring_edges
-from .workload import COLLECTIVE, EventDag
+from .model import CommGroup, Topology, ports_needed
+from .windows import collectives_by_rail, comm_start
+from .workload import EventDag
 
-SERVE = "serve"
-REQUEST = "request"
-
-
-@dataclass(frozen=True)
-class ReconfigRequest:
-    group: str
-    issuer: int  # rank; -1 for a coalesced speculative request
-    issue_time: float
-    speculative: bool = False
+if TYPE_CHECKING:
+    from .fabric import EventTiming
 
 
 @dataclass
@@ -51,38 +47,14 @@ class ControlPhase:
     events: tuple  # event ids, in start order
 
 
-@dataclass
-class GroupTable:
-    """Job-specific controller metadata."""
-
-    cached_configs: Dict[str, tuple] = field(default_factory=dict)  # group -> ring edges
-    phase_order: Dict[int, List[ControlPhase]] = field(default_factory=dict)  # per rail
-    queue: Dict[int, list] = field(default_factory=dict)  # per rail FC-FS pending requests
-    configured: Dict[int, Set[str]] = field(default_factory=dict)  # per rail groups with rings up
-
-
-def shim_intercept(event, now: float, state: GroupTable, dag: EventDag) -> Tuple[str, Optional[str]]:
-    """Decide whether a collective needs a reconfiguration request.
-
-    Returns (SERVE, None) when the group's ring is already configured on its
-    rail, else (REQUEST, group_id).
-    """
-    group = dag.groups[event.group]
-    rail = next(iter(group.rails_touched))
-    if event.group in state.configured.get(rail, set()):
-        return SERVE, None
-    return REQUEST, event.group
-
-
-def profile_iteration(dag: EventDag, times: Dict[str, object], rails: Sequence[int]) -> Dict[int, List[ControlPhase]]:
+def profile_iteration(dag: EventDag, times: Dict[str, EventTiming],
+                      rails: Sequence[int]) -> Dict[int, List[ControlPhase]]:
     """Per-rail ordered phase schedule from a first-iteration timeline.
 
     Consecutive collectives join the current phase when their group is already
     part of it or when they overlap the phase in time; otherwise a new phase
     starts.  Idempotent: identical timelines give identical schedules.
     """
-    from .windows import collectives_by_rail, comm_start
-
     schedule: Dict[int, List[ControlPhase]] = {}
     for rail, eids in collectives_by_rail(dag, times, rails).items():
         phases: List[ControlPhase] = []
@@ -102,55 +74,6 @@ def profile_iteration(dag: EventDag, times: Dict[str, object], rails: Sequence[i
             phases.append(ControlPhase(frozenset(cur_groups), tuple(cur_events)))
         schedule[rail] = phases
     return schedule
-
-
-def provision(completed_event: str, schedule: Sequence[ControlPhase], now: float,
-              completed: Set[str]) -> List[ReconfigRequest]:
-    """Speculative requests to issue when `completed_event` finishes.
-
-    Emits requests for the next phase's groups exactly when the completed
-    event is the last unfinished event of its phase.
-    """
-    for i, phase in enumerate(schedule):
-        if completed_event not in phase.events:
-            continue
-        if any(e not in completed for e in phase.events):
-            return []
-        if i + 1 < len(schedule):
-            return [ReconfigRequest(group=g, issuer=-1, issue_time=now, speculative=True)
-                    for g in sorted(schedule[i + 1].groups)]
-        return []
-    return []
-
-
-def controller_apply(requests: Sequence["ReconfigRequest"], now: float,
-                     controller: "Controller") -> List[Tuple[str, float]]:
-    """Feed per-rank requests to the controller and serve whatever is eligible.
-
-    A group is applied only once all its member ranks have requested it; the
-    returned list holds (group, circuit-ready time) pairs.
-    """
-    by_group: Dict[str, Dict[int, float]] = {}
-    spec_flag: Dict[str, bool] = {}
-    for r in requests:
-        by_group.setdefault(r.group, {})[r.issuer] = r.issue_time
-        spec_flag[r.group] = spec_flag.get(r.group, True) and r.speculative
-    for gid, times in by_group.items():
-        g = controller.groups[gid]
-        missing = set(g.members) - set(times)
-        if missing and -1 in times:  # coalesced speculative request covers all ranks
-            for m in g.members:
-                times.setdefault(m, times[-1])
-        times.pop(-1, None)
-        if set(times) != set(g.members):
-            # Barrier not met: park the partial request beyond `now`.
-            full = dict(times)
-            for m in g.members:
-                full.setdefault(m, float("inf"))
-            controller.request(gid, full, spec_flag[gid])
-            continue
-        controller.request(gid, times, spec_flag[gid])
-    return controller.scan(now, protected=set())
 
 
 @dataclass
@@ -181,11 +104,11 @@ class _Pending:
 class Controller:
     """Port-level circuit state for every rail of one topology."""
 
-    def __init__(self, topo: Topology, groups: Dict[str, CommGroup], delay: float):
+    def __init__(self, topo: Topology, groups: Dict[str, CommGroup]):
         self.topo = topo
-        self.delay = delay
+        self.delay = topo.rail_switch.reconfig_delay
         self.groups = groups
-        self.table = GroupTable()
+        self.queue: Dict[int, List[_Pending]] = {}  # rail -> FC-FS pending requests
         self.ports: Dict[int, List[_Port]] = {}  # rank -> its rail ports
         # group -> time its ring is (or becomes) fully configured
         self.ready_at: Dict[str, float] = {}
@@ -211,7 +134,7 @@ class Controller:
         """Enqueue (or merge) a request; `times` maps issuer rank to issue time."""
         g = self.groups[gid]
         rail = next(iter(g.rails_touched))
-        q = self.table.queue.setdefault(rail, [])
+        q = self.queue.setdefault(rail, [])
         for p in q:
             if p.group == gid:
                 for rank, t in times.items():
@@ -221,7 +144,7 @@ class Controller:
         q.append(_Pending(dict(times), gid, speculative))
 
     def has_pending(self, gid: str) -> bool:
-        return any(p.group == gid for q in self.table.queue.values() for p in q)
+        return any(p.group == gid for q in self.queue.values() for p in q)
 
     def scan(self, now: float, protected: Set[str]) -> List[Tuple[str, float]]:
         """Serve eligible requests in FC-FS order; returns (group, ready_time).
@@ -230,8 +153,8 @@ class Controller:
         pending request of their own).
         """
         grants: List[Tuple[str, float]] = []
-        for rail in sorted(self.table.queue):
-            q = self.table.queue[rail]
+        for rail in sorted(self.queue):
+            q = self.queue[rail]
             q.sort(key=lambda p: (p.order_time, p.group))
             blocked_ranks: Set[int] = set()
             remaining = []
@@ -247,7 +170,7 @@ class Controller:
                     remaining.append(p)
                 else:
                     grants.append((p.group, ready))
-            self.table.queue[rail] = remaining
+            self.queue[rail] = remaining
         return grants
 
     def _try_apply(self, p: _Pending, now: float, protected: Set[str]) -> Optional[float]:
@@ -293,11 +216,8 @@ class Controller:
                 port.reconfig_until = now + self.delay
                 self._up_since[(rank, i)] = now + self.delay
                 changed += 1
-        if gid not in self.table.cached_configs:
-            self.table.cached_configs[gid] = tuple(ring_edges(g))
         ready = now + self.delay if changed else now
         self.ready_at[gid] = ready
-        self.table.configured.setdefault(rail, set()).add(gid)
         self.log.append(ReconfigLogEntry(time=now, rail=rail, group=gid,
                                          speculative=p.speculative, delay=self.delay,
                                          ports_changed=changed))
@@ -311,7 +231,6 @@ class Controller:
             (rail, rank, idx, old, self._up_since.get((rank, idx), 0.0), now))
         # The evicted group's ring is no longer complete.
         self.ready_at.pop(old, None)
-        self.table.configured.get(rail, set()).discard(old)
         port.group = None
 
     def mark_busy(self, gid: str, start: float, end: float) -> List[Tuple[int, int]]:

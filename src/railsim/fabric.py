@@ -55,18 +55,19 @@ def collective_time(kind: str, bytes_per_rank: int, n: int, bandwidth: float,
 class ControlPolicy:
     provisioning: bool = False
     alpha: float = 1e-6  # per-ring-hop latency, seconds
-    name: str = ""
 
     @property
     def label(self) -> str:
-        return self.name or ("provisioning" if self.provisioning else "reactive")
+        return "provisioning" if self.provisioning else "reactive"
 
 
-@dataclass
+@dataclass(slots=True)
 class EventTiming:
-    starts: Optional[Dict[int, float]]  # per-rank join time (None: only `start` known)
+    """When one event ran: simulated, or observed in a trace."""
+
     start: float  # actual transfer/compute start
     end: float
+    starts: Optional[Dict[int, float]] = None  # per-rank join time (None: only `start` known)
 
 
 @dataclass
@@ -229,7 +230,7 @@ class _Engine:
                  policy: ControlPolicy, schedule: Optional[dict]):
         self.c = c
         self.provisioning = policy.provisioning
-        self.controller = Controller(topo, dag.groups, topo.rail_switch.reconfig_delay)
+        self.controller = Controller(topo, dag.groups)
         n = len(c.ids)
         self.times: Dict[str, EventTiming] = {}
         self.latest = [0.0] * n  # latest end among finished dependencies
@@ -252,7 +253,7 @@ class _Engine:
 
     def _protected(self) -> Set[str]:
         protected = {g for g, evs in self.waiting.items() if evs}
-        for q in self.controller.table.queue.values():
+        for q in self.controller.queue.values():
             protected.update(p.group for p in q)
         return protected
 
@@ -261,7 +262,7 @@ class _Engine:
         end = start + c.duration[i]
         self.end[i] = end
         eid = c.ids[i]
-        self.times[eid] = EventTiming(self.joins[i], start, end)
+        self.times[eid] = EventTiming(start, end, self.joins[i])
         if c.circuit[i]:
             for rank, port in self.controller.mark_busy(c.group[i], start, end):
                 self.transfer_log.append((eid, rank, port, start, end))
@@ -303,7 +304,7 @@ class _Engine:
     def run(self) -> Tuple[Dict[str, EventTiming], Controller, List[tuple]]:
         c = self.c
         controller = self.controller
-        queues = controller.table.queue
+        queues = controller.queue
         heap, seq, waiting = self.heap, self.seq, self.waiting
         indeg, latest, end = self.indeg, self.latest, self.end
         for i, n in enumerate(indeg):
@@ -390,7 +391,7 @@ class Prepared:
             c, start, end = self.c, self.start, self.end
             # The profiler reads start and end only; at full connectivity every
             # rank of a collective has joined by its start.
-            collectives = {c.ids[i]: EventTiming(None, start[i], end[i])
+            collectives = {c.ids[i]: EventTiming(start[i], end[i])
                            for i, gid in enumerate(c.group) if gid is not None}
             self._schedule = profile_iteration(self.dag, collectives,
                                                range(self._topo.num_rails))
@@ -424,7 +425,7 @@ def simulate(dag: EventDag, topo: Topology, policy: Optional[ControlPolicy] = No
     ocs_active = topo.rail_switch.is_ocs and topo.rail_switch.reconfig_delay > 0
     if force_baseline or not ocs_active:
         # Full connectivity (electrical, or free switching): no circuit events.
-        times = {c.ids[i]: EventTiming(_joins(c, i, start, end), start[i], end[i])
+        times = {c.ids[i]: EventTiming(start[i], end[i], _joins(c, i, start, end))
                  for i in prepared.order}
         return SimResult(makespan=baseline_makespan, event_times=times,
                          reconfig_log=[], overhead_vs_baseline=1.0)
@@ -444,12 +445,11 @@ def simulate(dag: EventDag, topo: Topology, policy: Optional[ControlPolicy] = No
 
 
 def sweep_delay(dag: EventDag, topo: Topology, delays: Sequence[float],
-                policies: Sequence[ControlPolicy], jobs: int = 1) -> List[tuple]:
+                policies: Sequence[ControlPolicy]) -> List[tuple]:
     """Makespan and overhead per (delay, policy); rows ordered by input order.
 
     Points run serially through `simulate`, sharing one `Prepared` per
-    distinct policy alpha.  `jobs` is accepted and ignored: threads ran the
-    CPU-bound points slower than one thread does.
+    distinct policy alpha.
     """
     prepared: Dict[float, Prepared] = {}
     rows = []

@@ -15,10 +15,13 @@ windows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
 from .errors import EmptyInput, EmptyPhase, InvalidParams
 from .workload import COLLECTIVE, EventDag
+
+if TYPE_CHECKING:
+    from .fabric import EventTiming
 
 
 @dataclass
@@ -56,16 +59,16 @@ class WindowReport:
     overlaps: List[Overlap] = field(default_factory=list)
 
 
-def comm_start(times: Dict[str, object], eid: str) -> float:
+def comm_start(times: Dict[str, EventTiming], eid: str) -> float:
     """Join time of the slowest member rank."""
     t = times[eid]
-    starts = getattr(t, "starts", None)
+    starts = t.starts
     if starts:
         return max(starts.values())
     return t.start
 
 
-def collectives_by_rail(dag: EventDag, times: Dict[str, object],
+def collectives_by_rail(dag: EventDag, times: Dict[str, EventTiming],
                         rails: Iterable[int]) -> Dict[int, List[str]]:
     """Scale-out collectives on each of `rails`, found in one pass over the
     events; each rail's are ordered by communication start, then id."""
@@ -83,7 +86,7 @@ def collectives_by_rail(dag: EventDag, times: Dict[str, object],
     return {rail: [eid for _, eid in sorted(bucket)] for rail, bucket in by_rail.items()}
 
 
-def segment_phases(dag: EventDag, times: Dict[str, object], rail: int) -> List[Phase]:
+def segment_phases(dag: EventDag, times: Dict[str, EventTiming], rail: int) -> List[Phase]:
     """Split a rail's collectives into parallelism phases."""
     phases: List[Phase] = []
     current: List[str] = []
@@ -107,7 +110,7 @@ def segment_phases(dag: EventDag, times: Dict[str, object], rail: int) -> List[P
     return phases
 
 
-def extract_windows(times: Dict[str, object], phases: Sequence[Phase],
+def extract_windows(times: Dict[str, EventTiming], phases: Sequence[Phase],
                     dag: EventDag = None, rail: int = -1) -> WindowReport:
     """Windows (and overlaps) between each consecutive phase pair."""
     report = WindowReport()
@@ -130,7 +133,7 @@ def extract_windows(times: Dict[str, object], phases: Sequence[Phase],
     return report
 
 
-def analyze_rail(dag: EventDag, times: Dict[str, object], rail: int) -> WindowReport:
+def analyze_rail(dag: EventDag, times: Dict[str, EventTiming], rail: int) -> WindowReport:
     return extract_windows(times, segment_phases(dag, times, rail), dag=dag, rail=rail)
 
 

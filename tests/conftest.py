@@ -5,17 +5,6 @@ import pytest
 from railsim import ControlPolicy, TopologySpec, WorkloadParams, build_topology
 
 
-class Times:
-    """Minimal per-event timing record accepted by the window analyzer."""
-
-    __slots__ = ("start", "end", "starts")
-
-    def __init__(self, start, end, starts=None):
-        self.start = start
-        self.end = end
-        self.starts = starts
-
-
 def make_topo(num_domains=4, gpus_per_domain=4, nic_ports=2, kind="ocs",
               delay=0.0, radix=576, nic_bw=25e9, scaleup_bw=900e9):
     return build_topology(TopologySpec(

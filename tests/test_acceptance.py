@@ -11,15 +11,15 @@ import time
 
 import pytest
 
-from railsim import (ControlPolicy, EventDag, analyze_rail, build_topology,
-                     classify_by_volume, eq1_bound, generate_3d_schedule,
-                     make_group, scalability_table, segment_phases, simulate,
-                     sweep_delay)
+from railsim import (ControlPolicy, EventDag, EventTiming, analyze_rail,
+                     build_topology, classify_by_volume, eq1_bound,
+                     generate_3d_schedule, make_group, scalability_table,
+                     segment_phases, simulate, sweep_delay)
 from railsim.cli import DEFAULT_CLASS_EDGES, load_scenario, main
 from railsim.econ import DEFAULT_SCALEUPS, DEFAULT_TECHS
 from railsim.workload import COLLECTIVE, Event
 
-from conftest import PROVISIONED, REACTIVE, Times, make_params, make_topo
+from conftest import PROVISIONED, REACTIVE, make_params, make_topo
 
 
 def report(capfd, n, ok, detail):
@@ -110,7 +110,7 @@ def test_criterion_2_window_oracle(capfd):
             start = rng.uniform(0, 50)
             starts = {r: start + rng.uniform(0, 3) for r in g.members}
             end = max(starts.values()) + rng.uniform(0, 5)
-            times[ev.id] = Times(start, end, starts)
+            times[ev.id] = EventTiming(start, end, starts)
         rep = analyze_rail(dag, times, 0)
         expected = brute_force_windows(dag, times, 0)
         got = [(w.start, w.end) for w in rep.windows] + \

@@ -1,26 +1,25 @@
-"""Shim, first-iteration profiling, speculative provisioning, and the
+"""The control plane: first-iteration profiling, the shim step and
+speculative provisioning as the circuit engine runs them, and the
 port-level circuit controller."""
 
 import pytest
 
-from railsim import (Controller, ControlPolicy, DegreeInfeasible, EventDag,
-                     GroupTable, ReconfigRequest, controller_apply,
+from railsim import (Controller, DegreeInfeasible, EventDag, EventTiming,
                      generate_3d_schedule, make_group, profile_iteration,
-                     provision, shim_intercept, simulate)
-from railsim.control import REQUEST, SERVE
-from railsim.workload import COLLECTIVE, Event
+                     simulate)
+from railsim.workload import COLLECTIVE, COMPUTE, Event
 
-from conftest import PROVISIONED, REACTIVE, Times, make_params, make_topo
+from conftest import PROVISIONED, REACTIVE, make_params, make_topo
 
 
 def rail_group(gid, members, topo, axis="DP"):
     return make_group(gid, axis, members, topo)
 
 
-def coll(eid, group, ranks, kind="AllGather", nbytes=1000):
+def coll(eid, group, ranks, kind="AllGather", nbytes=1000, deps=()):
     return Event(id=eid, kind=COLLECTIVE, rank_set=tuple(ranks),
                  streams={r: "dp" for r in ranks}, group=group,
-                 coll_kind=kind, bytes=nbytes)
+                 coll_kind=kind, bytes=nbytes, deps=tuple(deps))
 
 
 @pytest.fixture
@@ -40,20 +39,41 @@ def rail0_groups(topo):
     }
 
 
-def req(gid, members, t, speculative=False):
-    return [ReconfigRequest(group=gid, issuer=r, issue_time=t,
-                            speculative=speculative) for r in members]
+def grant(c, gid, t):
+    """Every member rank of `gid` requests it at `t`; one controller scan."""
+    c.request(gid, {r: t for r in c.groups[gid].members}, False)
+    return c.scan(t, protected=set())
+
+
+def two_phase_dag(topo):
+    """Rail 0: e1 and e2 on a=[0,2] 5 ms apart, then 50 ms of compute, then
+    e3 on b=[4,6] and e4 on c=[0,6] together.  Profiled phases: {a} (e1, e2),
+    then {b, c} (e3, e4)."""
+    dag = EventDag()
+    for gid, members in (("a", [0, 2]), ("b", [4, 6]), ("c", [0, 6])):
+        dag.groups[gid] = rail_group(gid, members, topo)
+
+    def compute(eid, duration, dep):
+        return Event(id=eid, kind=COMPUTE, rank_set=(0,), streams={0: "compute"},
+                     deps=(dep,), duration=duration)
+
+    dag.add(coll("e1", "a", [0, 2], nbytes=10**6))
+    dag.add(compute("w1", 0.005, "e1"))
+    dag.add(coll("e2", "a", [0, 2], nbytes=10**6, deps=["w1"]))
+    dag.add(compute("w2", 0.05, "e2"))
+    dag.add(coll("e3", "b", [4, 6], nbytes=10**6, deps=["w2"]))
+    dag.add(coll("e4", "c", [0, 6], nbytes=10**6, deps=["w2"]))
+    return dag
 
 
 class TestShim:
     def test_request_then_serve(self, topo):
-        dag = EventDag()
-        dag.groups["g"] = rail_group("g", [0, 2], topo)
-        ev = dag.add(coll("e1", "g", [0, 2]))
-        state = GroupTable()
-        assert shim_intercept(ev, 0.0, state, dag) == (REQUEST, "g")
-        state.configured.setdefault(0, set()).add("g")
-        assert shim_intercept(ev, 1.0, state, dag) == (SERVE, None)
+        # e1 finds no circuits and requests a; e2 finds a's ring still up and
+        # starts at its barrier without a second request.
+        res = simulate(two_phase_dag(topo), topo, REACTIVE)
+        assert [e.group for e in res.reconfig_log].count("a") == 1
+        e2 = res.event_times["e2"]
+        assert e2.start == max(e2.starts.values())
 
 
 class TestProfiler:
@@ -61,7 +81,7 @@ class TestProfiler:
         dag = generate_3d_schedule(make_params(), topo)
         times, t = {}, 0.0
         for eid in dag.events:
-            times[eid] = Times(t, t + 0.4)
+            times[eid] = EventTiming(t, t + 0.4)
             t += 1.0
         return dag, times
 
@@ -92,56 +112,66 @@ class TestProfiler:
         dag.add(coll("e1", "a", [0, 2]))
         dag.add(coll("e2", "b", [4, 6]))  # overlaps e1 in time
         dag.add(coll("e3", "d", [0, 4]))  # later, new group: new phase
-        times = {"e1": Times(0.0, 2.0), "e2": Times(1.0, 3.0),
-                 "e3": Times(5.0, 6.0)}
+        times = {"e1": EventTiming(0.0, 2.0), "e2": EventTiming(1.0, 3.0),
+                 "e3": EventTiming(5.0, 6.0)}
         sched = profile_iteration(dag, times, [0])
         assert [ph.events for ph in sched[0]] == [("e1", "e2"), ("e3",)]
 
 
 class TestProvision:
-    def setup_method(self):
-        from railsim.control import ControlPhase
-        self.schedule = [
-            ControlPhase(frozenset({"a"}), ("e1", "e2")),
-            ControlPhase(frozenset({"b", "c"}), ("e3",)),
-        ]
+    def spec_log(self, topo):
+        res = simulate(two_phase_dag(topo), topo, PROVISIONED)
+        return res, [e for e in res.reconfig_log if e.speculative]
 
-    def test_fires_on_last_event_of_phase(self):
-        reqs = provision("e2", self.schedule, 4.0, completed={"e1", "e2"})
-        assert [r.group for r in reqs] == ["b", "c"]
-        assert all(r.speculative and r.issuer == -1 and r.issue_time == 4.0
-                   for r in reqs)
+    def test_fires_on_last_event_of_phase(self, topo):
+        res, spec = self.spec_log(topo)
+        assert [e.group for e in spec] == ["b", "c"]
+        assert all(e.time == res.event_times["e2"].end for e in spec)
+        assert res.event_times["e2"].end == pytest.approx(0.015042, abs=1e-12)
 
-    def test_silent_mid_phase(self):
-        assert provision("e1", self.schedule, 2.0, completed={"e1"}) == []
+    def test_silent_mid_phase(self, topo):
+        # Neither e1 (first of its phase) nor the compute events, which no
+        # phase holds, trigger a speculative request when they finish.
+        res, spec = self.spec_log(topo)
+        quiet = {res.event_times[e].end for e in ("e1", "w1", "w2")}
+        assert not quiet & {e.time for e in spec}
 
     def test_silent_on_final_phase(self):
-        assert provision("e3", self.schedule, 9.0, completed={"e1", "e2", "e3"}) == []
+        # On 1-port NICs c evicts a from rank 0, so a request for the first
+        # phase's ring after the final phase would be granted and logged.
+        for nic_ports in (1, 2):
+            topo = make_topo(num_domains=4, gpus_per_domain=2, nic_ports=nic_ports,
+                             delay=0.01)
+            res, _ = self.spec_log(topo)
+            final_end = max(res.event_times[e].end for e in ("e3", "e4"))
+            assert all(e.time < final_end for e in res.reconfig_log)
 
-    def test_unknown_event(self):
-        assert provision("zz", self.schedule, 1.0, completed=set()) == []
+    def test_hides_the_second_delay(self, topo):
+        dag = two_phase_dag(topo)
+        assert simulate(dag, topo, REACTIVE).makespan == pytest.approx(0.075063, abs=1e-12)
+        assert simulate(dag, topo, PROVISIONED).makespan == pytest.approx(0.065063, abs=1e-12)
 
 
 class TestController:
     def test_grant_and_cache(self, topo, rail0_groups):
-        c = Controller(topo, rail0_groups, delay=0.01)
-        grants = controller_apply(req("a", [0, 2, 4], 1.0), 1.0, c)
-        assert grants == [("a", 1.01)]
+        c = Controller(topo, rail0_groups)
+        assert grant(c, "a", 1.0) == [("a", 1.01)]
         assert c.group_up("a", 1.01) and not c.group_up("a", 1.0)
-        assert c.table.cached_configs["a"] == ((0, 2), (2, 4), (4, 0))
+        # The ring stays cached on both ports of every member rank.
+        assert all([p.group for p in c.ports[r]] == ["a", "a"] for r in (0, 2, 4))
         assert c.log[-1].ports_changed == 6
 
     def test_barrier_waits_for_all_ranks(self, topo, rail0_groups):
-        c = Controller(topo, rail0_groups, delay=0.01)
-        # 2 of 3 member ranks have asked: nothing happens.
-        assert controller_apply(req("a", [0, 2], 1.0), 1.0, c) == []
+        c = Controller(topo, rail0_groups)
+        # Ranks 0 and 2 ask at t=1, rank 4 only at t=3: nothing happens at 1.
+        c.request("a", {0: 1.0, 2: 1.0, 4: 3.0}, False)
+        assert c.scan(1.0, protected=set()) == []
         assert c.has_pending("a")
-        # Third rank arrives later; FC-FS position stays at the first ask.
-        grants = controller_apply(req("a", [4], 3.0), 3.0, c)
-        assert grants == [("a", 3.01)]
+        # The last rank's request completes the barrier.
+        assert c.scan(3.0, protected=set()) == [("a", 3.01)]
 
     def test_fcfs_order_on_contention(self, topo, rail0_groups):
-        c = Controller(topo, rail0_groups, delay=0.01)
+        c = Controller(topo, rail0_groups)
         # a and b both need both ports of ranks 2 and 4; b asked first, so b
         # is configured first and a then evicts b's circuits.
         c.request("b", {2: 1.0, 4: 1.0, 6: 1.0}, False)
@@ -157,11 +187,11 @@ class TestController:
         assert not c.group_up("b", 2.03)
 
     def test_blocked_by_busy_port(self, topo, rail0_groups):
-        c = Controller(topo, rail0_groups, delay=0.01)
-        controller_apply(req("a", [0, 2, 4], 0.0), 0.0, c)
+        c = Controller(topo, rail0_groups)
+        grant(c, "a", 0.0)
         c.mark_busy("a", 0.02, 5.0)
         # Both ports of ranks 2 and 4 carry traffic until t=5: c cannot form.
-        assert controller_apply(req("c", [0, 2, 4, 6], 1.0), 1.0, c) == []
+        assert grant(c, "c", 1.0) == []
         assert c.has_pending("c")
         grants = c.scan(5.0, protected=set())
         assert [g for g, _ in grants] == ["c"]
@@ -176,9 +206,9 @@ class TestController:
             "b": rail_group("b", [2, 4, 6], topo),
             "c": rail_group("c", [0, 2, 4, 6], topo, axis="SYNC"),
         }
-        c = Controller(topo, groups, delay=0.01)
-        controller_apply(req("a", [0, 2, 4], 0.0), 0.0, c)
-        controller_apply(req("b", [2, 4, 6], 0.0), 0.0, c)
+        c = Controller(topo, groups)
+        grant(c, "a", 0.0)
+        grant(c, "b", 0.0)
         assert c.group_up("a", 0.5) and c.group_up("b", 0.5)
         # c needs 2 ports on ranks 2 and 4, which hold 2 for a and 2 for b.
         c.request("c", {0: 1.0, 2: 1.0, 4: 1.0, 6: 1.0}, False)
@@ -194,16 +224,16 @@ class TestController:
             "r0": rail_group("r0", [0, 2, 4], topo),
             "r1": rail_group("r1", [1, 3, 5], topo),
         }
-        c = Controller(topo, groups, delay=0.01)
-        grants = controller_apply(req("r0", [0, 2, 4], 0.0) +
-                                  req("r1", [1, 3, 5], 0.0), 0.0, c)
+        c = Controller(topo, groups)
+        c.request("r0", {0: 0.0, 2: 0.0, 4: 0.0}, False)
+        c.request("r1", {1: 0.0, 3: 0.0, 5: 0.0}, False)
+        grants = c.scan(0.0, protected=set())
         assert sorted(g for g, _ in grants) == ["r0", "r1"]
 
     def test_reuse_is_free(self, topo, rail0_groups):
-        c = Controller(topo, rail0_groups, delay=0.01)
-        controller_apply(req("a", [0, 2, 4], 0.0), 0.0, c)
-        grants = controller_apply(req("a", [0, 2, 4], 2.0), 2.0, c)
-        assert grants == [("a", 2.0)]  # ring still up: no new delay
+        c = Controller(topo, rail0_groups)
+        grant(c, "a", 0.0)
+        assert grant(c, "a", 2.0) == [("a", 2.0)]  # ring still up: no new delay
         assert len(c.log) == 1  # and no second reconfiguration logged
 
     def test_eviction_prefers_free_then_lru(self, topo):
@@ -212,15 +242,14 @@ class TestController:
             "p2": rail_group("p2", [0, 4], topo, axis="PP"),
             "p3": rail_group("p3", [0, 6], topo, axis="PP"),
         }
-        c = Controller(topo, groups, delay=0.01)
-        controller_apply(req("p1", [0, 2], 0.0), 0.0, c)
+        c = Controller(topo, groups)
+        grant(c, "p1", 0.0)
         c.mark_busy("p1", 0.01, 0.5)
-        controller_apply(req("p2", [0, 4], 1.0), 1.0, c)  # takes rank 0's free port
+        grant(c, "p2", 1.0)  # takes rank 0's free port
         c.mark_busy("p2", 1.01, 1.2)
         # Rank 0 has no free port left; p3 must evict the least recently
         # used circuit, which is p1 (released 0.5 < 1.2).
-        grants = controller_apply(req("p3", [0, 6], 2.0), 2.0, c)
-        assert grants == [("p3", 2.01)]
+        assert grant(c, "p3", 2.0) == [("p3", 2.01)]
         assert not c.group_up("p1", 3.0)
         assert c.group_up("p2", 3.0)
 
@@ -228,17 +257,17 @@ class TestController:
         topo = make_topo(num_domains=4, gpus_per_domain=2, nic_ports=1)
         groups = {"g": rail_group("g", [0, 2, 4], topo)}
         with pytest.raises(DegreeInfeasible):
-            Controller(topo, groups, delay=0.01)
+            Controller(topo, groups)
 
     def test_pair_fits_one_port_nic(self):
-        topo = make_topo(num_domains=4, gpus_per_domain=2, nic_ports=1)
+        topo = make_topo(num_domains=4, gpus_per_domain=2, nic_ports=1, delay=0.01)
         groups = {"g": rail_group("g", [0, 2], topo, axis="PP")}
-        c = Controller(topo, groups, delay=0.01)
-        assert controller_apply(req("g", [0, 2], 0.0), 0.0, c) == [("g", 0.01)]
+        c = Controller(topo, groups)
+        assert grant(c, "g", 0.0) == [("g", 0.01)]
 
     def test_close_flushes_intervals(self, topo, rail0_groups):
-        c = Controller(topo, rail0_groups, delay=0.01)
-        controller_apply(req("a", [0, 2, 4], 0.0), 0.0, c)
+        c = Controller(topo, rail0_groups)
+        grant(c, "a", 0.0)
         c.close(9.0)
         assert len(c.circuit_intervals) == 6
         assert all(entry[3] == "a" and entry[5] == 9.0
@@ -248,8 +277,6 @@ class TestController:
 class TestExposedDelay:
     def make_window_dag(self, topo, gap):
         """Two rail-0 phases separated by a compute gap of `gap` seconds."""
-        from railsim.workload import COMPUTE
-
         dag = EventDag()
         dag.groups["g1"] = rail_group("g1", [0, 2], topo)
         dag.groups["g2"] = rail_group("g2", [4, 6], topo)

@@ -4,13 +4,13 @@ window-count bound."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from railsim import (EmptyInput, EmptyPhase, EventDag, InvalidParams, Phase,
-                     Window, analyze_rail, classify_by_volume, eq1_bound,
+from railsim import (EmptyInput, EmptyPhase, EventDag, EventTiming, InvalidParams,
+                     Phase, Window, analyze_rail, classify_by_volume, eq1_bound,
                      extract_windows, generate_3d_schedule, segment_phases,
                      window_cdf)
 from railsim.workload import COLLECTIVE, Event
 
-from conftest import Times, make_params, make_topo
+from conftest import make_params, make_topo
 
 
 def coll(eid, group, kind, ranks, nbytes=100):
@@ -33,7 +33,7 @@ def two_phase_dag():
 class TestHandExamples:
     def test_simple_window(self):
         dag = two_phase_dag()
-        times = {"ag": Times(1.0, 5.0), "rs": Times(9.0, 12.0)}
+        times = {"ag": EventTiming(1.0, 5.0), "rs": EventTiming(9.0, 12.0)}
         rep = analyze_rail(dag, times, 0)
         assert len(rep.windows) == 1 and not rep.overlaps
         w = rep.windows[0]
@@ -44,15 +44,15 @@ class TestHandExamples:
         # An event's communication start is its slowest rank's join time, so
         # the window runs to 9.0 even though rank 1 joined at 6.5.
         dag = two_phase_dag()
-        times = {"ag": Times(1.0, 6.0),
-                 "rs": Times(6.5, 12.0, {0: 9.0, 1: 6.5, 2: 8.0, 3: 7.0})}
+        times = {"ag": EventTiming(1.0, 6.0),
+                 "rs": EventTiming(6.5, 12.0, {0: 9.0, 1: 6.5, 2: 8.0, 3: 7.0})}
         rep = analyze_rail(dag, times, 0)
         assert len(rep.windows) == 1
         assert (rep.windows[0].start, rep.windows[0].end) == (6.0, 9.0)
 
     def test_overlap_reported(self):
         dag = two_phase_dag()
-        times = {"ag": Times(1.0, 7.0), "rs": Times(5.0, 12.0)}
+        times = {"ag": EventTiming(1.0, 7.0), "rs": EventTiming(5.0, 12.0)}
         rep = analyze_rail(dag, times, 0)
         assert not rep.windows
         assert len(rep.overlaps) == 1
@@ -60,7 +60,7 @@ class TestHandExamples:
 
     def test_zero_width_window_counts(self):
         dag = two_phase_dag()
-        times = {"ag": Times(1.0, 5.0), "rs": Times(5.0, 12.0)}
+        times = {"ag": EventTiming(1.0, 5.0), "rs": EventTiming(5.0, 12.0)}
         rep = analyze_rail(dag, times, 0)
         assert len(rep.windows) == 1 and rep.windows[0].size == 0.0
 
@@ -74,7 +74,7 @@ class TestHandExamples:
         times = {}
         t = 0.0
         for eid, ev in dag.events.items():
-            times[eid] = Times(t, t + 0.5)
+            times[eid] = EventTiming(t, t + 0.5)
             t += 1.0
         phases = segment_phases(dag, times, 0)
         for ph in phases:
@@ -128,8 +128,8 @@ class TestOracle:
             for eid, ev in dag.events.items():
                 start = rng.uniform(0, 100)
                 starts = {r: start + rng.uniform(0, 2) for r in ev.rank_set}
-                times[eid] = Times(start, max(starts.values()) + rng.uniform(0.01, 10),
-                                   starts)
+                times[eid] = EventTiming(
+                    start, max(starts.values()) + rng.uniform(0.01, 10), starts)
             rail = trial % topo.num_rails
             rep = analyze_rail(dag, times, rail)
             expected = self.brute_force(dag, times, rail)
