@@ -130,10 +130,15 @@ class TestProvision:
         assert res.event_times["e2"].end == pytest.approx(0.015042, abs=1e-12)
 
     def test_silent_mid_phase(self, topo):
-        # Neither e1 (first of its phase) nor the compute events, which no
-        # phase holds, trigger a speculative request when they finish.
+        # e1 is not the last event of its phase: it triggers no request.
         res, spec = self.spec_log(topo)
-        quiet = {res.event_times[e].end for e in ("e1", "w1", "w2")}
+        assert res.event_times["e1"].end not in {e.time for e in spec}
+
+    def test_unknown_event(self, topo):
+        # The compute events belong to no profiled phase, so finishing them
+        # triggers no speculative request.
+        res, spec = self.spec_log(topo)
+        quiet = {res.event_times[e].end for e in ("w1", "w2")}
         assert not quiet & {e.time for e in spec}
 
     def test_silent_on_final_phase(self):
