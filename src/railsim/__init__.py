@@ -9,14 +9,13 @@ simulator with a circuit control plane, and fabric cost/power models.
 
 from .errors import (ConfigError, ConflictDeadlock, CyclicDependency,
                      DegreeInfeasible, EmptyInput, EmptyPhase, InvalidNicConfig,
-                     InvalidParams, NotMember, ParseError, RadixExceeded,
-                     RailsimError, UnsupportedKind)
+                     InvalidParams, MissingDependency, NotMember, ParseError,
+                     RadixExceeded, RailsimError, UnsupportedKind)
 from .model import (CommGroup, NicPortConfig, RailSwitch, Rank, Topology,
                     TopologySpec, build_topology, make_group, max_gpus,
-                    ports_needed, ring_edges, ring_neighbors)
-from .workload import (Event, EventDag, ValidationReport, WorkloadParams,
-                       generate_3d_schedule, one_f_one_b, topological_order,
-                       validate_dag)
+                    ports_needed)
+from .workload import (Event, EventDag, WorkloadParams, generate_3d_schedule,
+                       one_f_one_b)
 from .trace import load_trace, loads_trace, save_trace
 from .windows import (Overlap, Phase, VolumeClassStats, Window, WindowReport,
                       analyze_rail, classify_by_volume, eq1_bound,
@@ -33,13 +32,11 @@ __version__ = "0.1.0"
 __all__ = [
     "RailsimError", "ConfigError", "InvalidNicConfig", "RadixExceeded",
     "InvalidParams", "NotMember", "ParseError", "CyclicDependency",
-    "UnsupportedKind", "DegreeInfeasible", "ConflictDeadlock", "EmptyPhase",
-    "EmptyInput",
+    "MissingDependency", "UnsupportedKind", "DegreeInfeasible",
+    "ConflictDeadlock", "EmptyPhase", "EmptyInput",
     "NicPortConfig", "RailSwitch", "Rank", "Topology", "TopologySpec",
     "CommGroup", "build_topology", "make_group", "max_gpus", "ports_needed",
-    "ring_edges", "ring_neighbors",
-    "Event", "EventDag", "WorkloadParams", "ValidationReport",
-    "generate_3d_schedule", "one_f_one_b", "topological_order", "validate_dag",
+    "Event", "EventDag", "WorkloadParams", "generate_3d_schedule", "one_f_one_b",
     "save_trace", "load_trace", "loads_trace",
     "Phase", "Window", "Overlap", "WindowReport", "VolumeClassStats",
     "segment_phases", "extract_windows", "analyze_rail", "window_cdf",

@@ -28,8 +28,8 @@ from .econ import (EconConfig, FabricBom, electrical_fabric_bom,
                    ocs_fabric_bom, savings, scalability_table)
 from .errors import (ConfigError, ConflictDeadlock, CyclicDependency,
                      DegreeInfeasible, EmptyInput, EmptyPhase, InvalidNicConfig,
-                     InvalidParams, NotMember, ParseError, RadixExceeded,
-                     UnsupportedKind)
+                     InvalidParams, MissingDependency, NotMember, ParseError,
+                     RadixExceeded, UnsupportedKind)
 from .fabric import ControlPolicy, EventTiming, SimResult, simulate, sweep_delay
 from .model import Topology, TopologySpec, build_topology
 from .trace import load_trace, save_trace
@@ -273,8 +273,13 @@ def _observed_times(dag: EventDag) -> Dict[str, EventTiming]:
 
 
 def cmd_windows(args: argparse.Namespace) -> int:
-    edges = tuple(float(e) for e in args.classes.split(",")) if args.classes \
-        else DEFAULT_CLASS_EDGES
+    edges = DEFAULT_CLASS_EDGES
+    if args.classes:
+        try:
+            edges = tuple(float(e) for e in args.classes.split(","))
+        except ValueError:
+            raise ConfigError(f"--classes needs comma-separated numbers, "
+                              f"got {args.classes!r}") from None
     if args.trace:
         dag = load_trace(args.trace)
         times = _observed_times(dag)
@@ -523,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _CONFIG_ERRORS = (ConfigError, InvalidParams, InvalidNicConfig, ParseError,
                   NotMember, UnsupportedKind, EmptyPhase, EmptyInput,
-                  CyclicDependency, ConflictDeadlock)
+                  CyclicDependency, MissingDependency, ConflictDeadlock)
 _INFEASIBLE_ERRORS = (DegreeInfeasible, RadixExceeded)
 
 

@@ -37,6 +37,10 @@ class CyclicDependency(RailsimError):
     """Event dependencies contain a cycle."""
 
 
+class MissingDependency(RailsimError):
+    """An event depends on an event the DAG does not contain."""
+
+
 class UnsupportedKind(RailsimError):
     """Collective kind has no ring realization on a circuit rail."""
 

@@ -14,10 +14,11 @@ A `Prepared` simulation compiles the DAG once into integer-indexed arrays
 in-degrees, durations, group ids, needs-circuit flags and, for multi-rank
 events, the ranks each dependency edge gates.  The electrical longest path,
 the provisioning profiler's input and the circuit engine all run from it,
-and a delay sweep reuses it at every point.  Compiling also rejects inputs
-the circuit model cannot place:
-a collective whose ranks differ from its group's members, and a scale-out
-group that does not sit on exactly its one declared rail.
+and a delay sweep reuses it at every point.  Compiling is the gate for every
+DAG, generated, hand-built or parsed: it rejects a dependency naming no
+event, a collective naming no group or whose ranks differ from its group's
+members, and a scale-out group that does not sit on exactly its one declared
+rail.  Timing the electrical longest path rejects a dependency cycle.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .control import Controller, profile_iteration
-from .errors import ConflictDeadlock, CyclicDependency, NotMember, UnsupportedKind
+from .errors import (ConflictDeadlock, CyclicDependency, MissingDependency, NotMember,
+                     UnsupportedKind)
 from .model import Topology
 from .workload import (ALLGATHER, ALLREDUCE, COLLECTIVE, REDUCESCATTER, SENDRECV,
                        EventDag)
@@ -100,12 +102,13 @@ class _CompiledDag:
     Events are numbered in sorted id order, so sorting indices sorts ids.
     `dependents` lists follow `dag.events` insertion order: the engine's heap
     sequence numbers, and with them every controller decision, depend on it.
-    Dependencies naming unknown events are dropped.  An event with one rank
-    joins at the latest end of its dependencies, which the schedulers
-    accumulate as dependencies finish; its `gate_deps` entry is None.  For an
-    event with more ranks, `gate_deps` lists its dependencies and `gate_ranks`
-    the ranks each one gates: the ranks both events share, or every rank when
-    they share none.
+    A dependency naming no event raises MissingDependency, and a collective
+    naming no group raises NotMember.  An event with one rank joins at the
+    latest end of its dependencies, which the schedulers accumulate as
+    dependencies finish; its `gate_deps` entry is None.  For an event with
+    more ranks, `gate_deps` lists its dependencies and `gate_ranks` the ranks
+    each one gates: the ranks both events share, or every rank when they share
+    none.
     """
 
     __slots__ = ("ids", "index", "ranks", "gate_deps", "gate_ranks", "dependents",
@@ -128,14 +131,19 @@ class _CompiledDag:
         solo: Dict[int, tuple] = {}  # rank -> (rank,), shared by every edge gating it alone
         for eid, ev in events.items():
             i = index[eid]
-            ds = [index[d] for d in ev.deps if d in index]
+            try:
+                ds = [index[d] for d in ev.deps]
+            except KeyError as e:
+                raise MissingDependency(f"{eid} depends on unknown event {e.args[0]}") from None
             for d in ds:
                 dependents[d].append(i)
             indeg[i] = len(ds)
             rs = ev.rank_set
             if ev.kind == COLLECTIVE:
                 gid = ev.group
-                g = groups[gid]
+                g = groups.get(gid)
+                if g is None:
+                    raise NotMember(f"collective {eid} names unknown group {gid}")
                 if set(rs) != members[gid]:
                     raise NotMember(f"collective {eid} ranks {sorted(rs)} differ from "
                                     f"group {gid} members {sorted(g.members)}")
@@ -412,8 +420,10 @@ def simulate(dag: EventDag, topo: Topology, policy: Optional[ControlPolicy] = No
     ``prepared`` reuses the delay-independent work of an earlier
     `Prepared(dag, topo, policy.alpha)`; ValueError if it was built for
     another DAG, alpha or topology.
-    Raises NotMember for a collective whose ranks differ from its group's
-    members, or a scale-out group not on exactly its one declared rail.
+    Raises MissingDependency for a dependency naming no event, NotMember for
+    a collective naming no group or whose ranks differ from its group's
+    members, or a scale-out group not on exactly its one declared rail, and
+    CyclicDependency for a dependency cycle.
     """
     policy = policy or ControlPolicy()
     if prepared is None:

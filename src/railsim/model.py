@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .errors import InvalidNicConfig, NotMember, RadixExceeded
+from .errors import InvalidNicConfig, RadixExceeded
 
 VALID_NIC_PORTS = (1, 2, 4)
 
@@ -181,35 +181,6 @@ def max_gpus(scaleup_size: int, radix: int) -> int:
     if radix < 2:
         raise RadixExceeded("radix must be >= 2")
     return scaleup_size * radix // 2
-
-
-def ring_neighbors(group: CommGroup, rank: int) -> tuple:
-    """Previous and next rank of `rank` on the group's ring.
-
-    The member ordering is treated as a cycle; a two-member group degenerates
-    to both neighbors being the single peer.
-    """
-    if rank not in group.members:
-        raise NotMember(f"rank {rank} not in group {group.id}")
-    if group.size < 2:
-        raise NotMember(f"group {group.id} has no ring (size {group.size})")
-    i = group.members.index(rank)
-    n = group.size
-    return group.members[(i - 1) % n], group.members[(i + 1) % n]
-
-
-def ring_edges(group: CommGroup) -> list:
-    """Undirected port pairings realizing the group's ring.
-
-    For n > 2 these are the n cycle edges; a two-member group needs a single
-    pairing (one bidirectional circuit serves both directions).
-    """
-    n = group.size
-    if n < 2:
-        return []
-    if n == 2:
-        return [(group.members[0], group.members[1])]
-    return [(group.members[i], group.members[(i + 1) % n]) for i in range(n)]
 
 
 def ports_needed(group: CommGroup) -> int:

@@ -11,16 +11,21 @@ Lines starting with ``#group,`` declare communication groups:
 Dependency edges are reconstructed from the explicit ``dep_ids`` column plus
 per-(rank, stream) record order: a record depends on the previous record of
 the same rank and stream.
+
+The parser is the gate for traces: besides malformed records it rejects a
+later record of an event whose kind, coll_kind or group_id differs from the
+first, observed starts that go back in time along a (rank, stream), a
+dependency naming no event and a dependency cycle.
 """
 
 from __future__ import annotations
 
 import io
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .errors import CyclicDependency, ParseError
+from .errors import CyclicDependency, MissingDependency, ParseError
 from .model import CommGroup
-from .workload import COLLECTIVE, COMPUTE, Event, EventDag, topological_order
+from .workload import COLLECTIVE, COMPUTE, Event, EventDag
 
 HEADER = "event_id,rank,stream,kind,coll_kind,group_id,bytes,dep_ids,observed_start_s,observed_end_s"
 
@@ -50,8 +55,10 @@ def save_trace(dag: EventDag, path: str) -> None:
 def load_trace(path: str) -> EventDag:
     """Parse a trace file into an EventDag.
 
-    Raises ParseError with a line number on malformed records and
-    CyclicDependency when the reconstructed edges contain a cycle.
+    Raises ParseError with a line number on malformed or disagreeing records
+    and on observed starts out of stream order, MissingDependency when a
+    dependency names no event, and CyclicDependency when the reconstructed
+    edges contain a cycle.
     """
     with open(path, "r", encoding="utf-8") as f:
         return _parse(f)
@@ -63,7 +70,8 @@ def loads_trace(text: str) -> EventDag:
 
 def _parse(f) -> EventDag:
     dag = EventDag()
-    stream_tail: Dict[Tuple[int, str], str] = {}
+    # (rank, stream) -> last event id, and the latest observed start so far.
+    stream_tail: Dict[Tuple[int, str], Tuple[str, Optional[float]]] = {}
     header_seen = False
     for lineno, raw in enumerate(f, start=1):
         line = raw.rstrip("\n")
@@ -120,20 +128,51 @@ def _parse(f) -> EventDag:
             if start is not None and end is not None:
                 ev.duration = end - start
         else:
+            if (kind, coll_kind or None, group_id or None) != (ev.kind, ev.coll_kind, ev.group):
+                raise ParseError(f"record of {eid} disagrees with its first record on "
+                                 "kind, coll_kind or group_id", lineno)
             ev.rank_set.append(rank)
             ev.streams[rank] = stream
             ev.deps += deps_s.split(";")
         key = (rank, stream)
         tail = stream_tail.get(key)
         if tail is not None:
-            ev.deps.append(tail)
-        stream_tail[key] = eid
+            tail_id, tail_start = tail
+            ev.deps.append(tail_id)
+            if start is None:
+                start = tail_start  # a record without a start keeps the stream's
+            elif tail_start is not None and start < tail_start:
+                raise ParseError(f"{eid} starts at {start!r}, before an earlier record "
+                                 f"on rank {rank} stream {stream!r} ({tail_start!r})", lineno)
+        stream_tail[key] = (eid, start)
     for eid, ev in dag.events.items():
         deps = set(ev.deps)
         deps.discard(eid)
         deps.discard("")
         ev.rank_set = tuple(sorted(set(ev.rank_set)))
         ev.deps = tuple(sorted(deps))
-    if topological_order(dag) is None:
-        raise CyclicDependency("trace dependency edges contain a cycle")
+    _check_edges(dag)
     return dag
+
+
+def _check_edges(dag: EventDag) -> None:
+    """Reject a dependency naming no event, then cycles (Kahn's algorithm)."""
+    events = dag.events
+    indeg: Dict[str, int] = {}
+    dependents: Dict[str, List[str]] = {}
+    for eid, ev in events.items():
+        for d in ev.deps:
+            if d not in events:
+                raise MissingDependency(f"{eid} depends on unknown event {d}")
+            dependents.setdefault(d, []).append(eid)
+        indeg[eid] = len(ev.deps)
+    ready = [eid for eid, n in indeg.items() if not n]
+    done = 0
+    while ready:
+        done += 1
+        for nxt in dependents.get(ready.pop(), ()):
+            indeg[nxt] -= 1
+            if not indeg[nxt]:
+                ready.append(nxt)
+    if done != len(events):
+        raise CyclicDependency("trace dependency edges contain a cycle")

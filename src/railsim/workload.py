@@ -265,69 +265,3 @@ def generate_3d_schedule(params: WorkloadParams, topo: Topology) -> EventDag:
 
     return dag
 
-
-@dataclass
-class ValidationReport:
-    violations: List[Tuple[str, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, code: str, message: str) -> None:
-        self.violations.append((code, message))
-
-
-def topological_order(dag: EventDag) -> Optional[List[str]]:
-    """Kahn's algorithm; None when the dependency graph has a cycle."""
-    indeg = {eid: 0 for eid in dag.events}
-    dependents: Dict[str, List[str]] = {eid: [] for eid in dag.events}
-    for ev in dag.events.values():
-        for d in ev.deps:
-            if d in indeg:
-                indeg[ev.id] += 1
-                dependents[d].append(ev.id)
-    ready = [eid for eid, n in indeg.items() if n == 0]
-    order = []
-    while ready:
-        eid = ready.pop()
-        order.append(eid)
-        for nxt in dependents[eid]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    if len(order) != len(dag.events):
-        return None
-    return order
-
-
-def validate_dag(dag: EventDag) -> ValidationReport:
-    """Check acyclicity, group membership, and observed stream monotonicity."""
-    report = ValidationReport()
-    for ev in dag.events.values():
-        for d in ev.deps:
-            if d not in dag.events:
-                report.add("MissingDependency", f"{ev.id} depends on unknown event {d}")
-    if topological_order(dag) is None:
-        report.add("CyclicDependency", "dependency edges contain a cycle")
-    for ev in dag.events.values():
-        if ev.kind == COLLECTIVE:
-            group = dag.groups.get(ev.group or "")
-            if group is None:
-                report.add("UnknownGroup", f"{ev.id} references unknown group {ev.group}")
-            elif tuple(sorted(ev.rank_set)) != tuple(sorted(group.members)):
-                report.add("MembershipViolation",
-                           f"{ev.id} rank set {sorted(ev.rank_set)} != group {group.id} "
-                           f"members {sorted(group.members)}")
-    # Observed starts must be nondecreasing along each (rank, stream).
-    seen: Dict[Tuple[int, str], Tuple[float, str]] = {}
-    for ev in dag.events.values():
-        if ev.observed_start is None:
-            continue
-        for r in ev.rank_set:
-            key = (r, ev.streams.get(r, ""))
-            if key in seen and ev.observed_start < seen[key][0]:
-                report.add("StreamOrderViolation",
-                           f"{ev.id} starts before {seen[key][1]} on rank {r} stream {key[1]}")
-            seen[key] = (ev.observed_start, ev.id)
-    return report

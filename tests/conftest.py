@@ -47,6 +47,27 @@ BAD_TRACES = {
         "c,1,dp,collective,AllGather,g,100,,,\n"),
 }
 
+# Traces the parser rejects, each with a fragment of its error message.
+REJECTED_TRACES = {
+    "dependency on an unknown event": (
+        "a,0,compute,compute,,,0,,0.0,1.0\n"
+        "b,1,compute,compute,,,0,typo_of_a,1.0,2.0\n",
+        "b depends on unknown event typo_of_a"),
+    "dependency cycle": (
+        "a,0,compute,compute,,,0,b,,\n"
+        "b,1,compute,compute,,,0,a,,\n",
+        "cycle"),
+    "observed start goes back in time": (
+        "a,0,compute,compute,,,0,,1.0,2.0\n"
+        "b,0,compute,compute,,,0,,0.5,1.5\n",
+        "line 3: b starts at 0.5"),
+    "records disagree on coll_kind": (
+        "#group,g,DP,0;2,0\n"
+        "c,0,dp,collective,AllGather,g,100,,,\n"
+        "c,2,dp,collective,AllReduce,g,100,,,\n",
+        "line 4: record of c disagrees"),
+}
+
 
 @pytest.fixture(scope="session")
 def shipped_scenario_path():

@@ -7,7 +7,7 @@ import pytest
 
 from railsim.cli import DEFAULT_CLASS_EDGES, load_scenario, main
 
-from conftest import BAD_TRACES, HEADER
+from conftest import BAD_TRACES, HEADER, REJECTED_TRACES
 
 SCENARIO = """\
 [scenario]
@@ -53,6 +53,21 @@ def scenario(tmp_path):
     return str(p)
 
 
+def trace_argv(command, body, tmp_path):
+    """Arguments that run `command` on the trace HEADER + `body`: `sim`
+    through a scenario on 4 domains x 2 GPUs whose [workload] names the
+    trace, `windows` through --trace."""
+    trace = tmp_path / "bad.csv"
+    trace.write_text(HEADER + body)
+    if command == "windows":
+        return ["windows", "--trace", str(trace), "--out-dir", str(tmp_path)]
+    topology = SCENARIO[SCENARIO.index("[topology]"):SCENARIO.index("[workload]")]
+    ini = tmp_path / "bad.ini"
+    ini.write_text(topology.replace("gpus_per_domain = 4", "gpus_per_domain = 2")
+                   + f"[workload]\ntrace = {trace}\n")
+    return [command, "--scenario", str(ini), "--out-dir", str(tmp_path)]
+
+
 class TestExitCodes:
     def test_ok(self, scenario, tmp_path, capsys):
         assert main(["gen", "--scenario", scenario,
@@ -85,14 +100,22 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("body", BAD_TRACES.values(), ids=BAD_TRACES.keys())
     def test_bad_trace_rejected(self, body, tmp_path, capsys):
-        trace = tmp_path / "bad.csv"
-        trace.write_text(HEADER + body)
-        topology = SCENARIO[SCENARIO.index("[topology]"):SCENARIO.index("[workload]")]
-        ini = tmp_path / "bad.ini"
-        ini.write_text(topology.replace("gpus_per_domain = 4", "gpus_per_domain = 2")
-                       + f"[workload]\ntrace = {trace}\n")
-        assert main(["sim", "--scenario", str(ini), "--out-dir", str(tmp_path)]) == 2
+        assert main(trace_argv("sim", body, tmp_path)) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sim", "windows"])
+    @pytest.mark.parametrize("body,message", REJECTED_TRACES.values(),
+                             ids=REJECTED_TRACES.keys())
+    def test_trace_rejected_by_parser(self, command, body, message, tmp_path, capsys):
+        assert main(trace_argv(command, body, tmp_path)) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "timeline.csv").exists()
+        assert not (tmp_path / "windows.csv").exists()
+
+    def test_bad_class_edges(self, scenario, tmp_path, capsys):
+        assert main(["windows", "--scenario", scenario, "--classes", "1e6,abc",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "--classes" in capsys.readouterr().err
 
 
 class TestOverrides:

@@ -5,9 +5,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from railsim import (ControlPolicy, NotMember, UnsupportedKind, collective_time,
-                     fabric, generate_3d_schedule, load_trace, loads_trace,
-                     save_trace, simulate, sweep_delay)
+from railsim import (ControlPolicy, Event, EventDag, MissingDependency, NotMember,
+                     UnsupportedKind, collective_time, fabric, generate_3d_schedule,
+                     load_trace, loads_trace, make_group, save_trace, simulate,
+                     sweep_delay)
 from railsim.fabric import Prepared
 
 from conftest import (BAD_TRACES, HEADER, PROVISIONED, REACTIVE, make_params,
@@ -285,4 +286,25 @@ class TestRejectedInputs:
         dag = loads_trace(HEADER + body)
         topo = make_topo(num_domains=4, gpus_per_domain=2, kind=kind, delay=0.01)
         with pytest.raises(NotMember):
+            simulate(dag, topo, PROVISIONED)
+
+    # Hand-built DAGs, which no parser has seen: compiling is their gate.
+    @pytest.mark.parametrize("kind", ["electrical", "ocs"])
+    def test_unknown_dependency(self, kind):
+        dag = EventDag()
+        dag.add(Event("a", "compute", (0,), {0: "compute"}, duration=1.0))
+        dag.add(Event("b", "compute", (0,), {0: "compute"}, deps=("typo_of_a",),
+                      duration=1.0))
+        topo = make_topo(num_domains=4, gpus_per_domain=2, kind=kind, delay=0.01)
+        with pytest.raises(MissingDependency, match="b depends on unknown event typo_of_a"):
+            simulate(dag, topo, PROVISIONED)
+
+    @pytest.mark.parametrize("kind", ["electrical", "ocs"])
+    def test_unknown_group(self, kind):
+        topo = make_topo(num_domains=4, gpus_per_domain=2, kind=kind, delay=0.01)
+        dag = EventDag()
+        dag.groups["g"] = make_group("g", "DP", (0, 2), topo)
+        dag.add(Event("c", "collective", (0, 2), {0: "dp", 2: "dp"}, group="ghost",
+                      coll_kind="AllGather", bytes=100))
+        with pytest.raises(NotMember, match="collective c names unknown group ghost"):
             simulate(dag, topo, PROVISIONED)

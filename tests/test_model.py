@@ -1,11 +1,11 @@
-"""Topology, rail mapping, ring geometry, and the scalability formula."""
+"""Topology, rail mapping, ring port needs, and the scalability formula."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from railsim import (InvalidNicConfig, NicPortConfig, NotMember, RadixExceeded,
-                     RailSwitch, TopologySpec, build_topology, make_group,
-                     max_gpus, ports_needed, ring_edges, ring_neighbors)
+from railsim import (InvalidNicConfig, NicPortConfig, RadixExceeded, RailSwitch,
+                     TopologySpec, build_topology, make_group, max_gpus,
+                     ports_needed)
 
 from conftest import make_topo
 
@@ -96,49 +96,6 @@ class TestMaxGpus:
 
 
 class TestRings:
-    def test_neighbors_on_cycle(self):
-        g = make_group("g", "DP", [3, 5, 9, 11])
-        assert ring_neighbors(g, 3) == (11, 5)
-        assert ring_neighbors(g, 9) == (5, 11)
-        assert ring_neighbors(g, 11) == (9, 3)
-
-    def test_pair_degenerates(self):
-        g = make_group("g", "PP", [2, 7])
-        assert ring_neighbors(g, 2) == (7, 7)
-        assert ring_edges(g) == [(2, 7)]
-
-    def test_not_member(self):
-        g = make_group("g", "DP", [0, 1, 2])
-        with pytest.raises(NotMember):
-            ring_neighbors(g, 5)
-
-    def test_singleton_has_no_ring(self):
-        g = make_group("g", "DP", [4])
-        assert ring_edges(g) == []
-        with pytest.raises(NotMember):
-            ring_neighbors(g, 4)
-
-    @given(members=st.lists(st.integers(0, 100), min_size=3, max_size=16,
-                            unique=True))
-    def test_ring_is_a_single_cycle(self, members):
-        g = make_group("g", "DP", members)
-        edges = ring_edges(g)
-        assert len(edges) == len(members)
-        degree = {}
-        for a, b in edges:
-            degree[a] = degree.get(a, 0) + 1
-            degree[b] = degree.get(b, 0) + 1
-        assert all(degree[m] == 2 for m in members)
-        # Walking neighbor links visits every member exactly once.
-        start = members[0]
-        seen = {start}
-        cur = ring_neighbors(g, start)[1]
-        while cur != start:
-            assert cur not in seen
-            seen.add(cur)
-            cur = ring_neighbors(g, cur)[1]
-        assert seen == set(members)
-
     def test_ports_needed(self):
         assert ports_needed(make_group("a", "DP", [0])) == 1
         assert ports_needed(make_group("b", "PP", [0, 4])) == 1

@@ -1,13 +1,12 @@
-"""Schedule generation, DAG validation, and trace round-trips."""
-
-import dataclasses
+"""Schedule generation, trace round-trips, and the rejection of bad DAGs and
+traces by the trace parser and by `simulate`."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from railsim import (CyclicDependency, Event, InvalidParams, ParseError,
-                     generate_3d_schedule, load_trace, loads_trace,
-                     one_f_one_b, save_trace, topological_order, validate_dag)
+from railsim import (CyclicDependency, Event, InvalidParams, MissingDependency,
+                     NotMember, ParseError, generate_3d_schedule, load_trace,
+                     loads_trace, one_f_one_b, save_trace, simulate)
 
 from conftest import HEADER, make_params, make_topo
 
@@ -15,6 +14,12 @@ from conftest import HEADER, make_params, make_topo
 def small_dag(**kw):
     topo = make_topo(**{k: kw.pop(k) for k in ("num_domains", "gpus_per_domain") if k in kw})
     return generate_3d_schedule(make_params(**kw), topo), topo
+
+
+def trace_text(dag, tmp_path):
+    path = tmp_path / "t.csv"
+    save_trace(dag, str(path))
+    return path.read_text()
 
 
 class TestOneFOneB:
@@ -87,11 +92,10 @@ class TestGenerator:
         # 7 layers over 2 stages: 4 then 3, times 4 rails.
         assert (ags_p0, ags_p1) == (16, 12)
 
-    def test_generated_dag_is_valid(self):
-        dag, _ = small_dag(pp=2, dp=2, n_layer=5, n_microbatch=3)
-        report = validate_dag(dag)
-        assert report.ok, report.violations
-        assert topological_order(dag) is not None
+    def test_generated_dag_is_valid(self, tmp_path):
+        dag, topo = small_dag(pp=2, dp=2, n_layer=5, n_microbatch=3)
+        assert len(simulate(dag, topo).event_times) == len(dag)
+        assert len(loads_trace(trace_text(dag, tmp_path))) == len(dag)
 
     def test_rejects_mismatched_degrees(self):
         topo = make_topo(num_domains=4, gpus_per_domain=4)
@@ -108,42 +112,57 @@ class TestGenerator:
     def test_random_shapes_validate(self, pp, dp, m, n_layer):
         if pp * dp < 2 or n_layer < pp:
             return
-        dag, _ = small_dag(num_domains=pp * dp, pp=pp, dp=dp,
-                           n_layer=n_layer, n_microbatch=m)
-        assert validate_dag(dag).ok
+        dag, topo = small_dag(num_domains=pp * dp, pp=pp, dp=dp,
+                              n_layer=n_layer, n_microbatch=m)
+        assert len(simulate(dag, topo).event_times) == len(dag)
 
 
 class TestValidation:
-    def test_missing_dependency(self):
-        dag, _ = small_dag()
+    """Each bad DAG is rejected by `simulate` and, saved as a trace, by the
+    parser (or, where the parser cannot tell, by simulating what it read)."""
+
+    def test_missing_dependency(self, tmp_path):
+        dag, topo = small_dag()
         ev = next(iter(dag.events.values()))
         ev.deps = ev.deps + ("nonexistent",)
-        codes = {c for c, _ in validate_dag(dag).violations}
-        assert "MissingDependency" in codes
+        with pytest.raises(MissingDependency, match="unknown event nonexistent"):
+            simulate(dag, topo)
+        with pytest.raises(MissingDependency, match="unknown event nonexistent"):
+            loads_trace(trace_text(dag, tmp_path))
 
-    def test_cycle_detected(self):
-        dag, _ = small_dag()
-        order = topological_order(dag)
-        first, last = dag.events[order[0]], dag.events[order[-1]]
+    def test_cycle_detected(self, tmp_path):
+        dag, topo = small_dag()
+        # The last event timed, and a root it transitively depends on.
+        last = dag.events[list(simulate(dag, topo).event_times)[-1]]
+        first = last
+        while first.deps:
+            first = dag.events[first.deps[0]]
         first.deps = first.deps + (last.id,)
-        codes = {c for c, _ in validate_dag(dag).violations}
-        assert "CyclicDependency" in codes
+        with pytest.raises(CyclicDependency):
+            simulate(dag, topo)
+        with pytest.raises(CyclicDependency):
+            loads_trace(trace_text(dag, tmp_path))
 
-    def test_unknown_group(self):
-        dag, _ = small_dag()
+    def test_unknown_group(self, tmp_path):
+        dag, topo = small_dag()
         ev = next(e for e in dag.events.values() if e.kind == "collective")
         ev.group = "no-such-group"
-        codes = {c for c, _ in validate_dag(dag).violations}
-        assert "UnknownGroup" in codes
+        with pytest.raises(NotMember, match="unknown group no-such-group"):
+            simulate(dag, topo)
+        with pytest.raises(ParseError, match="unknown group id 'no-such-group'"):
+            loads_trace(trace_text(dag, tmp_path))
 
-    def test_membership_violation(self):
-        dag, _ = small_dag()
+    def test_membership_violation(self, tmp_path):
+        dag, topo = small_dag()
         ev = next(e for e in dag.events.values() if e.kind == "collective")
         ev.rank_set = ev.rank_set[:-1]
-        codes = {c for c, _ in validate_dag(dag).violations}
-        assert "MembershipViolation" in codes
+        with pytest.raises(NotMember, match=f"collective {ev.id} ranks"):
+            simulate(dag, topo)
+        back = loads_trace(trace_text(dag, tmp_path))
+        with pytest.raises(NotMember, match=f"collective {ev.id} ranks"):
+            simulate(back, topo)
 
-    def test_stream_order_violation(self):
+    def test_stream_order_violation(self, tmp_path):
         dag, _ = small_dag()
         # Two compute events on the same rank and stream with inverted
         # observed starts.
@@ -160,8 +179,12 @@ class TestValidation:
                 break
             seen[r] = ev
         assert bad is not None
-        codes = {c for c, _ in validate_dag(dag).violations}
-        assert "StreamOrderViolation" in codes
+        text = trace_text(dag, tmp_path)
+        line = next(k for k, rec in enumerate(text.splitlines(), start=1)
+                    if rec.startswith(bad.id + ","))
+        with pytest.raises(ParseError, match=f"{bad.id} starts at 1.0") as exc:
+            loads_trace(text)
+        assert exc.value.line == line
 
 
 class TestTrace:
@@ -176,7 +199,7 @@ class TestTrace:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_round_trip_preserves_structure(self, tmp_path):
-        dag, _ = small_dag()
+        dag, topo = small_dag()
         path = tmp_path / "t.csv"
         save_trace(dag, str(path))
         back = load_trace(str(path))
@@ -187,7 +210,7 @@ class TestTrace:
             assert got.rank_set == tuple(sorted(ev.rank_set))
             assert got.bytes == ev.bytes
             assert got.coll_kind == ev.coll_kind
-        assert validate_dag(back).ok
+        assert len(simulate(back, topo).event_times) == len(dag)
 
     def test_multi_record_event(self, tmp_path):
         # c's dependencies are split over its three records: a and e
@@ -242,3 +265,32 @@ class TestTrace:
                 "e2,0,other,compute,,,0,e1,,\n")
         with pytest.raises(CyclicDependency):
             loads_trace(text)
+
+    @pytest.mark.parametrize("field,value", [(3, "compute"), (4, "AllReduce"),
+                                             (5, "h")])
+    def test_records_must_agree(self, field, value):
+        # A second record of c that differs in kind, coll_kind or group_id.
+        second = "c,2,dp,collective,AllGather,g,100,,,".split(",")
+        second[field] = value
+        text = (HEADER + "#group,g,DP,0;2,0\n#group,h,DP,0;2,0\n"
+                "c,0,dp,collective,AllGather,g,100,,,\n" + ",".join(second) + "\n")
+        with pytest.raises(ParseError, match="record of c disagrees") as exc:
+            loads_trace(text)
+        assert exc.value.line == 5
+
+    def test_records_may_differ_in_times_and_bytes(self):
+        dag = loads_trace(HEADER + "#group,g,DP,0;2,0\n"
+                          "c,0,dp,collective,AllGather,g,100,,0.0,1.0\n"
+                          "c,2,dp,collective,AllGather,g,200,,0.5,1.5\n")
+        ev = dag.events["c"]
+        assert (ev.bytes, ev.observed_start, ev.rank_set) == (100, 0.0, (0, 2))
+
+    def test_stream_order_skips_records_without_a_start(self):
+        # b has no observed start; c is checked against a's.
+        text = (HEADER + "a,0,compute,compute,,,0,,1.0,2.0\n"
+                "b,0,compute,compute,,,0,,,\n"
+                "c,0,compute,compute,,,0,,0.5,3.0\n")
+        with pytest.raises(ParseError) as exc:
+            loads_trace(text)
+        assert exc.value.line == 4
+        assert loads_trace(text.replace("0.5,3.0", "2.5,3.0")).events["c"].deps == ("b",)
