@@ -63,6 +63,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+class _FloatText(dict):
+    """`repr` of each float, formatted once per distinct value: a run's
+    times repeat across the ranks and stages that move in lockstep."""
+
+    def __missing__(self, t: float) -> str:
+        text = repr(t)
+        if t:  # 0.0 and -0.0 are one key but print differently
+            self[t] = text
+        return text
+
+
 def _getfloat(sec, key: str, default: Optional[float] = None) -> float:
     raw = sec.get(key)
     if raw is None:
@@ -184,9 +195,7 @@ def _scenario_dag(scn: Scenario, topo: Topology) -> EventDag:
 
 def _write_csv(path: str, header: str, rows: Sequence[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(row + "\n")
+        f.write("\n".join([header, *rows]) + "\n")
 
 
 def write_svg(path: str, series: Sequence[Tuple[str, Sequence[Tuple[float, float]]]],
@@ -255,21 +264,20 @@ def cmd_gen(args: argparse.Namespace) -> int:
     # window analysis.
     res = simulate(dag, topo, ControlPolicy(provisioning=False, alpha=scn.alpha),
                    force_baseline=True)
-    for eid, t in res.event_times.items():
-        dag.events[eid].observed_start = t.start
-        dag.events[eid].observed_end = t.end
+    dag.observed_start = list(res.event_times.start)
+    dag.observed_end = list(res.event_times.end)
     save_trace(dag, args.out)
-    print(f"wrote {args.out}: {len(dag.events)} events, "
+    print(f"wrote {args.out}: {len(dag)} events, "
           f"{len(dag.groups)} groups, makespan {res.makespan:.6f}s")
     return 0
 
 
 def _observed_times(dag: EventDag) -> Dict[str, EventTiming]:
-    times = {}
-    for eid, ev in dag.events.items():
-        if ev.observed_start is not None and ev.observed_end is not None:
-            times[eid] = EventTiming(ev.observed_start, ev.observed_end)
-    return times
+    """Observed timings of what window analysis reads: scale-out collectives."""
+    ids, start, end = dag.ids, dag.observed_start, dag.observed_end
+    return {ids[i]: EventTiming(start[i], end[i])
+            for rows in dag.scaleout_by_rail().values() for i in rows
+            if start[i] is not None and end[i] is not None}
 
 
 def cmd_windows(args: argparse.Namespace) -> int:
@@ -330,13 +338,18 @@ def cmd_windows(args: argparse.Namespace) -> int:
 def _write_sim_outputs(res: SimResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    # Simulated times are floats already, so `!r` formats them as `_fmt` does.
-    for eid in sorted(res.event_times):
-        t = res.event_times[eid]
-        starts = t.starts or {}
-        end = repr(t.end)
+    timeline = res.event_times
+    ids, ranks, start, end = timeline.ids, timeline.ranks, timeline.start, timeline.end
+    # Simulated times are floats already, so `repr` formats them as `_fmt` does.
+    text = _FloatText()
+    for i in sorted(timeline.order, key=ids.__getitem__):
+        eid, rs, e = ids[i], ranks[i], text[end[i]]
+        if len(rs) == 1:  # one rank joins when the event starts
+            rows.append(f"{eid},{rs[0]},{text[start[i]]},{e}")
+            continue
+        starts = timeline.starts(i)
         for rank in sorted(starts):
-            rows.append(f"{eid},{rank},{starts[rank]!r},{end}")
+            rows.append(f"{eid},{rank},{text[starts[rank]]},{e}")
     _write_csv(os.path.join(out_dir, "timeline.csv"),
                "event_id,rank,start_s,end_s", rows)
     rrows = []

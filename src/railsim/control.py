@@ -18,11 +18,11 @@ without a new reconfiguration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import DegreeInfeasible
 from .model import CommGroup, Topology, ports_needed
-from .windows import collectives_by_rail, comm_start
+from .windows import comm_start, rail_collectives
 from .workload import EventDag
 
 if TYPE_CHECKING:
@@ -47,7 +47,7 @@ class ControlPhase:
     events: tuple  # event ids, in start order
 
 
-def profile_iteration(dag: EventDag, times: Dict[str, EventTiming],
+def profile_iteration(dag: EventDag, times: Mapping[str, EventTiming],
                       rails: Sequence[int]) -> Dict[int, List[ControlPhase]]:
     """Per-rail ordered phase schedule from a first-iteration timeline.
 
@@ -56,13 +56,14 @@ def profile_iteration(dag: EventDag, times: Dict[str, EventTiming],
     starts.  Idempotent: identical timelines give identical schedules.
     """
     schedule: Dict[int, List[ControlPhase]] = {}
-    for rail, eids in collectives_by_rail(dag, times, rails).items():
+    ids, group = dag.ids, dag.group
+    for rail in rails:
         phases: List[ControlPhase] = []
         cur_events: List[str] = []
         cur_groups: Set[str] = set()
         cur_max_end = float("-inf")
-        for eid in eids:
-            g = dag.events[eid].group
+        for i in rail_collectives(dag, times, rail):
+            eid, g = ids[i], group[i]
             start = comm_start(times, eid)
             if cur_events and g not in cur_groups and start >= cur_max_end:
                 phases.append(ControlPhase(frozenset(cur_groups), tuple(cur_events)))

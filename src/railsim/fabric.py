@@ -9,28 +9,31 @@ the control plane.  A reconfiguration delay of zero is modeled as full
 connectivity (switching is free), which makes the zero-delay circuit fabric
 exactly equivalent to the electrical baseline.
 
-A `Prepared` simulation compiles the DAG once into integer-indexed arrays
-(`_CompiledDag`): events numbered in sorted id order, dependent lists,
-in-degrees, durations, group ids, needs-circuit flags and, for multi-rank
-events, the ranks each dependency edge gates.  The electrical longest path,
-the provisioning profiler's input and the circuit engine all run from it,
-and a delay sweep reuses it at every point.  Compiling is the gate for every
-DAG, generated, hand-built or parsed: it rejects a dependency naming no
-event, a collective naming no group or whose ranks differ from its group's
-members, and a scale-out group that does not sit on exactly its one declared
-rail.  Timing the electrical longest path rejects a dependency cycle.
+A `Prepared` simulation compiles the DAG once (`_CompiledDag`): on top of the
+`EventDag`'s columns, whose rows number the events in insertion order, it
+derives dependent lists, in-degrees, collective durations, group ids,
+needs-circuit flags and, for multi-rank events, the ranks each dependency
+edge gates.  The electrical longest path, the provisioning profiler's input
+and the circuit engine all run from it, and a delay sweep reuses it at every
+point.  Start and end times are kept in arrays by row; a run's
+`SimResult.event_times` builds each `EventTiming` from them on lookup.
+Compiling is the gate for every DAG, generated, hand-built or parsed: it
+rejects a dependency naming no event, a collective naming no group or whose
+ranks differ from its group's members, and a scale-out group that does not
+sit on exactly its one declared rail.  Timing the electrical longest path
+rejects a dependency cycle.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .control import Controller, profile_iteration
-from .errors import (ConflictDeadlock, CyclicDependency, MissingDependency, NotMember,
-                     UnsupportedKind)
+from .errors import ConflictDeadlock, CyclicDependency, NotMember, UnsupportedKind
 from .model import Topology
 from .workload import (ALLGATHER, ALLREDUCE, COLLECTIVE, REDUCESCATTER, SENDRECV,
                        EventDag)
@@ -75,7 +78,7 @@ class EventTiming:
 @dataclass
 class SimResult:
     makespan: float
-    event_times: Dict[str, EventTiming]
+    event_times: Timeline  # event id -> EventTiming
     reconfig_log: list
     overhead_vs_baseline: Optional[float] = None
     circuit_log: list = field(default_factory=list)  # (rail, rank, port, group, up, down)
@@ -97,18 +100,18 @@ def _check_groups(dag: EventDag, topo: Topology) -> Dict[str, Set[int]]:
 
 
 class _CompiledDag:
-    """One EventDag on one topology, as integer-indexed arrays.
+    """What simulating one EventDag on one topology needs beyond its columns.
 
-    Events are numbered in sorted id order, so sorting indices sorts ids.
-    `dependents` lists follow `dag.events` insertion order: the engine's heap
-    sequence numbers, and with them every controller decision, depend on it.
-    A dependency naming no event raises MissingDependency, and a collective
-    naming no group raises NotMember.  An event with one rank joins at the
-    latest end of its dependencies, which the schedulers accumulate as
-    dependencies finish; its `gate_deps` entry is None.  For an event with
-    more ranks, `gate_deps` lists its dependencies and `gate_ranks` the ranks
-    each one gates: the ranks both events share, or every rank when they share
-    none.
+    Events keep their DAG rows, numbered in insertion order; `ids`, `index`,
+    `ranks` and the durations of compute events come from the DAG.  `dependents` lists
+    are in row order: the engine's heap sequence numbers, and with them every
+    controller decision, depend on it.  A dependency naming no event raises
+    MissingDependency, and a collective naming no group raises NotMember.  An
+    event with one rank joins at the latest end of its dependencies, which
+    the schedulers accumulate as dependencies finish; its `gate_deps` entry
+    is None.  For an event with more ranks, `gate_deps` lists its
+    dependencies and `gate_ranks` the ranks each one gates: the ranks both
+    events share, or every rank when they share none.
     """
 
     __slots__ = ("ids", "index", "ranks", "gate_deps", "gate_ranks", "dependents",
@@ -116,52 +119,41 @@ class _CompiledDag:
 
     def __init__(self, dag: EventDag, topo: Topology, alpha: float):
         members = _check_groups(dag, topo)
-        events, groups = dag.events, dag.groups
-        self.ids = ids = sorted(events)
-        self.index = index = {eid: i for i, eid in enumerate(ids)}
-        n = len(ids)
-        self.ranks = ranks = [()] * n
-        self.gate_deps: List[Optional[List[int]]] = [None] * n
+        dag.resolve()
+        groups, deps = dag.groups, dag.deps
+        self.ids, self.index, self.ranks = dag.ids, dag.index, dag.ranks
+        ranks = dag.ranks
+        n = len(deps)
+        self.gate_deps: List[Optional[tuple]] = [None] * n
         self.gate_ranks: List[Optional[List[tuple]]] = [None] * n
         self.dependents = dependents = [[] for _ in range(n)]
-        self.indeg = indeg = [0] * n
-        self.duration = duration = [0.0] * n
+        self.indeg = [len(ds) for ds in deps]
+        self.duration = duration = list(dag.duration)
         self.group = group = [None] * n
         self.circuit = circuit = [False] * n
+        kind, dag_group, coll_kind, nbytes = dag.kind, dag.group, dag.coll_kind, dag.bytes
         solo: Dict[int, tuple] = {}  # rank -> (rank,), shared by every edge gating it alone
-        for eid, ev in events.items():
-            i = index[eid]
-            try:
-                ds = [index[d] for d in ev.deps]
-            except KeyError as e:
-                raise MissingDependency(f"{eid} depends on unknown event {e.args[0]}") from None
+        for i, ds in enumerate(deps):
             for d in ds:
                 dependents[d].append(i)
-            indeg[i] = len(ds)
-            rs = ev.rank_set
-            if ev.kind == COLLECTIVE:
-                gid = ev.group
+            rs = ranks[i]
+            if kind[i] == COLLECTIVE:
+                gid = dag_group[i]
                 g = groups.get(gid)
                 if g is None:
-                    raise NotMember(f"collective {eid} names unknown group {gid}")
+                    raise NotMember(f"collective {self.ids[i]} names unknown group {gid}")
                 if set(rs) != members[gid]:
-                    raise NotMember(f"collective {eid} ranks {sorted(rs)} differ from "
+                    raise NotMember(f"collective {self.ids[i]} ranks {sorted(rs)} differ from "
                                     f"group {gid} members {sorted(g.members)}")
                 bandwidth = (topo.scaleup_bandwidth if g.axis == "TP"
                              else topo.nic.per_port_bandwidth)
-                duration[i] = collective_time(ev.coll_kind, ev.bytes, g.size, bandwidth, alpha)
+                duration[i] = collective_time(coll_kind[i], nbytes[i], g.size, bandwidth, alpha)
                 group[i] = gid
                 circuit[i] = g.is_scaleout and g.size >= 2
-            else:
-                duration[i] = ev.duration
             if len(rs) > 1:
                 own = set(rs)
-                if len(own) < len(rs):
-                    rs = tuple(dict.fromkeys(rs))
                 self.gate_deps[i] = ds
-                self.gate_ranks[i] = [_gated(events[ids[d]].rank_set, rs, own, solo)
-                                      for d in ds]
-            ranks[i] = rs
+                self.gate_ranks[i] = [_gated(ranks[d], rs, own, solo) for d in ds]
 
 
 def _gated(dep_ranks: tuple, ranks: tuple, own: Set[int],
@@ -169,7 +161,7 @@ def _gated(dep_ranks: tuple, ranks: tuple, own: Set[int],
     """The ranks of an event (`ranks`, as a set `own`) that one dependency
     gates.  Common answers are shared objects: most edges come from
     single-rank events, and compiling a large DAG allocates little."""
-    shared = {r for r in dep_ranks if r in own}
+    shared = own.intersection(dep_ranks)
     if not shared or shared == own:
         return ranks
     if len(shared) == 1:
@@ -182,7 +174,8 @@ def _joins(c: _CompiledDag, i: int, latest: List[float],
            end: List[float]) -> Dict[int, float]:
     """Per-rank issue time: a rank joins once its own dependencies finish.
 
-    `latest[i]` is the latest end among event i's dependencies.
+    `latest[i]` is the latest end among event i's dependencies; for an event
+    with one rank that is also its start, so a run's start array will do.
     """
     deps = c.gate_deps[i]
     if deps is None:
@@ -200,7 +193,7 @@ def _joins(c: _CompiledDag, i: int, latest: List[float],
 def _longest_path(c: _CompiledDag) -> Tuple[List[float], List[float], List[int]]:
     """Start and end of every event with full connectivity (electrical rails
     or free switching), and the order they were timed in: level by level,
-    each level in id order."""
+    each level in row order."""
     n = len(c.ids)
     start = [0.0] * n  # the latest end among dependencies timed so far
     end = [0.0] * n
@@ -228,6 +221,47 @@ def _longest_path(c: _CompiledDag) -> Tuple[List[float], List[float], List[int]]
     return start, end, order
 
 
+class Timeline(Mapping):
+    """A run's `EventTiming` of every event by id, built on lookup from the
+    run's arrays; iterates in the order the events started.
+
+    `start` and `end` are indexed by DAG row, and `starts(i)` gives row i's
+    per-rank join times.  A full-connectivity run shares its arrays with its
+    `Prepared` simulation, so they are read, never changed.
+    """
+
+    __slots__ = ("_c", "order", "start", "end")
+
+    def __init__(self, c: _CompiledDag, order: List[int], start: List[float],
+                 end: List[float]):
+        self._c, self.order, self.start, self.end = c, order, start, end
+
+    @property
+    def ids(self) -> List[str]:
+        return self._c.ids
+
+    @property
+    def ranks(self) -> List[tuple]:
+        return self._c.ranks
+
+    def starts(self, i: int) -> Dict[int, float]:
+        return _joins(self._c, i, self.start, self.end)
+
+    def __getitem__(self, eid: str) -> EventTiming:
+        i = self._c.index[eid]
+        return EventTiming(self.start[i], self.end[i], self.starts(i))
+
+    def __contains__(self, eid) -> bool:
+        return eid in self._c.index
+
+    def __iter__(self) -> Iterator[str]:
+        ids = self._c.ids
+        return (ids[i] for i in self.order)
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+
 _DEPS_DONE, _FINISH, _CIRCUIT_UP = range(3)
 
 
@@ -240,14 +274,15 @@ class _Engine:
         self.provisioning = policy.provisioning
         self.controller = Controller(topo, dag.groups)
         n = len(c.ids)
-        self.times: Dict[str, EventTiming] = {}
         self.latest = [0.0] * n  # latest end among finished dependencies
+        self.start = [0.0] * n
         self.end = [0.0] * n
-        self.joins: List[Optional[Dict[int, float]]] = [None] * n
+        self.order: List[int] = []  # events in the order they started
         self.indeg = list(c.indeg)
         self.heap: List[tuple] = []  # (time, sequence number, tag, event or group)
         self.seq = itertools.count()
-        self.waiting: Dict[str, List[int]] = {}  # group -> issued events awaiting circuits
+        # group -> issued events awaiting circuits, each with its barrier
+        self.waiting: Dict[str, List[Tuple[int, float]]] = {}
         self.transfer_log: List[tuple] = []
         # Provisioning state: profiled schedule and per-phase completion counts.
         self.schedule = schedule or {}
@@ -268,10 +303,11 @@ class _Engine:
     def _start_event(self, i: int, start: float) -> None:
         c = self.c
         end = start + c.duration[i]
+        self.start[i] = start
         self.end[i] = end
-        eid = c.ids[i]
-        self.times[eid] = EventTiming(start, end, self.joins[i])
+        self.order.append(i)
         if c.circuit[i]:
+            eid = c.ids[i]
             for rank, port in self.controller.mark_busy(c.group[i], start, end):
                 self.transfer_log.append((eid, rank, port, start, end))
         heappush(self.heap, (end, next(self.seq), _FINISH, i))
@@ -279,13 +315,17 @@ class _Engine:
     def _dispatch(self, i: int, now: float) -> None:
         """All dependencies done: serve, start, or request circuits."""
         c = self.c
-        joins = self.joins[i] = _joins(c, i, self.latest, self.end)
-        barrier = max(joins.values()) if joins else now
+        if c.gate_deps[i] is None:
+            # One rank (a circuit needs two) joins at `latest`; none, now.
+            self._start_event(i, self.latest[i] if c.ranks[i] else now)
+            return
+        joins = _joins(c, i, self.latest, self.end)
+        barrier = max(joins.values())
         gid = c.group[i]
         if not c.circuit[i] or self.controller.group_up(gid, barrier):
             self._start_event(i, barrier)
             return
-        self.waiting.setdefault(gid, []).append(i)
+        self.waiting.setdefault(gid, []).append((i, barrier))
         self.controller.request(gid, joins, speculative=False)
 
     def _provision_on_finish(self, i: int, now: float) -> None:
@@ -309,7 +349,7 @@ class _Engine:
                 continue  # reconfiguration already in flight
             self.controller.request(gid, {r: now for r in g.members}, speculative=True)
 
-    def run(self) -> Tuple[Dict[str, EventTiming], Controller, List[tuple]]:
+    def run(self) -> Tuple[Timeline, Controller, List[tuple]]:
         c = self.c
         controller = self.controller
         queues = controller.queue
@@ -345,21 +385,21 @@ class _Engine:
                     if ready > now:
                         heappush(heap, (ready, next(seq), _CIRCUIT_UP, gid))
                         continue
-                    for i in waiting.pop(gid, []):
-                        self._start_event(i, max(ready, max(self.joins[i].values())))
+                    for i, barrier in waiting.pop(gid, []):
+                        self._start_event(i, max(ready, barrier))
             # Circuits that just came up release their waiting events.
             if waiting:
                 for gid in [g for g, evs in waiting.items()
                             if evs and controller.group_up(g, now)]:
-                    for i in waiting.pop(gid):
-                        self._start_event(i, max(now, max(self.joins[i].values())))
+                    for i, barrier in waiting.pop(gid):
+                        self._start_event(i, max(now, barrier))
         total = len(c.ids)
         if finished != total:
             if any(queues.values()) or any(waiting.values()):
                 raise ConflictDeadlock(
                     f"{total - finished} events stuck behind the reconfiguration queue")
             raise CyclicDependency("event DAG contains a cycle")
-        return self.times, controller, self.transfer_log
+        return Timeline(c, self.order, self.start, self.end), controller, self.transfer_log
 
 
 class Prepared:
@@ -370,7 +410,8 @@ class Prepared:
     provisioned run.  Pass it to `simulate` as ``prepared`` to run the same
     DAG at other reconfiguration delays without repeating that work.  A run
     whose DAG, alpha or topology (other than `rail_switch.reconfig_delay`)
-    differs is refused.
+    differs is refused.  The compiled DAG reads the DAG's columns in place,
+    so the DAG must not change while it is prepared.
     """
 
     __slots__ = ("dag", "alpha", "c", "start", "end", "order", "baseline_makespan",
@@ -396,11 +437,11 @@ class Prepared:
     def schedule(self) -> dict:
         """The provisioning profiler's per-rail phase schedule."""
         if self._schedule is None:
-            c, start, end = self.c, self.start, self.end
-            # The profiler reads start and end only; at full connectivity every
-            # rank of a collective has joined by its start.
-            collectives = {c.ids[i]: EventTiming(start[i], end[i])
-                           for i, gid in enumerate(c.group) if gid is not None}
+            ids, start, end = self.c.ids, self.start, self.end
+            # The profiler reads the start and end of scale-out collectives
+            # only; at full connectivity every rank has joined by the start.
+            collectives = {ids[i]: EventTiming(start[i], end[i])
+                           for rows in self.dag.scaleout_by_rail().values() for i in rows}
             self._schedule = profile_iteration(self.dag, collectives,
                                                range(self._topo.num_rails))
         return self._schedule
@@ -435,9 +476,8 @@ def simulate(dag: EventDag, topo: Topology, policy: Optional[ControlPolicy] = No
     ocs_active = topo.rail_switch.is_ocs and topo.rail_switch.reconfig_delay > 0
     if force_baseline or not ocs_active:
         # Full connectivity (electrical, or free switching): no circuit events.
-        times = {c.ids[i]: EventTiming(start[i], end[i], _joins(c, i, start, end))
-                 for i in prepared.order}
-        return SimResult(makespan=baseline_makespan, event_times=times,
+        return SimResult(makespan=baseline_makespan,
+                         event_times=Timeline(c, prepared.order, start, end),
                          reconfig_log=[], overhead_vs_baseline=1.0)
     schedule = prepared.schedule() if policy.provisioning else None
     engine = _Engine(c, dag, topo, policy, schedule)

@@ -10,12 +10,14 @@ Lines starting with ``#group,`` declare communication groups:
 
 Dependency edges are reconstructed from the explicit ``dep_ids`` column plus
 per-(rank, stream) record order: a record depends on the previous record of
-the same rank and stream.
+the same rank and stream.  The parser fills an `EventDag`'s columns directly
+and turns dependency ids into rows in one closing pass.
 
 The parser is the gate for traces: besides malformed records it rejects a
-later record of an event whose kind, coll_kind or group_id differs from the
-first, observed starts that go back in time along a (rank, stream), a
-dependency naming no event and a dependency cycle.
+group declared twice, a record that ends before it starts, a later record of
+an event whose kind, coll_kind or group_id differs from the first, observed
+starts that go back in time along a (rank, stream), a dependency naming no
+event and a dependency cycle.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import CyclicDependency, MissingDependency, ParseError
 from .model import CommGroup
-from .workload import COLLECTIVE, COMPUTE, Event, EventDag
+from .workload import COLLECTIVE, COMPUTE, EventDag
 
 HEADER = "event_id,rank,stream,kind,coll_kind,group_id,bytes,dep_ids,observed_start_s,observed_end_s"
 
@@ -35,30 +37,31 @@ def _fmt_time(t) -> str:
 
 
 def save_trace(dag: EventDag, path: str) -> None:
+    lines = [HEADER + "\n"]
+    for gid in sorted(dag.groups):
+        g = dag.groups[gid]
+        members = ";".join(str(m) for m in g.members)
+        rails = ";".join(str(r) for r in sorted(g.rails_touched))
+        lines.append(f"#group,{gid},{g.axis},{members},{rails}\n")
+    for i, eid in enumerate(dag.ids):
+        rest = (f"{dag.kind[i]},{dag.coll_kind[i] or ''},{dag.group[i] or ''},"
+                f"{dag.bytes[i]},{';'.join(dag.dep_ids(i))},"
+                f"{_fmt_time(dag.observed_start[i])},{_fmt_time(dag.observed_end[i])}\n")
+        streams = dag.streams[i]
+        for rank in sorted(dag.ranks[i]):
+            stream = streams.get(rank, "") if isinstance(streams, dict) else streams
+            lines.append(f"{eid},{rank},{stream},{rest}")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(HEADER + "\n")
-        for gid in sorted(dag.groups):
-            g = dag.groups[gid]
-            members = ";".join(str(m) for m in g.members)
-            rails = ";".join(str(r) for r in sorted(g.rails_touched))
-            f.write(f"#group,{gid},{g.axis},{members},{rails}\n")
-        for ev in dag.events.values():
-            deps = ";".join(ev.deps)
-            for rank in sorted(ev.rank_set):
-                f.write(
-                    f"{ev.id},{rank},{ev.streams.get(rank, '')},{ev.kind},"
-                    f"{ev.coll_kind or ''},{ev.group or ''},{ev.bytes},{deps},"
-                    f"{_fmt_time(ev.observed_start)},{_fmt_time(ev.observed_end)}\n"
-                )
+        f.write("".join(lines))
 
 
 def load_trace(path: str) -> EventDag:
     """Parse a trace file into an EventDag.
 
-    Raises ParseError with a line number on malformed or disagreeing records
-    and on observed starts out of stream order, MissingDependency when a
-    dependency names no event, and CyclicDependency when the reconstructed
-    edges contain a cycle.
+    Raises ParseError with a line number on malformed or disagreeing records,
+    a group declared twice, a record that ends before it starts and observed
+    starts out of stream order, MissingDependency when a dependency names no
+    event, and CyclicDependency when the reconstructed edges contain a cycle.
     """
     with open(path, "r", encoding="utf-8") as f:
         return _parse(f)
@@ -70,6 +73,12 @@ def loads_trace(text: str) -> EventDag:
 
 def _parse(f) -> EventDag:
     dag = EventDag()
+    ids, index = dag.ids, dag.index
+    kinds, ranks, streams, groups = dag.kind, dag.ranks, dag.streams, dag.group
+    coll_kinds, nbytes, durations = dag.coll_kind, dag.bytes, dag.duration
+    starts, ends = dag.observed_start, dag.observed_end
+    # Each row's dependency ids as read, until the closing pass.
+    names: List[List[str]] = []
     # (rank, stream) -> last event id, and the latest observed start so far.
     stream_tail: Dict[Tuple[int, str], Tuple[str, Optional[float]]] = {}
     header_seen = False
@@ -82,6 +91,8 @@ def _parse(f) -> EventDag:
             if len(parts) != 5:
                 raise ParseError("malformed #group line", lineno)
             _, gid, axis, members_s, rails_s = parts
+            if gid in dag.groups:
+                raise ParseError(f"group {gid} declared twice", lineno)
             try:
                 members = tuple(int(m) for m in members_s.split(";") if m != "")
                 rails = frozenset(int(r) for r in rails_s.split(";") if r != "")
@@ -104,11 +115,13 @@ def _parse(f) -> EventDag:
             raise ParseError("empty event_id", lineno)
         try:
             rank = int(rank_s)
-            nbytes = int(bytes_s) if bytes_s else 0
+            size = int(bytes_s) if bytes_s else 0
             start = float(start_s) if start_s else None
             end = float(end_s) if end_s else None
         except ValueError:
             raise ParseError("malformed numeric field", lineno)
+        if start is not None and end is not None and end < start:
+            raise ParseError(f"{eid} ends at {end!r}, before its start {start!r}", lineno)
         if kind not in (COMPUTE, COLLECTIVE):
             raise ParseError(f"unknown event kind {kind!r}", lineno)
         if kind == COLLECTIVE:
@@ -116,63 +129,75 @@ def _parse(f) -> EventDag:
                 raise ParseError("collective record without group_id", lineno)
             if group_id not in dag.groups:
                 raise ParseError(f"unknown group id {group_id!r}", lineno)
-        # Until the last record is read, an event gathers its ranks and
-        # dependencies in lists, deduplicated and sorted once at the end.
-        ev = dag.events.get(eid)
-        if ev is None:
-            ev = dag.add(Event(
-                id=eid, kind=kind, rank_set=[rank], streams={rank: stream},
-                group=group_id or None, coll_kind=coll_kind or None, bytes=nbytes,
-                deps=deps_s.split(";"), observed_start=start, observed_end=end,
-            ))
-            if start is not None and end is not None:
-                ev.duration = end - start
+        i = index.get(eid)
+        if i is None:
+            i = index[eid] = len(ids)
+            ids.append(eid)
+            kinds.append(kind)
+            ranks.append((rank,))
+            streams.append(stream)
+            groups.append(group_id or None)
+            coll_kinds.append(coll_kind or None)
+            nbytes.append(size)
+            durations.append(end - start if start is not None and end is not None else 0.0)
+            starts.append(start)
+            ends.append(end)
+            names.append(deps_s.split(";"))
         else:
-            if (kind, coll_kind or None, group_id or None) != (ev.kind, ev.coll_kind, ev.group):
+            if (kind, coll_kind or None, group_id or None) != (kinds[i], coll_kinds[i], groups[i]):
                 raise ParseError(f"record of {eid} disagrees with its first record on "
                                  "kind, coll_kind or group_id", lineno)
-            ev.rank_set.append(rank)
-            ev.streams[rank] = stream
-            ev.deps += deps_s.split(";")
+            row_streams = streams[i]
+            if isinstance(row_streams, dict):
+                row_streams[rank] = stream
+            elif stream != row_streams:  # the ranks so far share one stream
+                streams[i] = {**dict.fromkeys(ranks[i], row_streams), rank: stream}
+            ranks[i] += (rank,)
+            names[i] += deps_s.split(";")
         key = (rank, stream)
         tail = stream_tail.get(key)
         if tail is not None:
             tail_id, tail_start = tail
-            ev.deps.append(tail_id)
+            names[i].append(tail_id)
             if start is None:
                 start = tail_start  # a record without a start keeps the stream's
             elif tail_start is not None and start < tail_start:
                 raise ParseError(f"{eid} starts at {start!r}, before an earlier record "
                                  f"on rank {rank} stream {stream!r} ({tail_start!r})", lineno)
         stream_tail[key] = (eid, start)
-    for eid, ev in dag.events.items():
-        deps = set(ev.deps)
-        deps.discard(eid)
-        deps.discard("")
-        ev.rank_set = tuple(sorted(set(ev.rank_set)))
-        ev.deps = tuple(sorted(deps))
-    _check_edges(dag)
+    deps = dag.deps
+    for i, eid in enumerate(ids):
+        if len(ranks[i]) > 1:
+            ranks[i] = tuple(sorted(set(ranks[i])))
+        row_deps = set(names[i])
+        names[i] = None  # done with the row's ids
+        row_deps.discard(eid)
+        row_deps.discard("")
+        rows = []
+        for d in sorted(row_deps):
+            j = index.get(d)
+            if j is None:
+                raise MissingDependency(f"{eid} depends on unknown event {d}")
+            rows.append(j)
+        deps.append(tuple(rows))
+    _check_acyclic(deps)
     return dag
 
 
-def _check_edges(dag: EventDag) -> None:
-    """Reject a dependency naming no event, then cycles (Kahn's algorithm)."""
-    events = dag.events
-    indeg: Dict[str, int] = {}
-    dependents: Dict[str, List[str]] = {}
-    for eid, ev in events.items():
-        for d in ev.deps:
-            if d not in events:
-                raise MissingDependency(f"{eid} depends on unknown event {d}")
-            dependents.setdefault(d, []).append(eid)
-        indeg[eid] = len(ev.deps)
-    ready = [eid for eid, n in indeg.items() if not n]
+def _check_acyclic(deps: List[tuple]) -> None:
+    """Reject a dependency cycle (Kahn's algorithm over rows)."""
+    indeg = [len(ds) for ds in deps]
+    dependents: List[List[int]] = [[] for _ in deps]
+    for i, ds in enumerate(deps):
+        for d in ds:
+            dependents[d].append(i)
+    ready = [i for i, n in enumerate(indeg) if not n]
     done = 0
     while ready:
         done += 1
-        for nxt in dependents.get(ready.pop(), ()):
+        for nxt in dependents[ready.pop()]:
             indeg[nxt] -= 1
             if not indeg[nxt]:
                 ready.append(nxt)
-    if done != len(events):
+    if done != len(deps):
         raise CyclicDependency("trace dependency edges contain a cycle")

@@ -9,16 +9,18 @@ and P2 is
 
 where a collective's start is the join time of its slowest member rank.
 Negative gaps mean the phases overlap and are reported separately, not as
-windows.
+windows.  A rail's collectives come from `EventDag.scaleout_by_rail`, which
+buckets them by rail once per DAG, so analysing one rail reads only that
+rail's rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import EmptyInput, EmptyPhase, InvalidParams
-from .workload import COLLECTIVE, EventDag
+from .workload import EventDag
 
 if TYPE_CHECKING:
     from .fabric import EventTiming
@@ -59,7 +61,7 @@ class WindowReport:
     overlaps: List[Overlap] = field(default_factory=list)
 
 
-def comm_start(times: Dict[str, EventTiming], eid: str) -> float:
+def comm_start(times: Mapping[str, EventTiming], eid: str) -> float:
     """Join time of the slowest member rank."""
     t = times[eid]
     starts = t.starts
@@ -68,49 +70,45 @@ def comm_start(times: Dict[str, EventTiming], eid: str) -> float:
     return t.start
 
 
-def collectives_by_rail(dag: EventDag, times: Dict[str, EventTiming],
-                        rails: Iterable[int]) -> Dict[int, List[str]]:
-    """Scale-out collectives on each of `rails`, found in one pass over the
-    events; each rail's are ordered by communication start, then id."""
-    by_rail: Dict[int, List[Tuple[float, str]]] = {rail: [] for rail in rails}
-    for eid, ev in dag.events.items():
-        if ev.kind != COLLECTIVE or eid not in times:
-            continue
-        g = dag.groups.get(ev.group or "")
-        if g is None or not g.is_scaleout:
-            continue
-        for rail in g.rails_touched:
-            bucket = by_rail.get(rail)
-            if bucket is not None:
-                bucket.append((comm_start(times, eid), eid))
-    return {rail: [eid for _, eid in sorted(bucket)] for rail, bucket in by_rail.items()}
+def rail_collectives(dag: EventDag, times: Mapping[str, EventTiming], rail: int) -> List[int]:
+    """Rows of the scale-out collectives on `rail` that `times` covers,
+    ordered by communication start, then id."""
+    ids = dag.ids
+    keyed = []
+    for i in dag.scaleout_by_rail().get(rail, ()):
+        eid = ids[i]
+        if eid in times:
+            keyed.append((comm_start(times, eid), eid, i))
+    keyed.sort()
+    return [i for _, _, i in keyed]
 
 
-def segment_phases(dag: EventDag, times: Dict[str, EventTiming], rail: int) -> List[Phase]:
+def segment_phases(dag: EventDag, times: Mapping[str, EventTiming], rail: int) -> List[Phase]:
     """Split a rail's collectives into parallelism phases."""
     phases: List[Phase] = []
-    current: List[str] = []
+    current: List[int] = []
     key = None
+    ids, group, coll_kind = dag.ids, dag.group, dag.coll_kind
 
     def flush():
         if current:
-            groups = frozenset(dag.events[e].group for e in current)
-            phases.append(Phase(id=f"rail{rail}.ph{len(phases)}", groups=groups,
-                                events=tuple(current), axis=key[0], kind=key[1]))
+            phases.append(Phase(id=f"rail{rail}.ph{len(phases)}",
+                                groups=frozenset(group[i] for i in current),
+                                events=tuple(ids[i] for i in current),
+                                axis=key[0], kind=key[1]))
 
-    for eid in collectives_by_rail(dag, times, (rail,))[rail]:
-        ev = dag.events[eid]
-        k = (dag.groups[ev.group].axis, ev.coll_kind)
+    for i in rail_collectives(dag, times, rail):
+        k = (dag.groups[group[i]].axis, coll_kind[i])
         if k != key:
             flush()
             current = []
             key = k
-        current.append(eid)
+        current.append(i)
     flush()
     return phases
 
 
-def extract_windows(times: Dict[str, EventTiming], phases: Sequence[Phase],
+def extract_windows(times: Mapping[str, EventTiming], phases: Sequence[Phase],
                     dag: EventDag = None, rail: int = -1) -> WindowReport:
     """Windows (and overlaps) between each consecutive phase pair."""
     report = WindowReport()
@@ -122,7 +120,8 @@ def extract_windows(times: Dict[str, EventTiming], phases: Sequence[Phase],
         w_end = min(comm_start(times, e) for e in p2.events)
         volume = 0
         if dag is not None:
-            volume = sum(dag.events[e].bytes * len(dag.events[e].rank_set) for e in p2.events)
+            index = dag.index
+            volume = sum(dag.bytes[index[e]] * len(dag.ranks[index[e]]) for e in p2.events)
         if w_end >= w_start:
             report.windows.append(Window(rail=rail, before_phase=p1.id, after_phase=p2.id,
                                          start=w_start, end=w_end, size=w_end - w_start,
@@ -133,7 +132,7 @@ def extract_windows(times: Dict[str, EventTiming], phases: Sequence[Phase],
     return report
 
 
-def analyze_rail(dag: EventDag, times: Dict[str, EventTiming], rail: int) -> WindowReport:
+def analyze_rail(dag: EventDag, times: Mapping[str, EventTiming], rail: int) -> WindowReport:
     return extract_windows(times, segment_phases(dag, times, rail), dag=dag, rail=rail)
 
 

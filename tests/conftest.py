@@ -61,6 +61,9 @@ REJECTED_TRACES = {
         "a,0,compute,compute,,,0,,1.0,2.0\n"
         "b,0,compute,compute,,,0,,0.5,1.5\n",
         "line 3: b starts at 0.5"),
+    "record ends before it starts": (
+        "a,0,compute,compute,,,0,,2.0,1.0\n",
+        "line 2: a ends at 1.0, before its start 2.0"),
     "records disagree on coll_kind": (
         "#group,g,DP,0;2,0\n"
         "c,0,dp,collective,AllGather,g,100,,,\n"

@@ -259,12 +259,38 @@ class TestShippedOutputs:
         "sweep/sweep.svg": "efdf2541535b9f52bbd2d6ba61344d2cfecdcba1417a3c6ae485765b70fd18b3",
         "windows.csv": "ce905fe260ff638b1bda72093351f4bab932420530f349fbb9be7902083b7aa7",
         "cdf.csv": "c8be42572d1bb6acdce2dbc1562c4fff2d90151a9ddbc89fda96ea005d015392",
+        "trace.csv": "515187aba38fc68fd6ab61c16316db1a98ade78b70e874270265202edaf3f911",
     }
+    # `sim` on 24 domains x 2 GPUs with 2-port NICs, pp=2 and dp=12: ids such
+    # as f.p0.q10.m0.j0.l0 sort before f.p0.q2.m0.j0.l0, so numbering events
+    # in sorted id order and in insertion order differ.
+    WIDE_DP = {
+        "reactive/timeline.csv": "1ea9a0f1a597e61fa14cdd956b73c2e68ee0339b1a4140b5eb1a158c31aa701c",
+        "reactive/reconfig.csv": "5f0881bb064421b82b984659d88e928b65957e3a2b12e2b76237913c69e7337b",
+        "provisioned/timeline.csv": "63e73f946fe6b6d48aa11c6bd3c01f154786f6ccf206e46ab6e622f53a8c61fe",
+        "provisioned/reconfig.csv": "0d059003dd10afaadaa3c6f10386bf50ddf732fdc0f73624d237f4cc83214cae",
+    }
+
+    @staticmethod
+    def digests(root, names):
+        return {name: hashlib.sha256((root / name).read_bytes()).hexdigest()
+                for name in names}
 
     def test_outputs_pinned(self, tmp_path, capsys):
         assert main(["sim", "--out-dir", str(tmp_path / "sim")]) == 0
         assert main(["sweep", "--out-dir", str(tmp_path / "sweep")]) == 0
         assert main(["windows", "--out-dir", str(tmp_path)]) == 0
-        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in self.PINNED}
-        assert got == self.PINNED
+        assert main(["gen", "--out", str(tmp_path / "trace.csv")]) == 0
+        assert self.digests(tmp_path, self.PINNED) == self.PINNED
+
+    def test_wide_dp_outputs_pinned(self, tmp_path, capsys):
+        ini = tmp_path / "wide.ini"
+        ini.write_text(SCENARIO.replace("num_domains = 4", "num_domains = 24")
+                       .replace("gpus_per_domain = 4", "gpus_per_domain = 2")
+                       .replace("dp = 2", "dp = 12").replace("tp = 4", "tp = 2")
+                       .replace("n_layer = 8", "n_layer = 4"))
+        for out, flag in (("reactive", "--no-provisioning"),
+                          ("provisioned", "--provisioning")):
+            assert main(["sim", "--scenario", str(ini), flag,
+                         "--out-dir", str(tmp_path / out)]) == 0
+        assert self.digests(tmp_path, self.WIDE_DP) == self.WIDE_DP

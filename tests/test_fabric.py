@@ -273,7 +273,8 @@ class TestBaseline:
         topo = make_topo(delay=0.02)
         dag = generate_3d_schedule(make_params(), topo)
         for eid, t in simulate(dag, topo, force_baseline=True).event_times.items():
-            dag.events[eid].observed_start, dag.events[eid].observed_end = t.start, t.end
+            i = dag.index[eid]
+            dag.observed_start[i], dag.observed_end[i] = t.start, t.end
         path = str(tmp_path / "t.csv")
         save_trace(dag, path)
         assert_overhead_is_over_baseline(load_trace(path), topo, PROVISIONED)

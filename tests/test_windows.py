@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from railsim import (EmptyInput, EmptyPhase, EventDag, EventTiming, InvalidParams,
                      Phase, Window, analyze_rail, classify_by_volume, eq1_bound,
                      extract_windows, generate_3d_schedule, segment_phases,
-                     window_cdf)
+                     simulate, window_cdf)
 from railsim.workload import COLLECTIVE, Event
 
 from conftest import make_params, make_topo
@@ -83,6 +83,38 @@ class TestHandExamples:
             assert len(kinds) == 1
         for p1, p2 in zip(phases, phases[1:]):
             assert (p1.axis, p1.kind) != (p2.axis, p2.kind)
+
+
+class TestRailBuckets:
+    def test_built_once_per_dag_and_renewed_by_add(self):
+        dag = two_phase_dag()
+        buckets = dag.scaleout_by_rail()
+        assert buckets == {0: [0, 1]}
+        assert dag.scaleout_by_rail() is buckets
+        dag.add(coll("ar", "g", "AllReduce", [0, 1, 2, 3]))
+        assert dag.scaleout_by_rail() == {0: [0, 1, 2]}
+
+    def test_analysis_reads_only_its_rail(self):
+        topo = make_topo()
+        dag = generate_3d_schedule(make_params(), topo)
+        timeline = simulate(dag, topo, force_baseline=True).event_times
+        seen = set()
+
+        class Recording(dict):
+            def __contains__(self, eid):
+                seen.add(eid)
+                return super().__contains__(eid)
+
+            def __getitem__(self, eid):
+                seen.add(eid)
+                return super().__getitem__(eid)
+
+        times = Recording(timeline)
+        for rail in range(topo.num_rails):
+            seen.clear()
+            assert analyze_rail(dag, times, rail).windows
+            rails = {r for e in seen for r in dag.groups[dag.events[e].group].rails_touched}
+            assert rails == {rail}
 
 
 class TestOracle:

@@ -4,9 +4,9 @@ traces by the trace parser and by `simulate`."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from railsim import (CyclicDependency, Event, InvalidParams, MissingDependency,
-                     NotMember, ParseError, generate_3d_schedule, load_trace,
-                     loads_trace, one_f_one_b, save_trace, simulate)
+from railsim import (CyclicDependency, Event, EventDag, InvalidParams,
+                     MissingDependency, NotMember, ParseError, generate_3d_schedule,
+                     load_trace, loads_trace, one_f_one_b, save_trace, simulate)
 
 from conftest import HEADER, make_params, make_topo
 
@@ -117,6 +117,39 @@ class TestGenerator:
         assert len(simulate(dag, topo).event_times) == len(dag)
 
 
+class TestColumns:
+    def test_generator_and_parser_build_no_event_records(self, monkeypatch, tmp_path):
+        built = []
+        init = Event.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs["id"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Event, "__init__", counting_init)
+        dag, _ = small_dag()
+        path = tmp_path / "t.csv"
+        save_trace(dag, str(path))
+        back = load_trace(str(path))
+        assert built == []
+        assert back.events["ar.k0.l0"].deps  # looking a row up builds one
+        assert built == ["ar.k0.l0"]
+
+    def test_add_takes_rows_in_any_order_and_replaces_by_id(self):
+        dag = EventDag()
+        dag.add(Event("b", "compute", (0,), {0: "compute"}, deps=("a",), duration=1.0))
+        dag.add(Event("a", "compute", (0,), {0: "compute"}, duration=2.0))
+        topo = make_topo(kind="electrical")
+        times = simulate(dag, topo).event_times
+        assert (times["a"].end, times["b"].start, times["b"].end) == (2.0, 2.0, 3.0)
+        a = dag.events["a"]
+        a.duration = 0.5
+        assert dag.add(a) == 1
+        assert list(dag.events) == ["b", "a"]
+        assert dag.events["b"].deps == ("a",)
+        assert simulate(dag, topo).event_times["b"].end == 1.5
+
+
 class TestValidation:
     """Each bad DAG is rejected by `simulate` and, saved as a trace, by the
     parser (or, where the parser cannot tell, by simulating what it read)."""
@@ -125,6 +158,7 @@ class TestValidation:
         dag, topo = small_dag()
         ev = next(iter(dag.events.values()))
         ev.deps = ev.deps + ("nonexistent",)
+        dag.add(ev)
         with pytest.raises(MissingDependency, match="unknown event nonexistent"):
             simulate(dag, topo)
         with pytest.raises(MissingDependency, match="unknown event nonexistent"):
@@ -138,6 +172,7 @@ class TestValidation:
         while first.deps:
             first = dag.events[first.deps[0]]
         first.deps = first.deps + (last.id,)
+        dag.add(first)
         with pytest.raises(CyclicDependency):
             simulate(dag, topo)
         with pytest.raises(CyclicDependency):
@@ -147,6 +182,7 @@ class TestValidation:
         dag, topo = small_dag()
         ev = next(e for e in dag.events.values() if e.kind == "collective")
         ev.group = "no-such-group"
+        dag.add(ev)
         with pytest.raises(NotMember, match="unknown group no-such-group"):
             simulate(dag, topo)
         with pytest.raises(ParseError, match="unknown group id 'no-such-group'"):
@@ -156,6 +192,7 @@ class TestValidation:
         dag, topo = small_dag()
         ev = next(e for e in dag.events.values() if e.kind == "collective")
         ev.rank_set = ev.rank_set[:-1]
+        dag.add(ev)
         with pytest.raises(NotMember, match=f"collective {ev.id} ranks"):
             simulate(dag, topo)
         back = loads_trace(trace_text(dag, tmp_path))
@@ -175,6 +212,8 @@ class TestValidation:
             if r in seen:
                 seen[r].observed_start = 5.0
                 ev.observed_start = 1.0
+                dag.add(seen[r])
+                dag.add(ev)
                 bad = ev
                 break
             seen[r] = ev
@@ -190,9 +229,8 @@ class TestValidation:
 class TestTrace:
     def test_round_trip_bytes_identical(self, tmp_path):
         dag, _ = small_dag(pp=2, dp=2, n_layer=6, n_microbatch=2)
-        for t, ev in enumerate(dag.events.values()):
-            ev.observed_start = 0.25 * t
-            ev.observed_end = 0.25 * t + 0.1
+        dag.observed_start = [0.25 * t for t in range(len(dag))]
+        dag.observed_end = [0.25 * t + 0.1 for t in range(len(dag))]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         save_trace(dag, str(p1))
         save_trace(load_trace(str(p1)), str(p2))
@@ -265,6 +303,20 @@ class TestTrace:
                 "e2,0,other,compute,,,0,e1,,\n")
         with pytest.raises(CyclicDependency):
             loads_trace(text)
+
+    def test_group_declared_twice(self):
+        text = (HEADER + "#group,g,DP,0;2,0\n#group,g,DP,0;4,0\n"
+                "c,0,dp,collective,AllGather,g,100,,,\n")
+        with pytest.raises(ParseError, match="group g declared twice") as exc:
+            loads_trace(text)
+        assert exc.value.line == 3
+
+    def test_record_ends_before_it_starts(self):
+        text = HEADER + "a,0,compute,compute,,,0,,0.0,1.0\na,1,compute,compute,,,0,,2.0,1.0\n"
+        with pytest.raises(ParseError, match="a ends at 1.0, before its start 2.0") as exc:
+            loads_trace(text)
+        assert exc.value.line == 3
+        assert loads_trace(HEADER + "a,0,compute,compute,,,0,,1.0,1.0\n").events["a"].duration == 0.0
 
     @pytest.mark.parametrize("field,value", [(3, "compute"), (4, "AllReduce"),
                                              (5, "h")])
