@@ -1,8 +1,9 @@
 """Circuit control plane for reconfigurable rails.
 
 The paper's shim, which intercepts collective calls and asks for a ring only
-when its group's circuits are not up, is the circuit engine's dispatch step
-(`fabric._Engine._dispatch`).  The first iteration's phase schedule comes
+when its group's circuits are not up, is the step of the circuit engine's
+loop (`fabric._Engine.run`) that takes an event whose dependencies are done.
+The first iteration's phase schedule comes
 from `profile_iteration`.  With provisioning enabled, the engine
 (`fabric._Engine._provision_on_finish`) requests the next phase's rings
 speculatively as soon as the previous phase's traffic completes, so the
@@ -87,19 +88,20 @@ class _Port:
 
 @dataclass
 class _Pending:
-    times: Dict[int, float]  # per-rank request time (inf while not yet asked)
+    times: Dict[int, float]  # per-rank request time
     group: str
     speculative: bool
 
-    @property
-    def order_time(self) -> float:
-        """FC-FS position: earliest per-rank request."""
-        return min(self.times.values())
+    def __post_init__(self) -> None:
+        self.order_time = min(self.times.values())  # FC-FS position: earliest request
+        self.barrier_time = max(self.times.values())  # every member rank has requested
 
-    @property
-    def barrier_time(self) -> float:
-        """All member ranks have requested."""
-        return max(self.times.values())
+    def merge(self, times: Mapping[int, float], speculative: bool) -> None:
+        """Fold a later request of the same group into this one."""
+        for rank, t in times.items():
+            self.times[rank] = min(self.times.get(rank, float("inf")), t)
+        self.speculative = self.speculative and speculative
+        self.__post_init__()
 
 
 class Controller:
@@ -116,6 +118,8 @@ class Controller:
         self.log: List[ReconfigLogEntry] = []
         self.circuit_intervals: List[tuple] = []  # (rail, rank, port, group, up, down)
         self._up_since: Dict[Tuple[int, int], float] = {}  # (rank, port) -> up time
+        # group -> its configured (rank, port index, port), by member, then index
+        self.circuits: Dict[str, List[Tuple[int, int, _Port]]] = {}
         for g in groups.values():
             if g.is_scaleout and g.size >= 2 and ports_needed(g) > topo.nic.ports:
                 raise DegreeInfeasible(
@@ -138,9 +142,7 @@ class Controller:
         q = self.queue.setdefault(rail, [])
         for p in q:
             if p.group == gid:
-                for rank, t in times.items():
-                    p.times[rank] = min(p.times.get(rank, float("inf")), t)
-                p.speculative = p.speculative and speculative
+                p.merge(times, speculative)
                 return
         q.append(_Pending(dict(times), gid, speculative))
 
@@ -156,12 +158,13 @@ class Controller:
         grants: List[Tuple[str, float]] = []
         for rail in sorted(self.queue):
             q = self.queue[rail]
-            q.sort(key=lambda p: (p.order_time, p.group))
+            if len(q) > 1:
+                q.sort(key=lambda p: (p.order_time, p.group))
             blocked_ranks: Set[int] = set()
             remaining = []
             for p in q:
                 g = self.groups[p.group]
-                if p.barrier_time > now or (set(g.members) & blocked_ranks):
+                if p.barrier_time > now or not blocked_ranks.isdisjoint(g.members):
                     blocked_ranks.update(g.members)
                     remaining.append(p)
                     continue
@@ -205,8 +208,10 @@ class Controller:
                 have += candidates[:missing]
             chosen[rank] = have[:need]
         changed = 0
+        circuits = []
         for rank, idxs in chosen.items():
             ports = self._rank_ports(rank)
+            circuits += [(rank, i, ports[i]) for i in sorted(idxs)]
             for i in idxs:
                 port = ports[i]
                 if port.group == gid:
@@ -217,6 +222,7 @@ class Controller:
                 port.reconfig_until = now + self.delay
                 self._up_since[(rank, i)] = now + self.delay
                 changed += 1
+        self.circuits[gid] = circuits
         ready = now + self.delay if changed else now
         self.ready_at[gid] = ready
         self.log.append(ReconfigLogEntry(time=now, rail=rail, group=gid,
@@ -232,18 +238,19 @@ class Controller:
             (rail, rank, idx, old, self._up_since.get((rank, idx), 0.0), now))
         # The evicted group's ring is no longer complete.
         self.ready_at.pop(old, None)
+        self.circuits[old] = [(r, i, p) for r, i, p in self.circuits[old] if p is not port]
         port.group = None
 
     def mark_busy(self, gid: str, start: float, end: float) -> List[Tuple[int, int]]:
-        """Mark the group's circuit ports busy for one transfer; returns ports."""
-        g = self.groups[gid]
+        """Mark the group's circuit ports busy for one transfer; returns
+        their (rank, port index) pairs, by member rank, then port index."""
         used = []
-        for rank in g.members:
-            for i, port in enumerate(self._rank_ports(rank)):
-                if port.group == gid:
-                    port.busy_until = max(port.busy_until, end)
-                    port.last_release = max(port.last_release, end)
-                    used.append((rank, i))
+        for rank, i, port in self.circuits.get(gid, ()):
+            if end > port.busy_until:
+                port.busy_until = end
+            if end > port.last_release:
+                port.last_release = end
+            used.append((rank, i))
         return used
 
     def close(self, t: float) -> None:

@@ -22,11 +22,14 @@ rejects a dependency naming no event, a collective naming no group or whose
 ranks differ from its group's members, and a scale-out group that does not
 sit on exactly its one declared rail.  Timing the electrical longest path
 rejects a dependency cycle.
+
+The circuit engine (`_Engine`) runs from a calendar queue: each time's
+entries in push order, under a heap of the distinct times.  Per-rank join
+times are built only for a circuit request and for an `EventTiming` lookup.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
@@ -104,8 +107,8 @@ class _CompiledDag:
 
     Events keep their DAG rows, numbered in insertion order; `ids`, `index`,
     `ranks` and the durations of compute events come from the DAG.  `dependents` lists
-    are in row order: the engine's heap sequence numbers, and with them every
-    controller decision, depend on it.  A dependency naming no event raises
+    are in row order: the engine's push order, and with it every controller
+    decision, depends on it.  A dependency naming no event raises
     MissingDependency, and a collective naming no group raises NotMember.  An
     event with one rank joins at the latest end of its dependencies, which
     the schedulers accumulate as dependencies finish; its `gate_deps` entry
@@ -159,8 +162,9 @@ class _CompiledDag:
 def _gated(dep_ranks: tuple, ranks: tuple, own: Set[int],
            solo: Dict[int, tuple]) -> tuple:
     """The ranks of an event (`ranks`, as a set `own`) that one dependency
-    gates.  Common answers are shared objects: most edges come from
-    single-rank events, and compiling a large DAG allocates little."""
+    gates; never empty, so an event's latest per-rank join is the latest end
+    among its dependencies.  Common answers are shared objects: most edges
+    come from single-rank events, and compiling a large DAG allocates little."""
     shared = own.intersection(dep_ranks)
     if not shared or shared == own:
         return ranks
@@ -262,16 +266,25 @@ class Timeline(Mapping):
         return len(self.order)
 
 
-_DEPS_DONE, _FINISH, _CIRCUIT_UP = range(3)
-
-
 class _Engine:
-    """Time-ordered simulation with circuit lifecycle on OCS rails."""
+    """Time-ordered simulation with circuit lifecycle on OCS rails.
+
+    `calendar` maps each pending time to its entries in push order, and the
+    heap `times` holds each such time once.  An entry is row i when event
+    i's dependencies are done, ~i when it finished, and None when a circuit
+    comes up (a wake-up for the scan).  A time's entries run in push order,
+    then the controller scans; entries pushed at that time meanwhile run
+    after the scan, as the next batch at the same time.
+
+    An event joins at `latest`, the latest end among its dependencies (now,
+    if rankless), which `_gated` makes its latest per-rank join too.  It
+    starts there unless it needs a ring that is not up; then it waits, and
+    only its request builds the per-rank joins.
+    """
 
     def __init__(self, c: _CompiledDag, dag: EventDag, topo: Topology,
-                 policy: ControlPolicy, schedule: Optional[dict]):
+                 schedule: Optional[dict]):
         self.c = c
-        self.provisioning = policy.provisioning
         self.controller = Controller(topo, dag.groups)
         n = len(c.ids)
         self.latest = [0.0] * n  # latest end among finished dependencies
@@ -279,8 +292,8 @@ class _Engine:
         self.end = [0.0] * n
         self.order: List[int] = []  # events in the order they started
         self.indeg = list(c.indeg)
-        self.heap: List[tuple] = []  # (time, sequence number, tag, event or group)
-        self.seq = itertools.count()
+        self.calendar: Dict[float, list] = {}  # time -> entries, in push order
+        self.times: List[float] = []  # heap of the calendar's times
         # group -> issued events awaiting circuits, each with its barrier
         self.waiting: Dict[str, List[Tuple[int, float]]] = {}
         self.transfer_log: List[tuple] = []
@@ -294,44 +307,34 @@ class _Engine:
                 for e in ph.events:
                     self.phase_of[c.index[e]] = (rail, k)
 
+    def _push(self, t: float, entry: Optional[int]) -> None:
+        entries = self.calendar.get(t)
+        if entries is None:
+            self.calendar[t] = [entry]
+            heappush(self.times, t)
+        else:
+            entries.append(entry)
+
     def _protected(self) -> Set[str]:
         protected = {g for g, evs in self.waiting.items() if evs}
         for q in self.controller.queue.values():
             protected.update(p.group for p in q)
         return protected
 
-    def _start_event(self, i: int, start: float) -> None:
+    def _start_circuit(self, i: int, start: float) -> None:
+        """Start circuit event i; its ring's ports carry the transfer."""
         c = self.c
         end = start + c.duration[i]
         self.start[i] = start
         self.end[i] = end
         self.order.append(i)
-        if c.circuit[i]:
-            eid = c.ids[i]
-            for rank, port in self.controller.mark_busy(c.group[i], start, end):
-                self.transfer_log.append((eid, rank, port, start, end))
-        heappush(self.heap, (end, next(self.seq), _FINISH, i))
-
-    def _dispatch(self, i: int, now: float) -> None:
-        """All dependencies done: serve, start, or request circuits."""
-        c = self.c
-        if c.gate_deps[i] is None:
-            # One rank (a circuit needs two) joins at `latest`; none, now.
-            self._start_event(i, self.latest[i] if c.ranks[i] else now)
-            return
-        joins = _joins(c, i, self.latest, self.end)
-        barrier = max(joins.values())
-        gid = c.group[i]
-        if not c.circuit[i] or self.controller.group_up(gid, barrier):
-            self._start_event(i, barrier)
-            return
-        self.waiting.setdefault(gid, []).append((i, barrier))
-        self.controller.request(gid, joins, speculative=False)
+        eid = c.ids[i]
+        for rank, port in self.controller.mark_busy(c.group[i], start, end):
+            self.transfer_log.append((eid, rank, port, start, end))
+        self._push(end, ~i)
 
     def _provision_on_finish(self, i: int, now: float) -> None:
-        key = self.phase_of.get(i)
-        if key is None:
-            return
+        key = self.phase_of[i]
         self.phase_left[key] -= 1
         if self.phase_left[key] > 0:
             return
@@ -352,54 +355,79 @@ class _Engine:
     def run(self) -> Tuple[Timeline, Controller, List[tuple]]:
         c = self.c
         controller = self.controller
-        queues = controller.queue
-        heap, seq, waiting = self.heap, self.seq, self.waiting
-        indeg, latest, end = self.indeg, self.latest, self.end
-        for i, n in enumerate(indeg):
-            if not n:
-                heappush(heap, (0.0, next(seq), _DEPS_DONE, i))
+        queues, waiting, phase_of = controller.queue, self.waiting, self.phase_of
+        calendar, times = self.calendar, self.times
+        indeg, latest, start, end, order = (self.indeg, self.latest, self.start,
+                                            self.end, self.order)
+        ranks, duration, circuit, group, dependents = (c.ranks, c.duration, c.circuit,
+                                                        c.group, c.dependents)
+        roots = [i for i, n in enumerate(indeg) if not n]
+        if roots:
+            calendar[0.0] = roots
+            times.append(0.0)
         finished = 0
-        while heap:
-            now = heap[0][0]
-            batch = []
-            while heap and heap[0][0] == now:
-                batch.append(heappop(heap))
-            for _, _, tag, i in batch:
-                if tag == _DEPS_DONE:
-                    self._dispatch(i, now)
-                elif tag == _FINISH:
+        while times:
+            now = heappop(times)
+            for x in calendar.pop(now):
+                if x is None:
+                    continue  # a circuit came up; the scan below serves it
+                if x < 0:  # ~i: event i finished
+                    i = ~x
                     finished += 1
-                    if self.provisioning:
+                    if i in phase_of:
                         self._provision_on_finish(i, now)
                     e = end[i]
-                    for nxt in c.dependents[i]:
-                        if e > latest[nxt]:
-                            latest[nxt] = e
-                        indeg[nxt] -= 1
-                        if not indeg[nxt]:
-                            heappush(heap, (now, next(seq), _DEPS_DONE, nxt))
-                # _CIRCUIT_UP: state already recorded; serves as a scan wake-up
+                    for j in dependents[i]:
+                        if e > latest[j]:
+                            latest[j] = e
+                        indeg[j] -= 1
+                        if not indeg[j]:
+                            entries = calendar.get(now)
+                            if entries is None:
+                                calendar[now] = [j]
+                                heappush(times, now)
+                            else:
+                                entries.append(j)
+                    continue
+                s = latest[x] if ranks[x] else now  # x: its dependencies are done
+                if circuit[x]:
+                    gid = group[x]
+                    if controller.group_up(gid, s):
+                        self._start_circuit(x, s)
+                    else:
+                        waiting.setdefault(gid, []).append((x, s))
+                        controller.request(gid, _joins(c, x, latest, end), speculative=False)
+                    continue
+                start[x] = s
+                e = end[x] = s + duration[x]
+                order.append(x)
+                entries = calendar.get(e)
+                if entries is None:
+                    calendar[e] = [~x]
+                    heappush(times, e)
+                else:
+                    entries.append(~x)
             # With every queue empty, a scan grants nothing.
             if any(queues.values()):
                 for gid, ready in controller.scan(now, self._protected()):
                     if ready > now:
-                        heappush(heap, (ready, next(seq), _CIRCUIT_UP, gid))
+                        self._push(ready, None)
                         continue
                     for i, barrier in waiting.pop(gid, []):
-                        self._start_event(i, max(ready, barrier))
+                        self._start_circuit(i, max(ready, barrier))
             # Circuits that just came up release their waiting events.
             if waiting:
                 for gid in [g for g, evs in waiting.items()
                             if evs and controller.group_up(g, now)]:
                     for i, barrier in waiting.pop(gid):
-                        self._start_event(i, max(now, barrier))
+                        self._start_circuit(i, max(now, barrier))
         total = len(c.ids)
         if finished != total:
             if any(queues.values()) or any(waiting.values()):
                 raise ConflictDeadlock(
                     f"{total - finished} events stuck behind the reconfiguration queue")
             raise CyclicDependency("event DAG contains a cycle")
-        return Timeline(c, self.order, self.start, self.end), controller, self.transfer_log
+        return Timeline(c, order, start, end), controller, self.transfer_log
 
 
 class Prepared:
@@ -480,7 +508,7 @@ def simulate(dag: EventDag, topo: Topology, policy: Optional[ControlPolicy] = No
                          event_times=Timeline(c, prepared.order, start, end),
                          reconfig_log=[], overhead_vs_baseline=1.0)
     schedule = prepared.schedule() if policy.provisioning else None
-    engine = _Engine(c, dag, topo, policy, schedule)
+    engine = _Engine(c, dag, topo, schedule)
     times, controller, transfers = engine.run()
     makespan = max(engine.end, default=0.0)
     controller.close(makespan)

@@ -3,13 +3,15 @@ speculative provisioning as the circuit engine runs them, and the
 port-level circuit controller."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from railsim import (Controller, DegreeInfeasible, EventDag, EventTiming,
-                     generate_3d_schedule, make_group, profile_iteration,
-                     simulate)
+                     generate_3d_schedule, loads_trace, make_group,
+                     profile_iteration, simulate)
+from railsim.fabric import Prepared
 from railsim.workload import COLLECTIVE, COMPUTE, Event
 
-from conftest import PROVISIONED, REACTIVE, make_params, make_topo
+from conftest import HEADER, PROVISIONED, REACTIVE, make_params, make_topo
 
 
 def rail_group(gid, members, topo, axis="DP"):
@@ -270,6 +272,14 @@ class TestController:
         c = Controller(topo, groups)
         assert grant(c, "g", 0.0) == [("g", 0.01)]
 
+    def test_merged_request_moves_its_barrier(self, topo, rail0_groups):
+        c = Controller(topo, rail0_groups)
+        c.request("a", {0: 1.0, 2: 1.0, 4: 3.0}, False)
+        assert c.scan(1.0, protected=set()) == []
+        # Rank 4 asks again, earlier: the merged request's barrier is 1.5.
+        c.request("a", {4: 1.5}, False)
+        assert c.scan(1.5, protected=set()) == [("a", 1.51)]
+
     def test_close_flushes_intervals(self, topo, rail0_groups):
         c = Controller(topo, rail0_groups)
         grant(c, "a", 0.0)
@@ -277,6 +287,108 @@ class TestController:
         assert len(c.circuit_intervals) == 6
         assert all(entry[3] == "a" and entry[5] == 9.0
                    for entry in c.circuit_intervals)
+
+
+def ports_of(c, gid):
+    """Oracle for `mark_busy`: every port holding the group's circuit, by
+    member rank, then port index."""
+    return [(rank, i) for rank in c.groups[gid].members
+            for i, port in enumerate(c.ports.get(rank, ())) if port.group == gid]
+
+
+class TestMarkBusy:
+    GROUPS = {"a": [0, 2, 4], "b": [2, 4, 6], "c": [0, 2, 4, 6], "p02": [0, 2],
+              "p06": [0, 6], "p46": [4, 6]}
+
+    def controller(self, topo):
+        return Controller(topo, {gid: rail_group(gid, members, topo, axis="DP")
+                                 for gid, members in self.GROUPS.items()})
+
+    def check(self, c, t):
+        for gid in self.GROUPS:
+            used = ports_of(c, gid)
+            assert c.mark_busy(gid, t, t) == used
+            assert all(c.ports[r][i].busy_until >= t for r, i in used)
+
+    def test_after_evictions_and_partial_tears(self, topo):
+        c = self.controller(topo)
+        assert grant(c, "a", 0.0) == [("a", 0.01)]
+        self.check(c, 0.01)
+        # b takes both ports of ranks 2 and 4 from a; a keeps rank 0's.
+        assert grant(c, "b", 1.0) == [("b", 1.01)]
+        assert ports_of(c, "a") == [(0, 0), (0, 1)]
+        self.check(c, 1.01)
+        # A pair takes one port of ranks 0 and 6: a and b each lose one more.
+        assert grant(c, "p06", 2.0) == [("p06", 2.01)]
+        self.check(c, 2.01)
+        # a comes back: it keeps its port on rank 0 and evicts for the rest.
+        assert grant(c, "a", 3.0) == [("a", 3.01)]
+        self.check(c, 3.01)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(sorted(GROUPS)), min_size=1, max_size=12))
+    def test_matches_port_scan(self, order):
+        topo = make_topo(num_domains=4, gpus_per_domain=2, nic_ports=2, delay=0.01)
+        c = self.controller(topo)
+        for k, gid in enumerate(order):
+            t = 0.1 * k
+            grant(c, gid, t)
+            self.check(c, t)
+
+
+# 4 domains x 2 GPUs, rank r in domain r // 2 on rail r % 2.  b (rank 4)
+# shares no rank with t (TP, ranks 0 and 1) or with c (DP, ranks 0 and 2),
+# and c shares none with h (DP, ranks 4 and 6), so those edges gate every rank.
+BARRIER_TRACE = (HEADER + "#group,t,TP,0;1,0;1\n#group,g,DP,0;2,0\n#group,h,DP,4;6,0\n"
+                 "a,0,compute,compute,,,0,,0.0,3.0\n"
+                 "b,4,compute,compute,,,0,,0.0,2.0\n"
+                 "t,0,tp,collective,AllReduce,t,1000,b,,\n"
+                 "t,1,tp,collective,AllReduce,t,1000,b,,\n"
+                 "c,0,dp,collective,AllReduce,g,1000,a;b,,\n"
+                 "c,2,dp,collective,AllReduce,g,1000,a;b,,\n"
+                 "h,4,dp,collective,AllGather,h,1000,c,,\n"
+                 "h,6,dp,collective,AllGather,h,1000,c,,\n")
+
+
+class TestBarrier:
+    """An event starts once its last rank has joined: a non-circuit event
+    exactly then, a circuit event no earlier.  The engine starts events from
+    the latest end among their dependencies and builds per-rank joins only
+    for circuit requests, so this checks the two agree."""
+
+    def check(self, dag, topo, policy):
+        prepared = Prepared(dag, topo, policy.alpha)
+        c = prepared.c
+        times = simulate(dag, topo, policy, prepared=prepared).event_times
+        seen = {False: 0, True: 0}
+        for i, ranks in enumerate(times.ranks):
+            if len(ranks) < 2:
+                continue
+            joined = max(times.starts(i).values())
+            if c.circuit[i]:
+                assert times.start[i] >= joined
+            else:
+                assert times.start[i] == joined
+            seen[c.circuit[i]] += 1
+        return seen
+
+    @pytest.mark.parametrize("policy", [REACTIVE, PROVISIONED])
+    @pytest.mark.parametrize("delay", [0.0, 0.5])
+    def test_generated(self, policy, delay):
+        topo = make_topo(num_domains=8, gpus_per_domain=2, nic_ports=2, delay=delay)
+        dag = generate_3d_schedule(make_params(pp=4, dp=2, tp=2, n_layer=6), topo)
+        seen = self.check(dag, topo, policy)
+        assert seen[False] and seen[True]
+
+    @pytest.mark.parametrize("policy", [REACTIVE, PROVISIONED])
+    @pytest.mark.parametrize("delay", [0.0, 0.01])
+    def test_dependency_sharing_no_rank(self, policy, delay):
+        topo = make_topo(num_domains=4, gpus_per_domain=2, delay=delay)
+        dag = loads_trace(BARRIER_TRACE)
+        assert self.check(dag, topo, policy) == {False: 1, True: 2}
+        times = simulate(dag, topo, policy).event_times
+        assert times["t"].starts == {0: 2.0, 1: 2.0}
+        assert times["c"].starts == {0: 3.0, 2: 2.0}
 
 
 class TestExposedDelay:

@@ -1,6 +1,7 @@
 """Collective timing model and the discrete-event engine."""
 
-from dataclasses import replace
+import hashlib
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,6 +233,49 @@ class TestJoins:
         c = simulate(dag, topo, REACTIVE).event_times["c"]
         assert c.starts == {0: 3.0, 2: 2.0}
         assert c.start == 3.0 + delay
+
+
+def digest(rows) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+class TestEventOrder:
+    """The engine's order of events, reconfigurations and transfers, pinned
+    on a contested 2-port shape: 16 one-GPU domains, pp=4, dp=4, 14 layers,
+    one microbatch, 0.5 s switching, with the benchmark's calibration.  Both
+    policies evict circuits (88 torn before the end).  `list(event_times)`
+    is the start order, which no output file shows."""
+
+    PINS = {
+        "reactive": {
+            "reconfig_log": "d01ee5803e5c8601e4c81743be6e386190174e240bd64d5673e48d52858bf366",
+            "circuit_log": "246ca52e19d38acdf8ad40735285ea6e2814295f1ffc3ee248afac139fa46317",
+            "transfer_log": "e89e0741424cdd73ccd1783ecedc3a8ef9771a54e9fe53ae333436f125c129a8",
+            "start_order": "af90c3fdc99482c03f1c6d8474c2335dddd147d32bb5117a8a23737ab0b27b7f",
+        },
+        "provisioning": {
+            "reconfig_log": "50f1137b22d48a481d59a606c4e078aec718b6778ba6f544afc02bb7e2763cfe",
+            "circuit_log": "d92e4a93fa07b084ae4e9e7edd1950f073d4d9aa37e286ec34a8e192c08102b8",
+            "transfer_log": "10c4e4929c200d914cbcad6b17e79d0e968812d0e7e6f8e8208f0c18ab6dcf32",
+            "start_order": "6b786de784333fedc9fbf9e60a9693b68d5c8bd192127fc91267e6f092763ce6",
+        },
+    }
+
+    @pytest.mark.parametrize("policy", [REACTIVE, PROVISIONED], ids=lambda p: p.label)
+    def test_pinned(self, policy):
+        topo = make_topo(num_domains=16, gpus_per_domain=1, nic_ports=2, delay=0.5)
+        params = make_params(pp=4, dp=4, tp=1, n_layer=14, n_microbatch=1,
+                             param_bytes=29_900_000, act_bytes=16_000_000,
+                             sync_bytes=100_000, fwd=0.12, bwd=0.04, optim=0.02,
+                             pre=0.005)
+        res = simulate(generate_3d_schedule(params, topo), topo, policy)
+        assert sum(down < res.makespan for *_, down in res.circuit_log) == 88
+        assert {
+            "reconfig_log": digest([astuple(e) for e in res.reconfig_log]),
+            "circuit_log": digest(res.circuit_log),
+            "transfer_log": digest(res.transfer_log),
+            "start_order": digest(list(res.event_times)),
+        } == self.PINS[policy.label]
 
 
 class TestNearZeroDelay:
