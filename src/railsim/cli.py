@@ -43,6 +43,8 @@ DEFAULT_CLASS_EDGES = (1e6, 500e6, 2e9)
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 DEFAULT_ECON_CONFIG = os.path.join(_DATA_DIR, "econ_h200.ini")
 DEFAULT_SCENARIO = os.path.join(_DATA_DIR, "llama3_8b.ini")
+# timeline.csv rows formatted before they are written out together.
+TIMELINE_CHUNK_ROWS = 2048
 
 
 @dataclass
@@ -336,22 +338,31 @@ def cmd_windows(args: argparse.Namespace) -> int:
 
 
 def _write_sim_outputs(res: SimResult, out_dir: str) -> None:
+    """Write timeline.csv (one row per event and rank, by event id) and
+    reconfig.csv.  Timeline rows are written in chunks of
+    `TIMELINE_CHUNK_ROWS` as they are formatted, so the file's text is never
+    held whole."""
     os.makedirs(out_dir, exist_ok=True)
-    rows = []
     timeline = res.event_times
     ids, ranks, start, end = timeline.ids, timeline.ranks, timeline.start, timeline.end
     # Simulated times are floats already, so `repr` formats them as `_fmt` does.
     text = _FloatText()
-    for i in sorted(timeline.order, key=ids.__getitem__):
-        eid, rs, e = ids[i], ranks[i], text[end[i]]
-        if len(rs) == 1:  # one rank joins when the event starts
-            rows.append(f"{eid},{rs[0]},{text[start[i]]},{e}")
-            continue
-        starts = timeline.starts(i)
-        for rank in sorted(starts):
-            rows.append(f"{eid},{rank},{text[starts[rank]]},{e}")
-    _write_csv(os.path.join(out_dir, "timeline.csv"),
-               "event_id,rank,start_s,end_s", rows)
+    with open(os.path.join(out_dir, "timeline.csv"), "w", encoding="utf-8",
+              newline="\n") as f:
+        rows = ["event_id,rank,start_s,end_s"]
+        for i in sorted(timeline.order, key=ids.__getitem__):
+            eid, rs, e = ids[i], ranks[i], text[end[i]]
+            if len(rs) == 1:  # one rank joins when the event starts
+                rows.append(f"{eid},{rs[0]},{text[start[i]]},{e}")
+            else:
+                starts = timeline.starts(i)
+                for rank in sorted(starts):
+                    rows.append(f"{eid},{rank},{text[starts[rank]]},{e}")
+            if len(rows) >= TIMELINE_CHUNK_ROWS:
+                f.write("\n".join(rows) + "\n")
+                rows.clear()
+        if rows:
+            f.write("\n".join(rows) + "\n")
     rrows = []
     for e in sorted(res.reconfig_log, key=lambda e: (e.time, e.rail, e.group)):
         rrows.append(f"{_fmt(e.time)},{e.rail},{e.group},"

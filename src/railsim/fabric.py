@@ -11,21 +11,24 @@ exactly equivalent to the electrical baseline.
 
 A `Prepared` simulation compiles the DAG once (`_CompiledDag`): on top of the
 `EventDag`'s columns, whose rows number the events in insertion order, it
-derives dependent lists, in-degrees, collective durations, group ids,
-needs-circuit flags and, for multi-rank events, the ranks each dependency
-edge gates.  The electrical longest path, the provisioning profiler's input
-and the circuit engine all run from it, and a delay sweep reuses it at every
-point.  Start and end times are kept in arrays by row; a run's
-`SimResult.event_times` builds each `EventTiming` from them on lookup.
+derives dependent lists, in-degrees, collective durations, group ids and
+needs-circuit flags.  The electrical longest path, the provisioning
+profiler's input and the circuit engine all run from it, and a delay sweep
+reuses it at every point.  Start and end times are kept in arrays by row; a
+run's `SimResult.event_times` builds each `EventTiming` from them on lookup.
 Compiling is the gate for every DAG, generated, hand-built or parsed: it
 rejects a dependency naming no event, a collective naming no group or whose
 ranks differ from its group's members, and a scale-out group that does not
 sit on exactly its one declared rail.  Timing the electrical longest path
 rejects a dependency cycle.
 
-The circuit engine (`_Engine`) runs from a calendar queue: each time's
-entries in push order, under a heap of the distinct times.  Per-rank join
-times are built only for a circuit request and for an `EventTiming` lookup.
+An event starts once its last dependency has finished.  Per-rank join times
+(`_joins`: a rank joins at the latest end among the dependencies that
+include it or that share no rank with the event) are computed only when
+asked for: by a circuit request, the `timeline.csv` writer and an
+`EventTiming` lookup.  The circuit engine (`_Engine`) runs from a calendar
+queue: each time's entries in push order, under a heap of the distinct
+times.
 """
 
 from __future__ import annotations
@@ -106,41 +109,34 @@ class _CompiledDag:
     """What simulating one EventDag on one topology needs beyond its columns.
 
     Events keep their DAG rows, numbered in insertion order; `ids`, `index`,
-    `ranks` and the durations of compute events come from the DAG.  `dependents` lists
-    are in row order: the engine's push order, and with it every controller
-    decision, depends on it.  A dependency naming no event raises
-    MissingDependency, and a collective naming no group raises NotMember.  An
-    event with one rank joins at the latest end of its dependencies, which
-    the schedulers accumulate as dependencies finish; its `gate_deps` entry
-    is None.  For an event with more ranks, `gate_deps` lists its
-    dependencies and `gate_ranks` the ranks each one gates: the ranks both
-    events share, or every rank when they share none.
+    `ranks`, `deps` and the durations of compute events come from the DAG.
+    `dependents` lists are in row order: the engine's push order, and with it
+    every controller decision, depends on it.  A dependency naming no event
+    raises MissingDependency, and a collective naming no group raises
+    NotMember.
     """
 
-    __slots__ = ("ids", "index", "ranks", "gate_deps", "gate_ranks", "dependents",
-                 "indeg", "duration", "group", "circuit")
+    __slots__ = ("ids", "index", "ranks", "deps", "dependents", "indeg", "duration",
+                 "group", "circuit")
 
     def __init__(self, dag: EventDag, topo: Topology, alpha: float):
         members = _check_groups(dag, topo)
         dag.resolve()
         groups, deps = dag.groups, dag.deps
-        self.ids, self.index, self.ranks = dag.ids, dag.index, dag.ranks
+        self.ids, self.index, self.ranks, self.deps = dag.ids, dag.index, dag.ranks, deps
         ranks = dag.ranks
         n = len(deps)
-        self.gate_deps: List[Optional[tuple]] = [None] * n
-        self.gate_ranks: List[Optional[List[tuple]]] = [None] * n
         self.dependents = dependents = [[] for _ in range(n)]
         self.indeg = [len(ds) for ds in deps]
         self.duration = duration = list(dag.duration)
         self.group = group = [None] * n
         self.circuit = circuit = [False] * n
         kind, dag_group, coll_kind, nbytes = dag.kind, dag.group, dag.coll_kind, dag.bytes
-        solo: Dict[int, tuple] = {}  # rank -> (rank,), shared by every edge gating it alone
         for i, ds in enumerate(deps):
             for d in ds:
                 dependents[d].append(i)
-            rs = ranks[i]
             if kind[i] == COLLECTIVE:
+                rs = ranks[i]
                 gid = dag_group[i]
                 g = groups.get(gid)
                 if g is None:
@@ -153,44 +149,37 @@ class _CompiledDag:
                 duration[i] = collective_time(coll_kind[i], nbytes[i], g.size, bandwidth, alpha)
                 group[i] = gid
                 circuit[i] = g.is_scaleout and g.size >= 2
-            if len(rs) > 1:
-                own = set(rs)
-                self.gate_deps[i] = ds
-                self.gate_ranks[i] = [_gated(ranks[d], rs, own, solo) for d in ds]
 
 
-def _gated(dep_ranks: tuple, ranks: tuple, own: Set[int],
-           solo: Dict[int, tuple]) -> tuple:
-    """The ranks of an event (`ranks`, as a set `own`) that one dependency
-    gates; never empty, so an event's latest per-rank join is the latest end
-    among its dependencies.  Common answers are shared objects: most edges
-    come from single-rank events, and compiling a large DAG allocates little."""
-    shared = own.intersection(dep_ranks)
-    if not shared or shared == own:
-        return ranks
-    if len(shared) == 1:
-        r = shared.pop()
-        return solo.setdefault(r, (r,))
-    return tuple(sorted(shared))
-
-
-def _joins(c: _CompiledDag, i: int, latest: List[float],
+def _joins(c: _CompiledDag, i: int, start: List[float],
            end: List[float]) -> Dict[int, float]:
     """Per-rank issue time: a rank joins once its own dependencies finish.
 
-    `latest[i]` is the latest end among event i's dependencies; for an event
-    with one rank that is also its start, so a run's start array will do.
+    A rank of a multi-rank event joins at the latest end among the
+    dependencies that include it or that share no rank with the event, so
+    its latest join is the latest end among all its dependencies.  An event
+    with one rank joins when it starts.
     """
-    deps = c.gate_deps[i]
-    if deps is None:
-        ranks = c.ranks[i]
-        return {ranks[0]: latest[i]} if ranks else {}
-    joins = dict.fromkeys(c.ranks[i], 0.0)
-    for d, gated in zip(deps, c.gate_ranks[i]):
+    ranks = c.ranks[i]
+    if len(ranks) < 2:
+        return {ranks[0]: start[i]} if ranks else {}
+    joins = dict.fromkeys(ranks, 0.0)
+    everyone = 0.0  # the latest end among dependencies sharing no rank
+    dep_ranks = c.ranks
+    for d in c.deps[i]:
         e = end[d]
-        for r in gated:
-            if e > joins[r]:
-                joins[r] = e
+        shared = False
+        for r in dep_ranks[d]:
+            if r in joins:
+                shared = True
+                if e > joins[r]:
+                    joins[r] = e
+        if not shared and e > everyone:
+            everyone = e
+    if everyone:
+        for r, t in joins.items():
+            if everyone > t:
+                joins[r] = everyone
     return joins
 
 
@@ -276,10 +265,13 @@ class _Engine:
     then the controller scans; entries pushed at that time meanwhile run
     after the scan, as the next batch at the same time.
 
-    An event joins at `latest`, the latest end among its dependencies (now,
-    if rankless), which `_gated` makes its latest per-rank join too.  It
-    starts there unless it needs a ring that is not up; then it waits, and
-    only its request builds the per-rank joins.
+    An event's dependencies are done when the last of them finishes, so it
+    joins then, at the time its entry runs.  It starts there unless it needs
+    a ring that is not up; then it waits in `waiting`, and only a request
+    builds the per-rank joins.  It requests the ring unless the ring is being
+    reconfigured already: the wake-up when that ring comes up releases it.
+    A released event starts when its ring is up: at a grant's ready time or
+    at the wake-up.
     """
 
     def __init__(self, c: _CompiledDag, dag: EventDag, topo: Topology,
@@ -287,15 +279,13 @@ class _Engine:
         self.c = c
         self.controller = Controller(topo, dag.groups)
         n = len(c.ids)
-        self.latest = [0.0] * n  # latest end among finished dependencies
         self.start = [0.0] * n
         self.end = [0.0] * n
         self.order: List[int] = []  # events in the order they started
         self.indeg = list(c.indeg)
         self.calendar: Dict[float, list] = {}  # time -> entries, in push order
         self.times: List[float] = []  # heap of the calendar's times
-        # group -> issued events awaiting circuits, each with its barrier
-        self.waiting: Dict[str, List[Tuple[int, float]]] = {}
+        self.waiting: Dict[str, List[int]] = {}  # group -> issued events awaiting circuits
         self.transfer_log: List[tuple] = []
         # Provisioning state: profiled schedule and per-phase completion counts.
         self.schedule = schedule or {}
@@ -357,10 +347,8 @@ class _Engine:
         controller = self.controller
         queues, waiting, phase_of = controller.queue, self.waiting, self.phase_of
         calendar, times = self.calendar, self.times
-        indeg, latest, start, end, order = (self.indeg, self.latest, self.start,
-                                            self.end, self.order)
-        ranks, duration, circuit, group, dependents = (c.ranks, c.duration, c.circuit,
-                                                        c.group, c.dependents)
+        indeg, start, end, order = self.indeg, self.start, self.end, self.order
+        duration, circuit, group, dependents = c.duration, c.circuit, c.group, c.dependents
         roots = [i for i, n in enumerate(indeg) if not n]
         if roots:
             calendar[0.0] = roots
@@ -376,10 +364,7 @@ class _Engine:
                     finished += 1
                     if i in phase_of:
                         self._provision_on_finish(i, now)
-                    e = end[i]
                     for j in dependents[i]:
-                        if e > latest[j]:
-                            latest[j] = e
                         indeg[j] -= 1
                         if not indeg[j]:
                             entries = calendar.get(now)
@@ -389,17 +374,17 @@ class _Engine:
                             else:
                                 entries.append(j)
                     continue
-                s = latest[x] if ranks[x] else now  # x: its dependencies are done
-                if circuit[x]:
+                if circuit[x]:  # x: its dependencies are done
                     gid = group[x]
-                    if controller.group_up(gid, s):
-                        self._start_circuit(x, s)
-                    else:
-                        waiting.setdefault(gid, []).append((x, s))
-                        controller.request(gid, _joins(c, x, latest, end), speculative=False)
+                    if controller.group_up(gid, now):
+                        self._start_circuit(x, now)
+                        continue
+                    waiting.setdefault(gid, []).append(x)
+                    if gid not in controller.ready_at:  # else its ring is being reconfigured
+                        controller.request(gid, _joins(c, x, start, end), speculative=False)
                     continue
-                start[x] = s
-                e = end[x] = s + duration[x]
+                start[x] = now
+                e = end[x] = now + duration[x]
                 order.append(x)
                 entries = calendar.get(e)
                 if entries is None:
@@ -413,14 +398,14 @@ class _Engine:
                     if ready > now:
                         self._push(ready, None)
                         continue
-                    for i, barrier in waiting.pop(gid, []):
-                        self._start_circuit(i, max(ready, barrier))
+                    for i in waiting.pop(gid, []):
+                        self._start_circuit(i, ready)
             # Circuits that just came up release their waiting events.
             if waiting:
                 for gid in [g for g, evs in waiting.items()
                             if evs and controller.group_up(g, now)]:
-                    for i, barrier in waiting.pop(gid):
-                        self._start_circuit(i, max(now, barrier))
+                    for i in waiting.pop(gid):
+                        self._start_circuit(i, now)
         total = len(c.ids)
         if finished != total:
             if any(queues.values()) or any(waiting.values()):

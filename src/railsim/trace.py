@@ -11,7 +11,10 @@ Lines starting with ``#group,`` declare communication groups:
 Dependency edges are reconstructed from the explicit ``dep_ids`` column plus
 per-(rank, stream) record order: a record depends on the previous record of
 the same rank and stream.  The parser fills an `EventDag`'s columns directly
-and turns dependency ids into rows in one closing pass.
+and turns each dependency id into a row as its record is read; only ids not
+read yet are kept by name, until the closing pass resolves them.  Repeated
+strings (kind, stream, coll_kind, group_id) and one-rank tuples are shared
+between rows.
 
 The parser is the gate for traces: besides malformed records it rejects a
 group declared twice, a record that ends before it starts, a later record of
@@ -76,11 +79,15 @@ def _parse(f) -> EventDag:
     ids, index = dag.ids, dag.index
     kinds, ranks, streams, groups = dag.kind, dag.ranks, dag.streams, dag.group
     coll_kinds, nbytes, durations = dag.coll_kind, dag.bytes, dag.duration
-    starts, ends = dag.observed_start, dag.observed_end
-    # Each row's dependency ids as read, until the closing pass.
-    names: List[List[str]] = []
-    # (rank, stream) -> last event id, and the latest observed start so far.
-    stream_tail: Dict[Tuple[int, str], Tuple[str, Optional[float]]] = {}
+    starts, ends, deps = dag.observed_start, dag.observed_end, dag.deps
+    # Each row's dependencies as rows, in the order read: a tuple, or a list
+    # once the row has a second record.  The closing pass sorts them.
+    # Dependencies on ids not read yet are kept by name in `ahead`.
+    ahead: Dict[int, List[str]] = {}
+    # (rank, stream) -> row of the last record, and the latest observed start so far.
+    stream_tail: Dict[Tuple[int, str], Tuple[int, Optional[float]]] = {}
+    shared: Dict[str, str] = {}  # one copy of each stream, coll_kind and group_id
+    solo: Dict[int, tuple] = {}  # rank -> (rank,), the ranks of a one-record row
     header_seen = False
     for lineno, raw in enumerate(f, start=1):
         line = raw.rstrip("\n")
@@ -129,22 +136,26 @@ def _parse(f) -> EventDag:
                 raise ParseError("collective record without group_id", lineno)
             if group_id not in dag.groups:
                 raise ParseError(f"unknown group id {group_id!r}", lineno)
+        kind = COMPUTE if kind == COMPUTE else COLLECTIVE
+        stream = shared.setdefault(stream, stream)
+        coll_kind = shared.setdefault(coll_kind, coll_kind) or None
+        group_id = shared.setdefault(group_id, group_id) or None
         i = index.get(eid)
-        if i is None:
+        first = i is None
+        if first:
             i = index[eid] = len(ids)
             ids.append(eid)
             kinds.append(kind)
-            ranks.append((rank,))
+            ranks.append(solo.get(rank) or solo.setdefault(rank, (rank,)))
             streams.append(stream)
-            groups.append(group_id or None)
-            coll_kinds.append(coll_kind or None)
+            groups.append(group_id)
+            coll_kinds.append(coll_kind)
             nbytes.append(size)
             durations.append(end - start if start is not None and end is not None else 0.0)
             starts.append(start)
             ends.append(end)
-            names.append(deps_s.split(";"))
         else:
-            if (kind, coll_kind or None, group_id or None) != (kinds[i], coll_kinds[i], groups[i]):
+            if (kind, coll_kind, group_id) != (kinds[i], coll_kinds[i], groups[i]):
                 raise ParseError(f"record of {eid} disagrees with its first record on "
                                  "kind, coll_kind or group_id", lineno)
             row_streams = streams[i]
@@ -153,33 +164,43 @@ def _parse(f) -> EventDag:
             elif stream != row_streams:  # the ranks so far share one stream
                 streams[i] = {**dict.fromkeys(ranks[i], row_streams), rank: stream}
             ranks[i] += (rank,)
-            names[i] += deps_s.split(";")
+        rows = []
+        for d in deps_s.split(";"):
+            j = index.get(d)
+            if j is not None:
+                rows.append(j)
+            elif d:
+                ahead.setdefault(i, []).append(d)
         key = (rank, stream)
         tail = stream_tail.get(key)
         if tail is not None:
-            tail_id, tail_start = tail
-            names[i].append(tail_id)
+            tail_row, tail_start = tail
+            rows.append(tail_row)
             if start is None:
                 start = tail_start  # a record without a start keeps the stream's
             elif tail_start is not None and start < tail_start:
                 raise ParseError(f"{eid} starts at {start!r}, before an earlier record "
                                  f"on rank {rank} stream {stream!r} ({tail_start!r})", lineno)
-        stream_tail[key] = (eid, start)
-    deps = dag.deps
-    for i, eid in enumerate(ids):
+        stream_tail[key] = (i, start)
+        if first:
+            deps.append(tuple(rows))
+        elif type(deps[i]) is list:
+            deps[i] += rows
+        else:  # the row's second record
+            deps[i] = [*deps[i], *rows]
+    for i in sorted(ahead):
+        names = sorted(set(ahead[i]))
+        for d in names:
+            if d not in index:
+                raise MissingDependency(f"{ids[i]} depends on unknown event {d}")
+        deps[i] += tuple(index[d] for d in names)
+    for i, ds in enumerate(deps):
         if len(ranks[i]) > 1:
             ranks[i] = tuple(sorted(set(ranks[i])))
-        row_deps = set(names[i])
-        names[i] = None  # done with the row's ids
-        row_deps.discard(eid)
-        row_deps.discard("")
-        rows = []
-        for d in sorted(row_deps):
-            j = index.get(d)
-            if j is None:
-                raise MissingDependency(f"{eid} depends on unknown event {d}")
-            rows.append(j)
-        deps.append(tuple(rows))
+        if type(ds) is list or len(ds) > 1 or i in ds:
+            rows = set(ds)
+            rows.discard(i)
+            deps[i] = tuple(sorted(rows))
     _check_acyclic(deps)
     return dag
 

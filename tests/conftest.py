@@ -28,6 +28,47 @@ def make_params(pp=2, dp=2, tp=4, n_layer=8, n_microbatch=2,
 REACTIVE = ControlPolicy(provisioning=False)
 PROVISIONED = ControlPolicy(provisioning=True)
 
+# The benchmark's calibration (the shipped llama3_8b.ini) in `make_params`'s
+# keywords.
+CALIBRATION = dict(param_bytes=29_900_000, act_bytes=16_000_000, sync_bytes=100_000,
+                   fwd=0.12, bwd=0.04, optim=0.02, pre=0.005)
+
+
+def assert_circuit_invariants(res, topo, eps=1e-12):
+    """Assert a circuit run's safety invariants: no port carries two
+    circuits at once, no transfer runs on a port while it switches, and no
+    rank holds more circuits than its NIC has ports.  Returns the number of
+    circuit intervals checked."""
+    delay = topo.rail_switch.reconfig_delay
+    by_port = {}
+    for rail, rank, port, group, up, down in res.circuit_log:
+        assert down >= up - eps
+        by_port.setdefault((rank, port), []).append((up, down, group))
+    transfers = {}
+    for eid, rank, port, start, end in res.transfer_log:
+        transfers.setdefault((rank, port), []).append((start, end))
+    checked = 0
+    for key, ivals in by_port.items():
+        ivals.sort()
+        # (a) no port sharing between concurrent circuits
+        for (u1, d1, _), (u2, d2, _) in zip(ivals, ivals[1:]):
+            assert u2 >= d1 - eps, f"overlapping circuits on {key}"
+        # (b) reconfiguration never overlaps a transfer on the port
+        for up, down, _ in ivals:
+            for s, e in transfers.get(key, ()):
+                assert e <= up - delay + eps or s >= up - eps, \
+                    f"transfer [{s},{e}] inside reconfig on {key}"
+        checked += len(ivals)
+    # (c) concurrent circuits per rank never exceed NIC ports
+    per_rank = {}
+    for rail, rank, port, group, up, down in res.circuit_log:
+        per_rank.setdefault(rank, []).append((up, down))
+    for rank, ivals in per_rank.items():
+        for t in sorted({t for iv in ivals for t in iv}):
+            live = sum(1 for u, d in ivals if u <= t < d)
+            assert live <= topo.nic.ports, f"rank {rank} holds {live} circuits at t={t}"
+    return checked
+
 HEADER = ("event_id,rank,stream,kind,coll_kind,group_id,bytes,dep_ids,"
           "observed_start_s,observed_end_s\n")
 

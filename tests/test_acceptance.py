@@ -19,7 +19,8 @@ from railsim.cli import DEFAULT_CLASS_EDGES, load_scenario, main
 from railsim.econ import DEFAULT_SCALEUPS, DEFAULT_TECHS
 from railsim.workload import COLLECTIVE, Event
 
-from conftest import PROVISIONED, REACTIVE, make_params, make_topo
+from conftest import (PROVISIONED, REACTIVE, assert_circuit_invariants,
+                      make_params, make_topo)
 
 
 def report(capfd, n, ok, detail):
@@ -330,35 +331,7 @@ def test_criterion_9_safety_invariants(capfd, scenario):
             topo = build_topology(replace(scenario.topology,
                                           reconfig_delay=delay))
             res = simulate(dag, topo, policy)
-            by_port = {}
-            for rail, rank, port, group, up, down in res.circuit_log:
-                assert down >= up - 1e-12
-                by_port.setdefault((rank, port), []).append((up, down, group))
-            transfers = {}
-            for eid, rank, port, start, end in res.transfer_log:
-                transfers.setdefault((rank, port), []).append((start, end))
-            eps = 1e-12
-            for key, ivals in by_port.items():
-                ivals.sort()
-                # (a) no port sharing between concurrent circuits
-                for (u1, d1, _), (u2, d2, _) in zip(ivals, ivals[1:]):
-                    assert u2 >= d1 - eps, f"overlapping circuits on {key}"
-                # (b) reconfiguration never overlaps a transfer on the port
-                for up, down, _ in ivals:
-                    for s, e in transfers.get(key, ()):
-                        assert e <= up - delay + eps or s >= up - eps, \
-                            f"transfer [{s},{e}] inside reconfig on {key}"
-                circuits_checked += len(ivals)
-            # (c) concurrent circuits per rank never exceed NIC ports
-            per_rank = {}
-            for rail, rank, port, group, up, down in res.circuit_log:
-                per_rank.setdefault(rank, []).append((up, down))
-            for rank, ivals in per_rank.items():
-                marks = sorted({t for iv in ivals for t in iv})
-                for t in marks:
-                    live = sum(1 for u, d in ivals if u <= t < d)
-                    assert live <= topo.nic.ports, \
-                        f"rank {rank} holds {live} circuits at t={t}"
+            circuits_checked += assert_circuit_invariants(res, topo)
     report(capfd, 9, circuits_checked > 0,
            f"no port sharing, no transfer during switching, degree within "
            f"NIC ports across {circuits_checked} circuit intervals "

@@ -352,9 +352,9 @@ BARRIER_TRACE = (HEADER + "#group,t,TP,0;1,0;1\n#group,g,DP,0;2,0\n#group,h,DP,4
 
 class TestBarrier:
     """An event starts once its last rank has joined: a non-circuit event
-    exactly then, a circuit event no earlier.  The engine starts events from
-    the latest end among their dependencies and builds per-rank joins only
-    for circuit requests, so this checks the two agree."""
+    exactly then, a circuit event no earlier.  The engine starts events when
+    their last dependency finishes and derives per-rank joins only when asked
+    (`_joins`), so this checks the two agree."""
 
     def check(self, dag, topo, policy):
         prepared = Prepared(dag, topo, policy.alpha)

@@ -12,8 +12,8 @@ from railsim import (ControlPolicy, Event, EventDag, MissingDependency, NotMembe
                      sweep_delay)
 from railsim.fabric import Prepared
 
-from conftest import (BAD_TRACES, HEADER, PROVISIONED, REACTIVE, make_params,
-                      make_topo)
+from conftest import (BAD_TRACES, CALIBRATION, HEADER, PROVISIONED, REACTIVE,
+                      assert_circuit_invariants, make_params, make_topo)
 
 
 class TestCollectiveTime:
@@ -276,6 +276,32 @@ class TestEventOrder:
             "transfer_log": digest(res.transfer_log),
             "start_order": digest(list(res.event_times)),
         } == self.PINS[policy.label]
+
+
+class TestNoDeadlock:
+    """Contested 2-port shapes with two microbatches at 0.5 s switching,
+    provisioned.  Events reach rings that are being reconfigured; a second
+    request for such a ring would protect it from the requests queued ahead
+    of it while waiting behind them, and the run would end in
+    ConflictDeadlock."""
+
+    SHAPES = {  # (pp, dp, GPUs per domain, n_layer, calibration)
+        **{f"4x4-L{n}": (4, 4, 1, n, CALIBRATION) for n in (6, 8, 10, 12, 13, 14)},
+        "4x4-L14-defaults": (4, 4, 1, 14, {}),
+        "2x3-G2-L6-defaults": (2, 3, 2, 6, {}),
+        "2x4-G2-L6-defaults": (2, 4, 2, 6, {}),
+        "2x3-L3": (2, 3, 1, 3, CALIBRATION),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    def test_provisioned_finishes(self, shape):
+        pp, dp, gpus, n_layer, calibration = shape
+        topo = make_topo(num_domains=pp * dp, gpus_per_domain=gpus, nic_ports=2, delay=0.5)
+        dag = generate_3d_schedule(make_params(pp=pp, dp=dp, tp=gpus, n_layer=n_layer,
+                                               n_microbatch=2, **calibration), topo)
+        res = simulate(dag, topo, PROVISIONED)
+        assert assert_circuit_invariants(res, topo) > 0
+        assert res.makespan >= simulate(dag, topo, force_baseline=True).makespan
 
 
 class TestNearZeroDelay:
