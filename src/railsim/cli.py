@@ -32,7 +32,7 @@ from .errors import (ConfigError, ConflictDeadlock, CyclicDependency,
                      RadixExceeded, UnsupportedKind)
 from .fabric import ControlPolicy, EventTiming, SimResult, simulate, sweep_delay
 from .model import Topology, TopologySpec, build_topology
-from .trace import load_trace, save_trace
+from .trace import FloatText, load_trace, save_trace
 from .windows import Window, analyze_rail, classify_by_volume, window_cdf
 from .workload import EventDag, WorkloadParams, generate_3d_schedule
 
@@ -63,17 +63,6 @@ class Scenario:
 def _fmt(x: float) -> str:
     """Stable float formatting for CSV output (repr round-trips exactly)."""
     return repr(float(x))
-
-
-class _FloatText(dict):
-    """`repr` of each float, formatted once per distinct value: a run's
-    times repeat across the ranks and stages that move in lockstep."""
-
-    def __missing__(self, t: float) -> str:
-        text = repr(t)
-        if t:  # 0.0 and -0.0 are one key but print differently
-            self[t] = text
-        return text
 
 
 def _getfloat(sec, key: str, default: Optional[float] = None) -> float:
@@ -345,8 +334,7 @@ def _write_sim_outputs(res: SimResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     timeline = res.event_times
     ids, ranks, start, end = timeline.ids, timeline.ranks, timeline.start, timeline.end
-    # Simulated times are floats already, so `repr` formats them as `_fmt` does.
-    text = _FloatText()
+    text = FloatText()
     with open(os.path.join(out_dir, "timeline.csv"), "w", encoding="utf-8",
               newline="\n") as f:
         rows = ["event_id,rank,start_s,end_s"]

@@ -14,13 +14,23 @@ the same rank and stream.  The parser fills an `EventDag`'s columns directly
 and turns each dependency id into a row as its record is read; only ids not
 read yet are kept by name, until the closing pass resolves them.  Repeated
 strings (kind, stream, coll_kind, group_id) and one-rank tuples are shared
-between rows.
+between rows, and each distinct rank text is converted once.
+
+A record that repeats the record before it on another rank (same event id
+and the same text after the stream, as a collective's per-rank records are
+written) passed every check of that text already: the parser reads only its
+rank and stream, and applies the per-(rank, stream) order to it.  Any other
+record is parsed in full.
 
 The parser is the gate for traces: besides malformed records it rejects a
-group declared twice, a record that ends before it starts, a later record of
-an event whose kind, coll_kind or group_id differs from the first, observed
+negative rank, negative bytes, an infinite or nan observed time, a group
+declared twice, a record that ends before it starts, a later record of an
+event whose kind, coll_kind or group_id differs from the first, observed
 starts that go back in time along a (rank, stream), a dependency naming no
-event and a dependency cycle.
+event and a dependency cycle.  The cycle check is an iterative depth-first
+pass over the rows' dependencies, started only from rows that depend on a
+later row: a row read in one record depends only on earlier rows, so every
+cycle passes through one of them.
 """
 
 from __future__ import annotations
@@ -35,36 +45,66 @@ from .workload import COLLECTIVE, COMPUTE, EventDag
 HEADER = "event_id,rank,stream,kind,coll_kind,group_id,bytes,dep_ids,observed_start_s,observed_end_s"
 
 
-def _fmt_time(t) -> str:
-    return "" if t is None else repr(float(t))
+# Trace lines formatted before they are written out together.
+SAVE_CHUNK_LINES = 2048
+# Distinct times a `FloatText` holds before it starts over, so that times
+# which never repeat cost no more memory than one chunk of lines.
+TIMES_KEPT = 4096
+
+
+class FloatText(dict):
+    """`repr(float(t))` of each time, formatted once per distinct value, and
+    "" for None: times repeat across the ranks and stages that move in
+    lockstep.  Holds at most `TIMES_KEPT` values."""
+
+    def __missing__(self, t) -> str:
+        text = "" if t is None else repr(float(t))
+        if t or t is None:  # 0.0 and -0.0 are one key but print differently
+            if len(self) >= TIMES_KEPT:
+                self.clear()
+            self[t] = text
+        return text
 
 
 def save_trace(dag: EventDag, path: str) -> None:
-    lines = [HEADER + "\n"]
-    for gid in sorted(dag.groups):
-        g = dag.groups[gid]
-        members = ";".join(str(m) for m in g.members)
-        rails = ";".join(str(r) for r in sorted(g.rails_touched))
-        lines.append(f"#group,{gid},{g.axis},{members},{rails}\n")
-    for i, eid in enumerate(dag.ids):
-        rest = (f"{dag.kind[i]},{dag.coll_kind[i] or ''},{dag.group[i] or ''},"
-                f"{dag.bytes[i]},{';'.join(dag.dep_ids(i))},"
-                f"{_fmt_time(dag.observed_start[i])},{_fmt_time(dag.observed_end[i])}\n")
-        streams = dag.streams[i]
-        for rank in sorted(dag.ranks[i]):
-            stream = streams.get(rank, "") if isinstance(streams, dict) else streams
-            lines.append(f"{eid},{rank},{stream},{rest}")
+    """Write `dag` as a trace, one record per (event, rank) in row order and
+    rank order.  Lines are written in chunks of `SAVE_CHUNK_LINES` as they
+    are formatted, so the file's text is never held whole."""
+    ids, kinds, ranks, streams = dag.ids, dag.kind, dag.ranks, dag.streams
+    coll_kinds, groups, nbytes = dag.coll_kind, dag.group, dag.bytes
+    starts, ends, text = dag.observed_start, dag.observed_end, FloatText()
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("".join(lines))
+        lines = [HEADER]
+        for gid in sorted(dag.groups):
+            g = dag.groups[gid]
+            members = ";".join(str(m) for m in g.members)
+            rails = ";".join(str(r) for r in sorted(g.rails_touched))
+            lines.append(f"#group,{gid},{g.axis},{members},{rails}")
+        for i, eid in enumerate(ids):
+            rest = (f"{kinds[i]},{coll_kinds[i] or ''},{groups[i] or ''},{nbytes[i]},"
+                    f"{';'.join(dag.dep_ids(i))},{text[starts[i]]},{text[ends[i]]}")
+            rs, s = ranks[i], streams[i]
+            if len(rs) == 1 and not isinstance(s, dict):
+                lines.append(f"{eid},{rs[0]},{s},{rest}")
+            else:
+                for rank in sorted(rs):
+                    stream = s.get(rank, "") if isinstance(s, dict) else s
+                    lines.append(f"{eid},{rank},{stream},{rest}")
+            if len(lines) >= SAVE_CHUNK_LINES:
+                f.write("\n".join(lines) + "\n")
+                lines.clear()
+        if lines:
+            f.write("\n".join(lines) + "\n")
 
 
 def load_trace(path: str) -> EventDag:
     """Parse a trace file into an EventDag.
 
     Raises ParseError with a line number on malformed or disagreeing records,
-    a group declared twice, a record that ends before it starts and observed
-    starts out of stream order, MissingDependency when a dependency names no
-    event, and CyclicDependency when the reconstructed edges contain a cycle.
+    a negative rank or bytes, a non-finite observed time, a group declared
+    twice, a record that ends before it starts and observed starts out of
+    stream order, MissingDependency when a dependency names no event, and
+    CyclicDependency when the reconstructed edges contain a cycle.
     """
     with open(path, "r", encoding="utf-8") as f:
         return _parse(f)
@@ -80,145 +120,207 @@ def _parse(f) -> EventDag:
     kinds, ranks, streams, groups = dag.kind, dag.ranks, dag.streams, dag.group
     coll_kinds, nbytes, durations = dag.coll_kind, dag.bytes, dag.duration
     starts, ends, deps = dag.observed_start, dag.observed_end, dag.deps
-    # Each row's dependencies as rows, in the order read: a tuple, or a list
-    # once the row has a second record.  The closing pass sorts them.
-    # Dependencies on ids not read yet are kept by name in `ahead`.
+    # Each row's dependencies as rows, without the row itself: a sorted tuple
+    # of distinct rows, or a list once the row has a second record (listed in
+    # `multi`).  Dependencies on ids not read yet are kept by name in `ahead`.
+    # The closing pass sorts the rows of `multi` and `ahead`.
     ahead: Dict[int, List[str]] = {}
-    # (rank, stream) -> row of the last record, and the latest observed start so far.
-    stream_tail: Dict[Tuple[int, str], Tuple[int, Optional[float]]] = {}
+    multi: List[int] = []
+    # stream -> rank -> row of the last record on the (rank, stream), and the
+    # latest observed start on it so far.
+    stream_tail: Dict[str, Dict[int, Tuple[int, Optional[float]]]] = {}
     shared: Dict[str, str] = {}  # one copy of each stream, coll_kind and group_id
-    solo: Dict[int, tuple] = {}  # rank -> (rank,), the ranks of a one-record row
+    solo: Dict[str, tuple] = {}  # rank text -> (rank,), the ranks of a one-record row
+    # The last record's event id, its text after the stream, row and
+    # observed start.
+    last_eid = last_rest = None
+    last_row, last_start = -1, None
     header_seen = False
     for lineno, raw in enumerate(f, start=1):
         line = raw.rstrip("\n")
-        if not line.strip():
-            continue
-        if line.startswith("#group,"):
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ParseError("malformed #group line", lineno)
-            _, gid, axis, members_s, rails_s = parts
-            if gid in dag.groups:
-                raise ParseError(f"group {gid} declared twice", lineno)
-            try:
-                members = tuple(int(m) for m in members_s.split(";") if m != "")
-                rails = frozenset(int(r) for r in rails_s.split(";") if r != "")
-            except ValueError:
-                raise ParseError("non-integer group member or rail", lineno)
-            dag.groups[gid] = CommGroup(id=gid, axis=axis, members=members, rails_touched=rails)
-            continue
-        if line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != HEADER:
-                raise ParseError(f"expected header {HEADER!r}", lineno)
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 10:
+        parts = line.split(",", 3)
+        if len(parts) < 4 or not header_seen or line[:1] == "#":
+            if not line.strip():
+                continue
+            if line.startswith("#group,"):
+                _declare_group(dag, line, lineno)
+                continue
+            if line.startswith("#"):
+                continue
+            if not header_seen:
+                if line != HEADER:
+                    raise ParseError(f"expected header {HEADER!r}", lineno)
+                header_seen = True
+                continue
             raise ParseError(f"expected 10 fields, got {len(parts)}", lineno)
-        eid, rank_s, stream, kind, coll_kind, group_id, bytes_s, deps_s, start_s, end_s = parts
-        if not eid:
-            raise ParseError("empty event_id", lineno)
-        try:
-            rank = int(rank_s)
-            size = int(bytes_s) if bytes_s else 0
-            start = float(start_s) if start_s else None
-            end = float(end_s) if end_s else None
-        except ValueError:
-            raise ParseError("malformed numeric field", lineno)
-        if start is not None and end is not None and end < start:
-            raise ParseError(f"{eid} ends at {end!r}, before its start {start!r}", lineno)
-        if kind not in (COMPUTE, COLLECTIVE):
-            raise ParseError(f"unknown event kind {kind!r}", lineno)
-        if kind == COLLECTIVE:
-            if not group_id:
-                raise ParseError("collective record without group_id", lineno)
-            if group_id not in dag.groups:
-                raise ParseError(f"unknown group id {group_id!r}", lineno)
-        kind = COMPUTE if kind == COMPUTE else COLLECTIVE
+        eid, rank_s, stream, rest = parts
         stream = shared.setdefault(stream, stream)
-        coll_kind = shared.setdefault(coll_kind, coll_kind) or None
-        group_id = shared.setdefault(group_id, group_id) or None
-        i = index.get(eid)
-        first = i is None
-        if first:
-            i = index[eid] = len(ids)
-            ids.append(eid)
-            kinds.append(kind)
-            ranks.append(solo.get(rank) or solo.setdefault(rank, (rank,)))
-            streams.append(stream)
-            groups.append(group_id)
-            coll_kinds.append(coll_kind)
-            nbytes.append(size)
-            durations.append(end - start if start is not None and end is not None else 0.0)
-            starts.append(start)
-            ends.append(end)
+        if rest == last_rest and eid == last_eid:
+            # Another rank's copy of the last record (a collective's records
+            # in a row): kind, group, bytes, times and dependencies all
+            # passed with that record, so only the rank and stream are new.
+            rank = (solo.get(rank_s) or _rank(solo, rank_s, lineno))[0]
+            i, start, first, rows = last_row, last_start, False, []
         else:
-            if (kind, coll_kind, group_id) != (kinds[i], coll_kinds[i], groups[i]):
+            fields = rest.split(",")
+            if len(fields) != 7:
+                raise ParseError(f"expected 10 fields, got {len(fields) + 3}", lineno)
+            if not eid:
+                raise ParseError("empty event_id", lineno)
+            one = solo.get(rank_s) or _rank(solo, rank_s, lineno)
+            rank = one[0]
+            kind, coll_kind, group_id, bytes_s, deps_s, start_s, end_s = fields
+            try:
+                size = int(bytes_s) if bytes_s else 0
+                start = float(start_s) if start_s else None
+                end = float(end_s) if end_s else None
+            except ValueError:
+                raise ParseError("malformed numeric field", lineno) from None
+            if size < 0:
+                raise ParseError(f"{eid} has negative bytes {size}", lineno)
+            # t - t is nan, so true, for an infinite or nan t alone.
+            if start is not None and start - start or end is not None and end - end:
+                raise ParseError(f"{eid} has a non-finite observed time", lineno)
+            if start is not None and end is not None and end < start:
+                raise ParseError(f"{eid} ends at {end!r}, before its start {start!r}", lineno)
+            if kind == COMPUTE:
+                kind = COMPUTE
+            elif kind == COLLECTIVE:
+                kind = COLLECTIVE
+                if not group_id:
+                    raise ParseError("collective record without group_id", lineno)
+                if group_id not in dag.groups:
+                    raise ParseError(f"unknown group id {group_id!r}", lineno)
+            else:
+                raise ParseError(f"unknown event kind {kind!r}", lineno)
+            coll_kind = shared.setdefault(coll_kind, coll_kind) or None
+            group_id = shared.setdefault(group_id, group_id) or None
+            i = index.get(eid)
+            first = i is None
+            if first:
+                i = index[eid] = len(ids)
+                ids.append(eid)
+                kinds.append(kind)
+                ranks.append(one)
+                streams.append(stream)
+                groups.append(group_id)
+                coll_kinds.append(coll_kind)
+                nbytes.append(size)
+                durations.append(end - start if start is not None and end is not None else 0.0)
+                starts.append(start)
+                ends.append(end)
+            elif (kind, coll_kind, group_id) != (kinds[i], coll_kinds[i], groups[i]):
                 raise ParseError(f"record of {eid} disagrees with its first record on "
                                  "kind, coll_kind or group_id", lineno)
+            rows = []
+            if deps_s:
+                for d in deps_s.split(";"):
+                    j = index.get(d)
+                    if j is None:
+                        if d:
+                            ahead.setdefault(i, []).append(d)
+                    elif j != i and j not in rows:
+                        rows.append(j)
+            last_eid, last_rest, last_row, last_start = eid, rest, i, start
+        if not first:
             row_streams = streams[i]
             if isinstance(row_streams, dict):
                 row_streams[rank] = stream
             elif stream != row_streams:  # the ranks so far share one stream
                 streams[i] = {**dict.fromkeys(ranks[i], row_streams), rank: stream}
             ranks[i] += (rank,)
-        rows = []
-        for d in deps_s.split(";"):
-            j = index.get(d)
-            if j is not None:
-                rows.append(j)
-            elif d:
-                ahead.setdefault(i, []).append(d)
-        key = (rank, stream)
-        tail = stream_tail.get(key)
+        tails = stream_tail.get(stream)
+        if tails is None:
+            tails = stream_tail[stream] = {}
+        tail = tails.get(rank)
         if tail is not None:
             tail_row, tail_start = tail
-            rows.append(tail_row)
+            if tail_row != i and tail_row not in rows:
+                rows.append(tail_row)
             if start is None:
                 start = tail_start  # a record without a start keeps the stream's
             elif tail_start is not None and start < tail_start:
                 raise ParseError(f"{eid} starts at {start!r}, before an earlier record "
                                  f"on rank {rank} stream {stream!r} ({tail_start!r})", lineno)
-        stream_tail[key] = (i, start)
+        tails[rank] = (i, start)
         if first:
+            if len(rows) > 1:
+                rows.sort()
             deps.append(tuple(rows))
         elif type(deps[i]) is list:
             deps[i] += rows
         else:  # the row's second record
             deps[i] = [*deps[i], *rows]
+            multi.append(i)
     for i in sorted(ahead):
         names = sorted(set(ahead[i]))
         for d in names:
             if d not in index:
                 raise MissingDependency(f"{ids[i]} depends on unknown event {d}")
-        deps[i] += tuple(index[d] for d in names)
-    for i, ds in enumerate(deps):
+        deps[i] = [*deps[i], *(index[d] for d in names)]
+    # Rows that depend on a later row.  A row read in one record depends only
+    # on earlier rows, so every cycle passes through one of these.
+    forward: List[int] = []
+    for i in sorted({*multi, *ahead}):
         if len(ranks[i]) > 1:
             ranks[i] = tuple(sorted(set(ranks[i])))
-        if type(ds) is list or len(ds) > 1 or i in ds:
-            rows = set(ds)
-            rows.discard(i)
-            deps[i] = tuple(sorted(rows))
-    _check_acyclic(deps)
+        ds = deps[i] = tuple(sorted(set(deps[i])))
+        if ds and ds[-1] > i:
+            forward.append(i)
+    _check_acyclic(deps, forward)
     return dag
 
 
-def _check_acyclic(deps: List[tuple]) -> None:
-    """Reject a dependency cycle (Kahn's algorithm over rows)."""
-    indeg = [len(ds) for ds in deps]
-    dependents: List[List[int]] = [[] for _ in deps]
-    for i, ds in enumerate(deps):
-        for d in ds:
-            dependents[d].append(i)
-    ready = [i for i, n in enumerate(indeg) if not n]
-    done = 0
-    while ready:
-        done += 1
-        for nxt in dependents[ready.pop()]:
-            indeg[nxt] -= 1
-            if not indeg[nxt]:
-                ready.append(nxt)
-    if done != len(deps):
-        raise CyclicDependency("trace dependency edges contain a cycle")
+def _declare_group(dag: EventDag, line: str, lineno: int) -> None:
+    parts = line.split(",")
+    if len(parts) != 5:
+        raise ParseError("malformed #group line", lineno)
+    _, gid, axis, members_s, rails_s = parts
+    if gid in dag.groups:
+        raise ParseError(f"group {gid} declared twice", lineno)
+    try:
+        members = tuple(int(m) for m in members_s.split(";") if m != "")
+        rails = frozenset(int(r) for r in rails_s.split(";") if r != "")
+    except ValueError:
+        raise ParseError("non-integer group member or rail", lineno) from None
+    dag.groups[gid] = CommGroup(id=gid, axis=axis, members=members, rails_touched=rails)
+
+
+def _rank(solo: Dict[str, tuple], text: str, lineno: int) -> tuple:
+    """`(rank,)` for a rank text not seen before, kept in `solo`."""
+    try:
+        rank = int(text)
+    except ValueError:
+        raise ParseError("malformed numeric field", lineno) from None
+    if rank < 0:
+        raise ParseError(f"negative rank {rank}", lineno)
+    one = solo[text] = (rank,)
+    return one
+
+
+def _check_acyclic(deps: List[tuple], forward: List[int]) -> None:
+    """Reject a dependency cycle: an iterative depth-first pass over `deps`
+    from each row in `forward`, the rows that depend on a later row.  A row
+    below the lowest of them depends only on lower rows, so no cycle passes
+    through it and the pass does not enter it."""
+    if not forward:
+        return
+    low = min(forward)
+    # 0 unseen, 1 on the current path (its ~row still on the stack), 2 done
+    state = bytearray(len(deps))
+    for root in forward:
+        stack = [root]
+        while stack:
+            row = stack.pop()
+            if row < 0:
+                state[~row] = 2
+            elif not state[row]:
+                state[row] = 1
+                stack.append(~row)
+                for d in deps[row]:
+                    if d >= low:
+                        seen = state[d]
+                        if not seen:
+                            stack.append(d)
+                        elif seen == 1:
+                            raise CyclicDependency("trace dependency edges contain a cycle")

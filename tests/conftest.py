@@ -110,6 +110,22 @@ REJECTED_TRACES = {
         "c,0,dp,collective,AllGather,g,100,,,\n"
         "c,2,dp,collective,AllReduce,g,100,,,\n",
         "line 4: record of c disagrees"),
+    "negative bytes": (
+        "#group,g,DP,0;2,0\n"
+        "c,0,dp,collective,AllGather,g,-100000000,,,\n"
+        "c,2,dp,collective,AllGather,g,-100000000,,,\n",
+        "line 3: c has negative bytes -100000000"),
+    "negative rank": (
+        "a,0,compute,compute,,,0,,0.0,1.0\n"
+        "b,-1,compute,compute,,,0,a,1.0,2.0\n",
+        "line 3: negative rank -1"),
+    "observed time is nan": (
+        "a,0,compute,compute,,,0,,0.0,nan\n",
+        "line 2: a has a non-finite observed time"),
+    "observed time is infinite": (
+        "a,0,compute,compute,,,0,,0.0,1.0\n"
+        "b,0,compute,compute,,,0,,1.0,inf\n",
+        "line 3: b has a non-finite observed time"),
 }
 
 

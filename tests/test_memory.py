@@ -1,13 +1,16 @@
-"""Peak memory per event of the trace loader and of `sim` plus its writer.
+"""Peak memory per event of the trace loader, the trace writer and `sim`
+plus its writer.
 
 tracemalloc counts the bytes Python allocates, so the bounds do not depend
 on the allocator or on what the process held before.  Each bound sits about
-halfway between the per-event peak of the design that kept extra copies of
-every event (dependency names per record, a string per row for kind and
-stream, a gating list per dependency edge, the whole timeline.csv text) and
-the design that holds each event once.  Measured on Python 3.10, 3.11 and
-3.12 at these tests' shapes: the loader 835-895 B/event before and 580-616
-after, `sim` plus writer 629-652 before and 409-424 after.
+halfway between the per-event peak of a design that kept extra copies of
+every event and that of the design that holds each event once.  Measured on
+Python 3.10, 3.11 and 3.12 at these tests' shapes: `sim` plus writer
+629-652 B/event with a gating list per dependency edge and the whole
+timeline.csv text, 409-424 without; the loader 580-616 with a dependents
+list per event for its cycle check (594 on 3.11), 441-474 with the
+depth-first check over `deps` (452 on 3.11); the trace writer 428-438 with
+the whole file's text, 132-135 writing it in chunks.
 """
 
 import gc
@@ -18,7 +21,8 @@ from railsim.cli import _write_sim_outputs
 
 from conftest import CALIBRATION, PROVISIONED, make_params, make_topo
 
-LOAD_TRACE_BYTES_PER_EVENT = 735
+LOAD_TRACE_BYTES_PER_EVENT = 523
+SAVE_TRACE_BYTES_PER_EVENT = 285
 SIM_WRITE_BYTES_PER_EVENT = 530
 
 
@@ -46,6 +50,14 @@ def test_load_trace(tmp_path):
     save_trace(dag, path)
     per_event = peak_bytes(lambda: load_trace(path)) / len(dag)
     assert per_event <= LOAD_TRACE_BYTES_PER_EVENT
+
+
+def test_save_trace(tmp_path):
+    # More trace lines than one chunk of the writer.
+    dag, _ = dag_on(4, 4, 4, 32, 4)  # 5,000 events
+    path = str(tmp_path / "trace.csv")
+    per_event = peak_bytes(lambda: save_trace(dag, path)) / len(dag)
+    assert per_event <= SAVE_TRACE_BYTES_PER_EVENT
 
 
 def test_sim_and_writer_above_the_dag(tmp_path):

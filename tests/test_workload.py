@@ -1,14 +1,19 @@
 """Schedule generation, trace round-trips, and the rejection of bad DAGs and
 traces by the trace parser and by `simulate`."""
 
+import functools
+import hashlib
+import os
+import tempfile
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from railsim import (CyclicDependency, Event, EventDag, InvalidParams,
                      MissingDependency, NotMember, ParseError, generate_3d_schedule,
                      load_trace, loads_trace, one_f_one_b, save_trace, simulate)
 
-from conftest import HEADER, make_params, make_topo
+from conftest import CALIBRATION, HEADER, REACTIVE, make_params, make_topo
 
 
 def small_dag(**kw):
@@ -20,6 +25,97 @@ def trace_text(dag, tmp_path):
     path = tmp_path / "t.csv"
     save_trace(dag, str(path))
     return path.read_text()
+
+
+COLUMNS = ("ids", "kind", "ranks", "streams", "group", "coll_kind", "bytes",
+           "duration", "observed_start", "observed_end", "deps")
+
+
+def columns(dag):
+    return [getattr(dag, name) for name in COLUMNS], dag.groups
+
+
+def columns_digest(dag):
+    h = hashlib.sha256()
+    for name in COLUMNS:
+        h.update(repr(getattr(dag, name)).encode())
+    h.update(repr(sorted((gid, g.axis, g.members, sorted(g.rails_touched))
+                         for gid, g in dag.groups.items())).encode())
+    return h.hexdigest()
+
+
+def timed_trace(topo, params, path):
+    """Save the generated DAG with its electrical timings as observed times,
+    as `railsim gen` does."""
+    dag = generate_3d_schedule(params, topo)
+    res = simulate(dag, topo, REACTIVE, force_baseline=True)
+    dag.observed_start = list(res.event_times.start)
+    dag.observed_end = list(res.event_times.end)
+    save_trace(dag, path)
+
+
+@functools.lru_cache(maxsize=None)
+def generated_trace(pp, dp, m):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.csv")
+        timed_trace(make_topo(num_domains=pp * dp),
+                    make_params(pp=pp, dp=dp, n_layer=4, n_microbatch=m), path)
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+
+
+def unusual_shape(text, rnd):
+    """`text`, a trace in row order, with its records in another order and
+    other lines between them; returns it and the same records in row order.
+
+    Some records move to a stream of their own on their rank, and the
+    dependency names of some events are split over their records.  Records
+    are then interleaved, keeping the order of each (rank, stream) and of
+    events' first records, so an event's records are split apart and
+    reordered.  Group declarations move to anywhere before their first use,
+    and comments and blank lines go anywhere after the header."""
+    header, *body = text.splitlines()
+    groups = [line for line in body if line.startswith("#group,")]
+    records = [line.split(",") for line in body if not line.startswith("#")]
+    for rec in records:
+        if rnd.random() < 0.2:
+            rec[2] += "'"  # part of a (rank, stream) keeps its starts in order
+    by_event = {}
+    for rec in records:
+        by_event.setdefault(rec[0], []).append(rec)
+    for recs in by_event.values():
+        if len(recs) > 1 and recs[0][7] and rnd.random() < 0.5:
+            names, split = recs[0][7].split(";"), [[] for _ in recs]
+            for name in names:
+                split[rnd.randrange(len(recs))].append(name)
+            for rec, part in zip(recs, split):
+                rec[7] = ";".join(part)
+    row_order = list(by_event)
+    queues = {}
+    for rec in reversed(records):
+        queues.setdefault((rec[1], rec[2]), []).append(rec)
+    shuffled, seen = [], set()
+    while queues:
+        heads = [key for key, q in queues.items()
+                 if q[-1][0] in seen or q[-1][0] == row_order[len(seen)]]
+        key = rnd.choice(heads)
+        rec = queues[key].pop()
+        if not queues[key]:
+            del queues[key]
+        seen.add(rec[0])
+        shuffled.append(rec)
+    lines = [",".join(rec) for rec in shuffled]
+    first_use = {}
+    for k, rec in enumerate(shuffled):
+        first_use.setdefault(rec[5], k)
+    inserts = [(rnd.randint(0, first_use.get(g.split(",")[1], len(lines))), g)
+               for g in groups]
+    inserts += [(rnd.randint(0, len(lines)), rnd.choice(["", "   ", "# a comment"]))
+                for _ in range(rnd.randint(0, 4))]
+    for pos, line in sorted(inserts, key=lambda ins: -ins[0]):
+        lines.insert(pos, line)
+    row_text = "\n".join([header, *groups, *(",".join(rec) for rec in records)]) + "\n"
+    return "\n".join([header, *lines]) + "\n", row_text
 
 
 class TestOneFOneB:
@@ -273,6 +369,64 @@ class TestTrace:
             assert got.events["c"] == want
             assert got.events["d"].deps == ("c",)
             assert got.events["b"].duration == 1.5
+
+    # (pp, dp, microbatches) of the generated traces the shuffle starts from.
+    SHUFFLED_SHAPES = [(1, 2, 1), (2, 1, 2), (2, 2, 2), (1, 4, 1)]
+
+    # Not shrunk: a smaller shuffle reads no easier, and shrinking one takes
+    # minutes.
+    @settings(max_examples=40, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(shape=st.sampled_from(SHUFFLED_SHAPES), rnd=st.randoms(use_true_random=False))
+    def test_unusual_shapes_parse_as_row_order(self, shape, rnd):
+        text, row_text = unusual_shape(generated_trace(*shape), rnd)
+        assert columns(loads_trace(text)) == columns(loads_trace(row_text))
+
+    @pytest.mark.parametrize("shape", SHUFFLED_SHAPES)
+    def test_shuffled_shapes_name_dependencies_before_their_event(self, shape):
+        # The generator's forward references, which the shuffle keeps.
+        dag = loads_trace(generated_trace(*shape))
+        assert any(d > i for i, ds in enumerate(dag.deps) for d in ds)
+
+    def test_generated_trace_columns_pinned(self, tmp_path):
+        # The 16x8 shape of 18,960 events with the benchmark's calibration;
+        # pinned before the parser skipped repeated records.
+        path = str(tmp_path / "t.csv")
+        timed_trace(make_topo(num_domains=16, gpus_per_domain=8, delay=0.025),
+                    make_params(pp=4, dp=4, tp=8, n_layer=32, n_microbatch=8, **CALIBRATION),
+                    path)
+        with open(path, "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == (
+                "109faec1ab279d6f5242a386113c1f0b0c40fe84fc018e4893d612a13134fa7d")
+        dag = load_trace(path)
+        assert len(dag) == 18_960
+        assert columns_digest(dag) == (
+            "3da63b52a2789b087ec37321e782f68a6bac34eae0834a17495031183ea666b4")
+
+    @pytest.mark.parametrize("rank,message", [
+        ("x", "malformed numeric field"),
+        ("1", "c starts at 1.0, before an earlier record on rank 1 stream 'dp'")])
+    def test_repeated_record_reports_its_own_line(self, rank, message):
+        # Line 5 repeats line 4's record of c on another rank.
+        text = (HEADER + "#group,g,DP,0;1,0\n"
+                "a,1,dp,compute,,,0,,5.0,6.0\n"
+                "c,0,dp,collective,AllGather,g,100,,1.0,2.0\n"
+                f"c,{rank},dp,collective,AllGather,g,100,,1.0,2.0\n")
+        with pytest.raises(ParseError, match=message) as exc:
+            loads_trace(text)
+        assert exc.value.line == 5
+
+    def test_cycle_through_a_later_record(self):
+        # c's second record follows d on rank 1's stream, and d depends on c;
+        # c also depends on the earlier a.
+        text = (HEADER + "#group,g,DP,0;1,0\n"
+                "a,0,dp,compute,,,0,,,\n"
+                "c,0,dp,collective,AllGather,g,100,,,\n"
+                "d,1,dp,compute,,,0,c,,\n"
+                "c,1,dp,collective,AllGather,g,100,,,\n")
+        with pytest.raises(CyclicDependency):
+            loads_trace(text)
+        assert loads_trace(text.replace("d,1,dp", "d,1,compute")).events["c"].deps == ("a",)
 
     def test_parse_error_carries_line_number(self):
         text = ("event_id,rank,stream,kind,coll_kind,group_id,bytes,dep_ids,"
