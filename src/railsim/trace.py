@@ -84,7 +84,7 @@ def save_trace(dag: EventDag, path: str) -> None:
             rest = (f"{kinds[i]},{coll_kinds[i] or ''},{groups[i] or ''},{nbytes[i]},"
                     f"{';'.join(dag.dep_ids(i))},{text[starts[i]]},{text[ends[i]]}")
             rs, s = ranks[i], streams[i]
-            if len(rs) == 1 and not isinstance(s, dict):
+            if len(rs) == 1 and not isinstance(s, dict):  # most rows; no sort
                 lines.append(f"{eid},{rs[0]},{s},{rest}")
             else:
                 for rank in sorted(rs):
