@@ -8,7 +8,7 @@ simulator with a circuit control plane, and fabric cost/power models.
 """
 
 from .errors import (ConfigError, ConflictDeadlock, CyclicDependency,
-                     DegreeInfeasible, EmptyInput, EmptyPhase, InvalidNicConfig,
+                     DegreeInfeasible, EmptyInput, InvalidNicConfig,
                      InvalidParams, MissingDependency, NotMember, ParseError,
                      RadixExceeded, RailsimError, UnsupportedKind)
 from .model import (CommGroup, NicPortConfig, RailSwitch, Rank, Topology,
@@ -19,7 +19,7 @@ from .workload import (Event, EventDag, WorkloadParams, generate_3d_schedule,
 from .trace import load_trace, loads_trace, save_trace
 from .windows import (Overlap, Phase, VolumeClassStats, Window, WindowReport,
                       analyze_rail, classify_by_volume, eq1_bound,
-                      extract_windows, segment_phases, window_cdf)
+                      segment_phases, window_cdf)
 from .control import (Controller, ControlPhase, ReconfigLogEntry,
                       profile_iteration)
 from .fabric import (ControlPolicy, EventTiming, SimResult, collective_time,
@@ -33,13 +33,13 @@ __all__ = [
     "RailsimError", "ConfigError", "InvalidNicConfig", "RadixExceeded",
     "InvalidParams", "NotMember", "ParseError", "CyclicDependency",
     "MissingDependency", "UnsupportedKind", "DegreeInfeasible",
-    "ConflictDeadlock", "EmptyPhase", "EmptyInput",
+    "ConflictDeadlock", "EmptyInput",
     "NicPortConfig", "RailSwitch", "Rank", "Topology", "TopologySpec",
     "CommGroup", "build_topology", "make_group", "max_gpus", "ports_needed",
     "Event", "EventDag", "WorkloadParams", "generate_3d_schedule", "one_f_one_b",
     "save_trace", "load_trace", "loads_trace",
     "Phase", "Window", "Overlap", "WindowReport", "VolumeClassStats",
-    "segment_phases", "extract_windows", "analyze_rail", "window_cdf",
+    "segment_phases", "analyze_rail", "window_cdf",
     "classify_by_volume", "eq1_bound",
     "Controller", "ControlPhase", "ReconfigLogEntry", "profile_iteration",
     "ControlPolicy", "EventTiming", "SimResult", "collective_time", "simulate",

@@ -8,10 +8,10 @@ Subcommands:
   econ     fabric cost/power comparison (bom.csv, console savings)
   table4   OCS technology scalability table (table4.csv)
 
-Scenarios and econ inputs are INI files with named sections; command-line
-flags override file fields.  The OPUS_SEED environment variable overrides
-the scenario seed.  Exit codes: 0 success, 2 config error, 3 infeasible
-topology or port demand, 4 I/O error.
+Scenarios and econ inputs are INI files with named sections; `sim` and
+`sweep` flags override scenario fields, and a scenario section or key the
+reader does not know is a config error.  Exit codes: 0 success, 2 config
+error, 3 infeasible topology or port demand, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .econ import (EconConfig, FabricBom, electrical_fabric_bom,
                    ocs_fabric_bom, savings, scalability_table)
 from .errors import (ConfigError, ConflictDeadlock, CyclicDependency,
-                     DegreeInfeasible, EmptyInput, EmptyPhase, InvalidNicConfig,
+                     DegreeInfeasible, EmptyInput, InvalidNicConfig,
                      InvalidParams, MissingDependency, NotMember, ParseError,
                      RadixExceeded, UnsupportedKind)
 from .fabric import ControlPolicy, EventTiming, SimResult, simulate, sweep_delay
@@ -43,6 +43,18 @@ DEFAULT_CLASS_EDGES = (1e6, 500e6, 2e9)
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 DEFAULT_ECON_CONFIG = os.path.join(_DATA_DIR, "econ_h200.ini")
 DEFAULT_SCENARIO = os.path.join(_DATA_DIR, "llama3_8b.ini")
+# Every section and key a scenario may hold; anything else is rejected.
+_SCENARIO_KEYS = {
+    "topology": frozenset(("num_domains", "gpus_per_domain", "scaleup_bandwidth",
+                           "nic_ports", "nic_port_bandwidth", "rail_switch",
+                           "reconfig_delay", "radix")),
+    "workload": frozenset(("trace", "pp", "dp", "tp", "n_layer", "n_microbatch",
+                           "bytes_per_layer_param", "bytes_activation",
+                           "bytes_sync_allreduce", "fwd_layer", "bwd_layer",
+                           "optim", "pre_stage")),
+    "control": frozenset(("provisioning", "alpha")),
+    "sweep": frozenset(("delays",)),
+}
 # timeline.csv rows formatted before they are written out together.
 TIMELINE_CHUNK_ROWS = 2048
 
@@ -57,7 +69,6 @@ class Scenario:
     provisioning: bool
     alpha: float
     delays: Tuple[float, ...]
-    seed: int
 
 
 def _fmt(x: float) -> str:
@@ -96,13 +107,21 @@ def _getbool(sec, key: str, default: bool) -> bool:
 
 
 def load_scenario(path: str, args: Optional[argparse.Namespace] = None) -> Scenario:
-    """Parse a scenario INI file and apply flag and environment overrides."""
+    """Parse a scenario INI file and apply the overrides `args` carries:
+    `delay`, `switch` and `provisioning`, each None to keep the file's."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path, "r", encoding="utf-8") as f:
             cp.read_file(f, source=path)
     except configparser.Error as e:
         raise ConfigError(f"cannot parse scenario {path}: {e}")
+    for name in cp.sections():
+        if name not in _SCENARIO_KEYS:
+            raise ConfigError(f"scenario {path}: unknown section [{name}]")
+        unknown = sorted(set(cp[name]) - _SCENARIO_KEYS[name])
+        if unknown:
+            raise ConfigError(f"scenario {path}: unknown key {unknown[0]!r} "
+                              f"in [{name}]")
     if "topology" not in cp:
         raise ConfigError(f"scenario {path} missing [topology] section")
     t = cp["topology"]
@@ -117,12 +136,17 @@ def load_scenario(path: str, args: Optional[argparse.Namespace] = None) -> Scena
         radix=_getint(t, "radix", 0),
     )
 
+    if "workload" not in cp:
+        raise ConfigError(f"scenario {path} missing [workload] section")
+    w = cp["workload"]
     workload = None
     trace_path = None
-    w = cp["workload"] if "workload" in cp else {}
-    if isinstance(w, dict) or "trace" not in w:
-        if not w:
-            raise ConfigError(f"scenario {path} missing [workload] section")
+    if "trace" in w:
+        if len(w) > 1:
+            raise ConfigError("[workload] must contain either a trace path "
+                              "or generator parameters, not both")
+        trace_path = w["trace"].strip()
+    else:
         workload = WorkloadParams(
             pp=_getint(w, "pp"), dp=_getint(w, "dp"), tp=_getint(w, "tp"),
             n_layer=_getint(w, "n_layer"),
@@ -137,15 +161,10 @@ def load_scenario(path: str, args: Optional[argparse.Namespace] = None) -> Scena
                 "pre_stage": _getfloat(w, "pre_stage"),
             },
         )
-    else:
-        if len(w.keys()) > 1:
-            raise ConfigError("[workload] must contain either a trace path "
-                              "or generator parameters, not both")
-        trace_path = w["trace"].strip()
 
     c = cp["control"] if "control" in cp else {}
-    provisioning = _getbool(c, "provisioning", True) if c else True
-    alpha = _getfloat(c, "alpha", 1e-6) if c else 1e-6
+    provisioning = _getbool(c, "provisioning", True)
+    alpha = _getfloat(c, "alpha", 1e-6)
 
     delays: Tuple[float, ...] = (spec.reconfig_delay,)
     if "sweep" in cp and cp["sweep"].get("delays"):
@@ -155,14 +174,6 @@ def load_scenario(path: str, args: Optional[argparse.Namespace] = None) -> Scena
         except ValueError:
             raise ConfigError(f"bad delay list: {cp['sweep']['delays']!r}")
 
-    seed = _getint(cp["scenario"], "seed", 0) if "scenario" in cp else 0
-    if os.environ.get("OPUS_SEED"):
-        try:
-            seed = int(os.environ["OPUS_SEED"])
-        except ValueError:
-            raise ConfigError(f"bad OPUS_SEED: {os.environ['OPUS_SEED']!r}")
-
-    # Flag overrides.
     if args is not None:
         if getattr(args, "delay", None) is not None:
             spec = replace(spec, reconfig_delay=args.delay)
@@ -170,12 +181,9 @@ def load_scenario(path: str, args: Optional[argparse.Namespace] = None) -> Scena
             spec = replace(spec, rail_switch_kind=args.switch)
         if getattr(args, "provisioning", None) is not None:
             provisioning = args.provisioning
-        if getattr(args, "seed", None) is not None:
-            seed = args.seed
 
     return Scenario(topology=spec, workload=workload, trace_path=trace_path,
-                    provisioning=provisioning, alpha=alpha, delays=delays,
-                    seed=seed)
+                    provisioning=provisioning, alpha=alpha, delays=delays)
 
 
 def _scenario_dag(scn: Scenario, topo: Topology) -> EventDag:
@@ -246,15 +254,14 @@ def write_svg(path: str, series: Sequence[Tuple[str, Sequence[Tuple[float, float
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    scn = load_scenario(args.scenario, args)
+    scn = load_scenario(args.scenario)
     if scn.workload is None:
         raise ConfigError("gen needs generator parameters, not a trace path")
     topo = build_topology(scn.topology)
     dag = generate_3d_schedule(scn.workload, topo)
     # Stamp idealized observed times so the trace is self-contained for
     # window analysis.
-    res = simulate(dag, topo, ControlPolicy(provisioning=False, alpha=scn.alpha),
-                   force_baseline=True)
+    res = simulate(dag, topo, ControlPolicy(alpha=scn.alpha), force_baseline=True)
     dag.observed_start = list(res.event_times.start)
     dag.observed_end = list(res.event_times.end)
     save_trace(dag, args.out)
@@ -285,11 +292,10 @@ def cmd_windows(args: argparse.Namespace) -> int:
         rails = sorted({r for g in dag.groups.values() if g.is_scaleout
                         for r in g.rails_touched})
     else:
-        scn = load_scenario(args.scenario, args)
+        scn = load_scenario(args.scenario)
         topo = build_topology(scn.topology)
         dag = _scenario_dag(scn, topo)
-        res = simulate(dag, topo, ControlPolicy(provisioning=scn.provisioning,
-                                                alpha=scn.alpha),
+        res = simulate(dag, topo, ControlPolicy(alpha=scn.alpha),
                        force_baseline=True)
         times = res.event_times
         rails = list(range(topo.gpus_per_domain))
@@ -443,7 +449,7 @@ def load_econ_config(path: str) -> Tuple[EconConfig, TopologySpec]:
 def cmd_econ(args: argparse.Namespace) -> int:
     econ, ref_spec = load_econ_config(args.config)
     if args.scenario:
-        spec = load_scenario(args.scenario, None).topology
+        spec = load_scenario(args.scenario).topology
         spec = replace(spec, rail_switch_kind="ocs",
                        radix=spec.radix or ref_spec.radix)
     else:
@@ -490,37 +496,40 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulator and analysis toolkit for circuit-switched GPU rails")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def scenario_flags(p: argparse.ArgumentParser) -> None:
+    def scenario_flag(p) -> None:  # a parser or a mutually exclusive group
         p.add_argument("--scenario", default=DEFAULT_SCENARIO,
                        help="scenario INI file")
-        p.add_argument("--delay", type=float, default=None,
-                       help="override rail reconfiguration delay (s)")
-        p.add_argument("--switch", choices=("electrical", "ocs"), default=None,
-                       help="override rail switch kind")
-        p.add_argument("--seed", type=int, default=None, help="override seed")
-        g = p.add_mutually_exclusive_group()
-        g.add_argument("--provisioning", dest="provisioning",
-                       action="store_true", default=None)
-        g.add_argument("--no-provisioning", dest="provisioning",
-                       action="store_false")
 
     p = sub.add_parser("gen", help="generate a schedule trace")
-    scenario_flags(p)
+    scenario_flag(p)
     p.add_argument("--out", default="trace.csv")
 
     p = sub.add_parser("windows", help="idle-window analysis")
-    scenario_flags(p)
-    p.add_argument("--trace", default=None, help="analyze a trace file instead")
+    source = p.add_mutually_exclusive_group()
+    scenario_flag(source)
+    source.add_argument("--trace", default=None,
+                        help="analyze a trace file instead")
     p.add_argument("--classes", default=None,
                    help="comma-separated volume class edges in bytes")
     p.add_argument("--out-dir", default=".")
 
     p = sub.add_parser("sim", help="single simulation run")
-    scenario_flags(p)
+    scenario_flag(p)
+    p.add_argument("--delay", type=float, default=None,
+                   help="override rail reconfiguration delay (s)")
+    p.add_argument("--switch", choices=("electrical", "ocs"), default=None,
+                   help="override rail switch kind")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--provisioning", dest="provisioning",
+                   action="store_true", default=None)
+    g.add_argument("--no-provisioning", dest="provisioning",
+                   action="store_false")
     p.add_argument("--out-dir", default=".")
 
     p = sub.add_parser("sweep", help="reconfiguration delay sweep")
-    scenario_flags(p)
+    scenario_flag(p)
+    p.add_argument("--switch", choices=("electrical", "ocs"), default=None,
+                   help="override rail switch kind")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility and ignored; points run "
@@ -539,7 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _CONFIG_ERRORS = (ConfigError, InvalidParams, InvalidNicConfig, ParseError,
-                  NotMember, UnsupportedKind, EmptyPhase, EmptyInput,
+                  NotMember, UnsupportedKind, EmptyInput,
                   CyclicDependency, MissingDependency, ConflictDeadlock)
 _INFEASIBLE_ERRORS = (DegreeInfeasible, RadixExceeded)
 

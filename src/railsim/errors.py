@@ -53,9 +53,5 @@ class ConflictDeadlock(RailsimError):
     """The reconfiguration queue cannot drain."""
 
 
-class EmptyPhase(RailsimError):
-    """Phase contains no collective events."""
-
-
 class EmptyInput(RailsimError):
     """Operation requires at least one element."""

@@ -191,15 +191,13 @@ def _longest_path(c: _CompiledDag) -> Tuple[List[float], List[float], List[int]]
     start = [0.0] * n  # the latest end among dependencies timed so far
     end = [0.0] * n
     indeg = list(c.indeg)
-    ranks, duration, dependents = c.ranks, c.duration, c.dependents
+    duration, dependents = c.duration, c.dependents
     order: List[int] = []
     ready = [i for i in range(n) if not indeg[i]]
     while ready:
         order += ready
         next_ready: List[int] = []
         for i in ready:
-            if not ranks[i]:
-                start[i] = 0.0  # a rankless event joins at time zero
             e = end[i] = start[i] + duration[i]
             for j in dependents[i]:
                 if e > start[j]:

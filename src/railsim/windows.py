@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, List, Mapping, Sequence, Tuple
 
-from .errors import EmptyInput, EmptyPhase, InvalidParams
+from .errors import EmptyInput, InvalidParams
 from .workload import EventDag
 
 if TYPE_CHECKING:
@@ -108,21 +108,16 @@ def segment_phases(dag: EventDag, times: Mapping[str, EventTiming], rail: int) -
     return phases
 
 
-def extract_windows(times: Mapping[str, EventTiming], phases: Sequence[Phase],
-                    dag: EventDag = None, rail: int = -1) -> WindowReport:
-    """Windows (and overlaps) between each consecutive phase pair."""
+def analyze_rail(dag: EventDag, times: Mapping[str, EventTiming], rail: int) -> WindowReport:
+    """Windows (and overlaps) between each consecutive phase pair on `rail`."""
     report = WindowReport()
-    for ph in phases:
-        if not ph.events:
-            raise EmptyPhase(f"phase {ph.id} has no events")
+    phases = segment_phases(dag, times, rail)
+    index = dag.index
     for p1, p2 in zip(phases, phases[1:]):
         w_start = max(times[e].end for e in p1.events)
         w_end = min(comm_start(times, e) for e in p2.events)
-        volume = 0
-        if dag is not None:
-            index = dag.index
-            volume = sum(dag.bytes[index[e]] * len(dag.ranks[index[e]]) for e in p2.events)
         if w_end >= w_start:
+            volume = sum(dag.bytes[index[e]] * len(dag.ranks[index[e]]) for e in p2.events)
             report.windows.append(Window(rail=rail, before_phase=p1.id, after_phase=p2.id,
                                          start=w_start, end=w_end, size=w_end - w_start,
                                          next_volume_bytes=volume))
@@ -130,10 +125,6 @@ def extract_windows(times: Mapping[str, EventTiming], phases: Sequence[Phase],
             report.overlaps.append(Overlap(rail=rail, before_phase=p1.id, after_phase=p2.id,
                                            magnitude=w_start - w_end))
     return report
-
-
-def analyze_rail(dag: EventDag, times: Mapping[str, EventTiming], rail: int) -> WindowReport:
-    return extract_windows(times, segment_phases(dag, times, rail), dag=dag, rail=rail)
 
 
 def window_cdf(windows: Iterable) -> List[Tuple[float, float]]:

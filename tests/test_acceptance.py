@@ -274,8 +274,6 @@ def test_criterion_8_determinism(capfd, tmp_path):
     scn = str(tmp_path / "scn.ini")
     with open(scn, "w") as f:
         f.write("""\
-[scenario]
-seed = 3
 [topology]
 num_domains = 4
 gpus_per_domain = 4

@@ -10,9 +10,6 @@ from railsim.cli import DEFAULT_CLASS_EDGES, load_scenario, main
 from conftest import BAD_TRACES, HEADER, REJECTED_TRACES
 
 SCENARIO = """\
-[scenario]
-seed = 7
-
 [topology]
 num_domains = 4
 gpus_per_domain = 4
@@ -118,34 +115,84 @@ class TestExitCodes:
         assert "--classes" in capsys.readouterr().err
 
 
+# Flags a subcommand does not accept, because they would change none of its
+# outputs.  `windows` reads either a scenario or a trace, not both.
+_NOT_SETTABLE = (("--delay", "0.3"), ("--switch", "electrical"),
+                 ("--provisioning",), ("--no-provisioning",), ("--seed", "1"))
+DROPPED_FLAGS = ([("gen", f) for f in _NOT_SETTABLE]
+                 + [("windows", f) for f in _NOT_SETTABLE + (("--trace", "t.csv"),)]
+                 + [("sim", ("--seed", "1"))]
+                 + [("sweep", f) for f in _NOT_SETTABLE if f[0] != "--switch"])
+# Every override a subcommand accepts, and the scenario text it overrides.
+KEPT_FLAGS = [
+    ("sim", ("--delay", "0.3"), SCENARIO),
+    ("sim", ("--switch", "electrical"), SCENARIO),
+    ("sim", ("--no-provisioning",), SCENARIO),
+    ("sim", ("--provisioning",),
+     SCENARIO.replace("provisioning = true", "provisioning = false")),
+    ("sweep", ("--switch", "electrical"), SCENARIO),
+]
+
+
+def flag_ids(cases):
+    return [f"{case[0]} {' '.join(case[1])}" for case in cases]
+
+
 class TestOverrides:
     def test_flag_overrides(self, scenario):
         class Args:
             delay = 0.5
             switch = "electrical"
-            seed = 99
             provisioning = False
 
         scn = load_scenario(scenario, Args())
         assert scn.topology.reconfig_delay == 0.5
         assert scn.topology.rail_switch_kind == "electrical"
-        assert scn.seed == 99
         assert not scn.provisioning
 
     def test_file_values_without_flags(self, scenario):
         scn = load_scenario(scenario)
         assert scn.topology.reconfig_delay == 0.01
-        assert scn.seed == 7
         assert scn.provisioning
         assert scn.delays == (0.0, 0.01)
 
-    def test_env_seed(self, scenario, monkeypatch):
-        monkeypatch.setenv("OPUS_SEED", "123")
-        assert load_scenario(scenario).seed == 123
+    @pytest.mark.parametrize("command,flag", DROPPED_FLAGS, ids=flag_ids(DROPPED_FLAGS))
+    def test_dropped_flag_rejected(self, command, flag, scenario, tmp_path,
+                                   monkeypatch, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", scenario, *flag])
+        assert exc.value.code == 2
+        assert not list(run.iterdir())
 
-    def test_bad_env_seed(self, scenario, monkeypatch, capsys):
-        monkeypatch.setenv("OPUS_SEED", "not-a-number")
-        assert main(["sim", "--scenario", scenario]) == 2
+    @pytest.mark.parametrize("command,flag,text", KEPT_FLAGS, ids=flag_ids(KEPT_FLAGS))
+    def test_kept_override_changes_output(self, command, flag, text, tmp_path, capsys):
+        ini = tmp_path / "s.ini"
+        ini.write_text(text)
+        outputs = []
+        for out, extra in (("file", ()), ("flag", flag)):
+            assert main([command, "--scenario", str(ini), *extra,
+                         "--out-dir", str(tmp_path / out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / out).iterdir()})
+        assert outputs[0].keys() == outputs[1].keys()
+        assert outputs[0] != outputs[1]
+
+    @pytest.mark.parametrize("command", ["gen", "windows", "sim", "sweep", "econ"])
+    @pytest.mark.parametrize("text,message", [
+        ("[scenario]\nseed = 1\n\n" + SCENARIO, "unknown section [scenario]"),
+        (SCENARIO.replace("reconfig_delay", "reconfig_dealy"),
+         "unknown key 'reconfig_dealy' in [topology]"),
+    ], ids=["seed", "misspelt key"])
+    def test_unknown_scenario_entry_rejected(self, command, text, message, tmp_path,
+                                             monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        ini = tmp_path / "s.ini"
+        ini.write_text(text)
+        assert main([command, "--scenario", str(ini)]) == 2
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["s.ini"]
 
 
 class TestGen:

@@ -234,6 +234,29 @@ class TestJoins:
         assert c.starts == {0: 3.0, 2: 2.0}
         assert c.start == 3.0 + delay
 
+    @pytest.mark.parametrize("policy", [REACTIVE, PROVISIONED])
+    def test_rankless_event_waits_for_its_dependencies(self, policy):
+        # a (rank 0, 1 s) -> 2-rank AllReduce c -> rankless z (2 s).  Both
+        # the baseline and the circuit engine start z when c ends, so the
+        # overhead at delay 0.5 s is the one reconfiguration before c.
+        def run(delay, **kw):
+            topo = make_topo(num_domains=4, gpus_per_domain=2, kind="ocs", delay=delay)
+            dag = EventDag()
+            dag.groups["g"] = make_group("g", "DP", (0, 2), topo)
+            dag.add(Event("a", "compute", (0,), {0: "compute"}, duration=1.0))
+            dag.add(Event("c", "collective", (0, 2), {0: "dp", 2: "dp"}, deps=("a",),
+                          group="g", coll_kind="AllReduce", bytes=0))
+            dag.add(Event("z", "compute", (), {}, deps=("c",), duration=2.0))
+            return simulate(dag, topo, policy, **kw)
+
+        base = run(0.5, force_baseline=True)
+        assert base.event_times["z"].start == base.event_times["c"].end
+        assert base.makespan == pytest.approx(3.000002, abs=1e-12)
+        assert run(0.0).makespan == base.makespan
+        res = run(0.5)
+        assert res.event_times["z"].start == res.event_times["c"].end
+        assert res.makespan - base.makespan == pytest.approx(0.5, abs=1e-12)
+
 
 def digest(rows) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()

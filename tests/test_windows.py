@@ -4,10 +4,9 @@ window-count bound."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from railsim import (EmptyInput, EmptyPhase, EventDag, EventTiming, InvalidParams,
-                     Phase, Window, analyze_rail, classify_by_volume, eq1_bound,
-                     extract_windows, generate_3d_schedule, segment_phases,
-                     simulate, window_cdf)
+from railsim import (EmptyInput, EventDag, EventTiming, InvalidParams,
+                     Window, analyze_rail, classify_by_volume, eq1_bound,
+                     generate_3d_schedule, segment_phases, simulate, window_cdf)
 from railsim.workload import COLLECTIVE, Event
 
 from conftest import make_params, make_topo
@@ -63,10 +62,6 @@ class TestHandExamples:
         times = {"ag": EventTiming(1.0, 5.0), "rs": EventTiming(5.0, 12.0)}
         rep = analyze_rail(dag, times, 0)
         assert len(rep.windows) == 1 and rep.windows[0].size == 0.0
-
-    def test_empty_phase_rejected(self):
-        with pytest.raises(EmptyPhase):
-            extract_windows({}, [Phase(id="p", groups=frozenset(), events=())])
 
     def test_phases_split_on_axis_and_kind(self):
         topo = make_topo()
