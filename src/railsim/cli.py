@@ -8,18 +8,20 @@ Subcommands:
   econ     fabric cost/power comparison (bom.csv, console savings)
   table4   OCS technology scalability table (table4.csv)
 
-Scenarios and econ inputs are INI files with named sections; `sim` and
-`sweep` flags override scenario fields, and a scenario section or key the
-reader does not know is a config error.  Exit codes: 0 success, 2 config
-error, 3 infeasible topology or port demand, 4 I/O error.
+Scenarios and econ inputs are INI files with named sections, read by one
+strict reader (`_read_ini`); `sim` and `sweep` flags override scenario
+fields, and a scenario section or key the reader does not know is a config
+error.  Exit codes: 0 success, 2 config error, 3 infeasible topology or
+port demand, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
+import math
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -55,6 +57,11 @@ _SCENARIO_KEYS = {
     "control": frozenset(("provisioning", "alpha")),
     "sweep": frozenset(("delays",)),
 }
+# An inline or full-line comment: `#` or `;` at the start of a line or
+# after whitespace.
+_COMMENT = re.compile(r"(?:^|\s)[#;]")
+# A key line: the key runs to the first `=` or `:`.
+_KEY_VALUE = re.compile(r"([^=:]+)[=:](.*)")
 # timeline.csv rows formatted before they are written out together.
 TIMELINE_CHUNK_ROWS = 2048
 
@@ -106,16 +113,61 @@ def _getbool(sec, key: str, default: bool) -> bool:
     raise ConfigError(f"bad boolean value for {key!r}: {raw!r}")
 
 
+def _read_ini(path: str, what: str) -> Dict[str, Dict[str, str]]:
+    """Read an INI file into {section: {key: value}}.
+
+    The accepted subset: `[section]` headers, `key = value` or `key: value`
+    lines (split at the first `=` or `:`, key lower-cased, both sides
+    stripped), blank lines, and comments that start with `#` or `;` at the
+    start of a line or after whitespace.  Values are taken literally: `%`
+    has no meaning.  Anything else raises ConfigError naming the file and
+    line: text before the first section, a line with no delimiter or an
+    empty key, a repeated section or key, an indented line (a continuation
+    line elsewhere) and text that is not UTF-8.  `what` names the file's
+    role in the messages.
+    """
+    sections: Dict[str, Dict[str, str]] = {}
+    section: Optional[Dict[str, str]] = None
+
+    def fail(problem: str) -> ConfigError:
+        return ConfigError(f"cannot parse {what} {path}: line {lineno}: {problem}")
+
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            for lineno, line in enumerate(f, 1):
+                comment = _COMMENT.search(line)
+                if comment is not None:
+                    line = line[:comment.start()]
+                text = line.strip()
+                if not text:
+                    continue
+                if line[0].isspace():
+                    raise fail("indented line (continuation lines are not supported)")
+                if text[0] == "[" and text[-1] == "]":
+                    name = text[1:-1]
+                    if name in sections:
+                        raise fail(f"section [{name}] repeated")
+                    section = sections[name] = {}
+                    continue
+                if section is None:
+                    raise fail("text before the first [section]")
+                pair = _KEY_VALUE.fullmatch(text)
+                if pair is None:
+                    raise fail(f"expected 'key = value', got {text!r}")
+                key = pair[1].rstrip().lower()
+                if key in section:
+                    raise fail(f"key {key!r} repeated")
+                section[key] = pair[2].lstrip()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"cannot parse {what} {path}: not UTF-8 text ({e.reason})") from None
+    return sections
+
+
 def load_scenario(path: str, args: Optional[argparse.Namespace] = None) -> Scenario:
     """Parse a scenario INI file and apply the overrides `args` carries:
     `delay`, `switch` and `provisioning`, each None to keep the file's."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            cp.read_file(f, source=path)
-    except configparser.Error as e:
-        raise ConfigError(f"cannot parse scenario {path}: {e}")
-    for name in cp.sections():
+    cp = _read_ini(path, "scenario")
+    for name in cp:
         if name not in _SCENARIO_KEYS:
             raise ConfigError(f"scenario {path}: unknown section [{name}]")
         unknown = sorted(set(cp[name]) - _SCENARIO_KEYS[name])
@@ -162,17 +214,19 @@ def load_scenario(path: str, args: Optional[argparse.Namespace] = None) -> Scena
             },
         )
 
-    c = cp["control"] if "control" in cp else {}
+    c = cp.get("control", {})
     provisioning = _getbool(c, "provisioning", True)
     alpha = _getfloat(c, "alpha", 1e-6)
+    if not 0.0 <= alpha < math.inf:
+        raise ConfigError(f"scenario {path}: alpha must be finite and >= 0, got {alpha}")
 
     delays: Tuple[float, ...] = (spec.reconfig_delay,)
-    if "sweep" in cp and cp["sweep"].get("delays"):
-        parts = [p for p in cp["sweep"]["delays"].replace(",", " ").split() if p]
+    listed = cp.get("sweep", {}).get("delays")
+    if listed:
         try:
-            delays = tuple(float(p) for p in parts)
+            delays = tuple(float(p) for p in listed.replace(",", " ").split())
         except ValueError:
-            raise ConfigError(f"bad delay list: {cp['sweep']['delays']!r}")
+            raise ConfigError(f"bad delay list: {listed!r}")
 
     if args is not None:
         if getattr(args, "delay", None) is not None:
@@ -411,12 +465,7 @@ def _bom_rows(bom: FabricBom) -> List[str]:
 
 
 def load_econ_config(path: str) -> Tuple[EconConfig, TopologySpec]:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            cp.read_file(f, source=path)
-    except configparser.Error as e:
-        raise ConfigError(f"cannot parse econ config {path}: {e}")
+    cp = _read_ini(path, "econ config")
     if "units" not in cp:
         raise ConfigError(f"econ config {path} missing [units] section")
     u = cp["units"]
@@ -489,8 +538,9 @@ def cmd_table4(args: argparse.Namespace) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on first use and then reused by every `main` call."""
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The CLI parser and its subcommand parsers by name, built on first use
+    and then reused by every `main` call."""
     ap = argparse.ArgumentParser(
         prog="railsim",
         description="Simulator and analysis toolkit for circuit-switched GPU rails")
@@ -544,7 +594,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table4", help="OCS scalability table")
     p.add_argument("--out", default="table4.csv")
-    return ap
+    return ap, sub.choices
 
 
 _CONFIG_ERRORS = (ConfigError, InvalidParams, InvalidNicConfig, ParseError,
@@ -554,7 +604,10 @@ _INFEASIBLE_ERRORS = (DegreeInfeasible, RadixExceeded)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, subcommands = _build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # exits 2 with the subcommand's own usage line
+        subcommands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     # Looked up on every call rather than stored in the cached parser, so a
     # replaced cmd_* function takes effect.
     command = globals()["cmd_" + args.command]

@@ -112,6 +112,7 @@ class Controller:
         self.delay = topo.rail_switch.reconfig_delay
         self.groups = groups
         self.queue: Dict[int, List[_Pending]] = {}  # rail -> FC-FS pending requests
+        self.pending: Dict[str, _Pending] = {}  # group -> its request in `queue`
         self.ports: Dict[int, List[_Port]] = {}  # rank -> its rail ports
         # group -> time its ring is (or becomes) fully configured
         self.ready_at: Dict[str, float] = {}
@@ -137,17 +138,16 @@ class Controller:
 
     def request(self, gid: str, times: Dict[int, float], speculative: bool) -> None:
         """Enqueue (or merge) a request; `times` maps issuer rank to issue time."""
-        g = self.groups[gid]
-        rail = next(iter(g.rails_touched))
-        q = self.queue.setdefault(rail, [])
-        for p in q:
-            if p.group == gid:
-                p.merge(times, speculative)
-                return
-        q.append(_Pending(dict(times), gid, speculative))
+        p = self.pending.get(gid)
+        if p is not None:
+            p.merge(times, speculative)
+            return
+        rail = next(iter(self.groups[gid].rails_touched))
+        p = self.pending[gid] = _Pending(dict(times), gid, speculative)
+        self.queue.setdefault(rail, []).append(p)
 
     def has_pending(self, gid: str) -> bool:
-        return any(p.group == gid for q in self.queue.values() for p in q)
+        return gid in self.pending
 
     def scan(self, now: float, protected: Set[str]) -> List[Tuple[str, float]]:
         """Serve eligible requests in FC-FS order; returns (group, ready_time).
@@ -158,6 +158,8 @@ class Controller:
         grants: List[Tuple[str, float]] = []
         for rail in sorted(self.queue):
             q = self.queue[rail]
+            if not q:
+                continue
             if len(q) > 1:
                 q.sort(key=lambda p: (p.order_time, p.group))
             blocked_ranks: Set[int] = set()
@@ -173,6 +175,7 @@ class Controller:
                     blocked_ranks.update(g.members)
                     remaining.append(p)
                 else:
+                    del self.pending[p.group]
                     grants.append((p.group, ready))
             self.queue[rail] = remaining
         return grants
@@ -182,10 +185,9 @@ class Controller:
         gid = p.group
         g = self.groups[gid]
         rail = next(iter(g.rails_touched))
-        if self.group_up(gid, now):
-            return now
-        if gid in self.ready_at and self.ready_at[gid] > now:
-            return self.ready_at[gid]  # reconfiguration already in flight
+        ready = self.ready_at.get(gid)
+        if ready is not None:  # up, or a reconfiguration already in flight
+            return ready if ready > now else now
         need = ports_needed(g)
         chosen: Dict[int, List[int]] = {}
         for rank in g.members:
@@ -200,11 +202,11 @@ class Controller:
                     and port.reconfig_until <= now
                     and (port.group is None or port.group not in protected)
                 ]
-                # Free ports first, then least recently used circuits.
-                candidates.sort(key=lambda i: (ports[i].group is not None,
-                                               ports[i].last_release, i))
                 if len(candidates) < missing:
                     return None
+                if len(candidates) > 1:  # free ports first, then least recently used
+                    candidates.sort(key=lambda i: (ports[i].group is not None,
+                                                   ports[i].last_release, i))
                 have += candidates[:missing]
             chosen[rank] = have[:need]
         changed = 0

@@ -1,5 +1,7 @@
 """Exception types shared across the simulator."""
 
+from typing import Optional
+
 
 class RailsimError(Exception):
     """Base class for all railsim errors."""
@@ -26,10 +28,11 @@ class NotMember(RailsimError):
 
 
 class ParseError(RailsimError):
-    """Trace file violates the record format."""
+    """Trace file violates the record format; `line` is None when the
+    fault has no one line."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: Optional[int] = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 

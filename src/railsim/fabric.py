@@ -257,11 +257,12 @@ class _Engine:
     """Time-ordered simulation with circuit lifecycle on OCS rails.
 
     `calendar` maps each pending time to its entries in push order, and the
-    heap `times` holds each such time once.  An entry is row i when event
+    heap `times` holds each later time once.  An entry is row i when event
     i's dependencies are done, ~i when it finished, and None when a circuit
     comes up (a wake-up for the scan).  A time's entries run in push order,
-    then the controller scans; entries pushed at that time meanwhile run
-    after the scan, as the next batch at the same time.
+    then the controller scans; entries pushed at that time meanwhile go to
+    the calendar's list for it, which runs after the scan as the next batch
+    at the same time without a trip through the heap.
 
     An event's dependencies are done when the last of them finishes, so it
     joins then, at the time its entry runs.  It starts there unless it needs
@@ -304,10 +305,7 @@ class _Engine:
             entries.append(entry)
 
     def _protected(self) -> Set[str]:
-        protected = {g for g, evs in self.waiting.items() if evs}
-        for q in self.controller.queue.values():
-            protected.update(p.group for p in q)
-        return protected
+        return self.waiting.keys() | self.controller.pending.keys()
 
     def _start_circuit(self, i: int, start: float) -> None:
         """Start circuit event i; its ring's ports carry the transfer."""
@@ -330,31 +328,31 @@ class _Engine:
         phases = self.schedule[rail]
         if k + 1 >= len(phases):
             return
+        controller = self.controller
         for gid in sorted(phases[k + 1].groups):
-            g = self.controller.groups[gid]
+            g = controller.groups[gid]
             if not g.is_scaleout or g.size < 2:
                 continue
-            if self.controller.group_up(gid, now) or self.controller.has_pending(gid):
+            # Up, being reconfigured, or requested already.
+            if gid in controller.ready_at or gid in controller.pending:
                 continue
-            if gid in self.controller.ready_at and self.controller.ready_at[gid] > now:
-                continue  # reconfiguration already in flight
-            self.controller.request(gid, {r: now for r in g.members}, speculative=True)
+            controller.request(gid, dict.fromkeys(g.members, now), speculative=True)
 
     def run(self) -> Tuple[Timeline, Controller, List[tuple]]:
         c = self.c
         controller = self.controller
-        queues, waiting, phase_of = controller.queue, self.waiting, self.phase_of
+        waiting, phase_of = self.waiting, self.phase_of
         calendar, times = self.calendar, self.times
         indeg, start, end, order = self.indeg, self.start, self.end, self.order
         duration, circuit, group, dependents = c.duration, c.circuit, c.group, c.dependents
-        roots = [i for i, n in enumerate(indeg) if not n]
-        if roots:
-            calendar[0.0] = roots
-            times.append(0.0)
+        pending = controller.pending
+        now = 0.0
+        batch = [i for i, n in enumerate(indeg) if not n]  # the roots
         finished = 0
-        while times:
-            now = heappop(times)
-            for x in calendar.pop(now):
+        while True:
+            # Entries pushed at `now` meanwhile: the next batch at this time.
+            after = calendar[now] = []
+            for x in batch:
                 if x is None:
                     continue  # a circuit came up; the scan below serves it
                 if x < 0:  # ~i: event i finished
@@ -365,12 +363,7 @@ class _Engine:
                     for j in dependents[i]:
                         indeg[j] -= 1
                         if not indeg[j]:
-                            entries = calendar.get(now)
-                            if entries is None:
-                                calendar[now] = [j]
-                                heappush(times, now)
-                            else:
-                                entries.append(j)
+                            after.append(j)
                     continue
                 if circuit[x]:  # x: its dependencies are done
                     gid = group[x]
@@ -390,8 +383,8 @@ class _Engine:
                     heappush(times, e)
                 else:
                     entries.append(~x)
-            # With every queue empty, a scan grants nothing.
-            if any(queues.values()):
+            # With no request pending, a scan grants nothing.
+            if pending:
                 for gid, ready in controller.scan(now, self._protected()):
                     if ready > now:
                         self._push(ready, None)
@@ -404,9 +397,17 @@ class _Engine:
                             if evs and controller.group_up(g, now)]:
                     for i in waiting.pop(gid):
                         self._start_circuit(i, now)
+            del calendar[now]
+            if after:
+                batch = after
+            elif times:
+                now = heappop(times)
+                batch = calendar.pop(now)
+            else:
+                break
         total = len(c.ids)
         if finished != total:
-            if any(queues.values()) or any(waiting.values()):
+            if pending or waiting:
                 raise ConflictDeadlock(
                     f"{total - finished} events stuck behind the reconfiguration queue")
             raise CyclicDependency("event DAG contains a cycle")

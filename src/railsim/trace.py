@@ -104,10 +104,15 @@ def load_trace(path: str) -> EventDag:
     a negative rank or bytes, a non-finite observed time, a group declared
     twice, a record that ends before it starts and observed starts out of
     stream order, MissingDependency when a dependency names no event, and
-    CyclicDependency when the reconstructed edges contain a cycle.
+    CyclicDependency when the reconstructed edges contain a cycle.  Text
+    that is not UTF-8 raises ParseError naming the file.
     """
     with open(path, "r", encoding="utf-8") as f:
-        return _parse(f)
+        try:
+            return _parse(f)
+        except UnicodeDecodeError as e:
+            # The decoder reads ahead of the parser, so the line is unknown.
+            raise ParseError(f"trace {path} is not UTF-8 text ({e.reason})") from None
 
 
 def loads_trace(text: str) -> EventDag:

@@ -22,6 +22,7 @@ returns.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple, Union
@@ -225,6 +226,12 @@ class WorkloadParams:
         for key in ("fwd_layer", "bwd_layer", "optim", "pre_stage"):
             if key not in self.compute_times:
                 raise InvalidParams(f"compute_times missing {key!r}")
+            if not 0.0 <= self.compute_times[key] < math.inf:
+                raise InvalidParams(f"compute time {key} must be finite and >= 0, "
+                                    f"got {self.compute_times[key]}")
+        if min(self.bytes_per_layer_param, self.bytes_activation,
+               self.bytes_sync_allreduce) < 0:
+            raise InvalidParams("byte sizes must be >= 0")
 
 
 def one_f_one_b(pp: int, stage: int, n_microbatch: int) -> List[Tuple[str, int]]:
@@ -356,22 +363,27 @@ def generate_3d_schedule(params: WorkloadParams, topo: Topology) -> EventDag:
     for p in range(pp):
         L = stage_layers[p]
         order = one_f_one_b(pp, p, M)
+        layer = [str(j) for j in range(L)]
         for q in range(dp):
             tp_gid = f"tp.d{p * dp + q}"
+            # A compute id is f"{step}.p{p}.q{q}.m{m}.j{j}.l{l}", built from
+            # the step's prefix, `layer[j]` and the rail suffix.
+            steps = [(step, m, f"{step}.p{p}.q{q}.m{m}.j") for step, m in order]
             for l in range(G):
                 r = rank(p, q, l)
+                suffix = f".l{l}"
                 ags = ag[(p, l)]
                 tail = prep[r]  # the previous event on this rank's compute stream
                 dp_tail = ags[-1]
                 sra = srg = tar = None
                 with_tar = tp >= 2 and l == 0
-                for step, m in order:
+                for step, m, head in steps:
                     if step == "f":
                         for j in range(L):
                             ds = (ags[j], tail)
                             if j == 0 and m > 0 and p > 0:
                                 ds += (rows[("sra", m, p - 1, q, l)],)
-                            tail = compute(f"f.p{p}.q{q}.m{m}.j{j}.l{l}", r, ds, fwd)
+                            tail = compute(head + layer[j] + suffix, r, ds, fwd)
                         if tp >= 2 and l > 0:
                             rows[("f", p, q, m, l)] = tail
                         if p < pp - 1:
@@ -389,7 +401,7 @@ def generate_3d_schedule(params: WorkloadParams, topo: Topology) -> EventDag:
                             later += ((tar, ("f", p, q, m, ll)) for ll in range(1, G))
                     else:
                         for j in reversed(range(L)):
-                            tail = compute(f"b.p{p}.q{q}.m{m}.j{j}.l{l}", r, (tail,), bwd)
+                            tail = compute(head + layer[j] + suffix, r, (tail,), bwd)
                             if j == L - 1 and p < pp - 1:
                                 later.append((tail, ("srg", m, p + 1, q, l)))
                             if m == M - 1:

@@ -89,7 +89,13 @@ BAD_TRACES = {
 }
 
 # Traces the parser rejects, each with a fragment of its error message.
+# Bodies are written as UTF-8 with surrogate escapes, so "\udcff" stands for
+# the raw byte 0xff.
 REJECTED_TRACES = {
+    "text is not UTF-8": (
+        "a,0,compute,compute,,,0,,0.0,1.0\n"
+        "b\udcff,1,compute,compute,,,0,a,1.0,2.0\n",
+        "is not UTF-8 text"),
     "dependency on an unknown event": (
         "a,0,compute,compute,,,0,,0.0,1.0\n"
         "b,1,compute,compute,,,0,typo_of_a,1.0,2.0\n",

@@ -1,11 +1,19 @@
 """Command line entry points: exit codes, overrides, and output files."""
 
+import configparser
 import hashlib
+import importlib.util
 import os
+import re
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from railsim.cli import DEFAULT_CLASS_EDGES, load_scenario, main
+from railsim.cli import (DEFAULT_CLASS_EDGES, DEFAULT_ECON_CONFIG, DEFAULT_SCENARIO,
+                         _read_ini, load_econ_config, load_scenario, main)
 
 from conftest import BAD_TRACES, HEADER, REJECTED_TRACES
 
@@ -55,7 +63,7 @@ def trace_argv(command, body, tmp_path):
     through a scenario on 4 domains x 2 GPUs whose [workload] names the
     trace, `windows` through --trace."""
     trace = tmp_path / "bad.csv"
-    trace.write_text(HEADER + body)
+    trace.write_bytes((HEADER + body).encode("utf-8", "surrogateescape"))
     if command == "windows":
         return ["windows", "--trace", str(trace), "--out-dir", str(tmp_path)]
     topology = SCENARIO[SCENARIO.index("[topology]"):SCENARIO.index("[workload]")]
@@ -108,6 +116,22 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "timeline.csv").exists()
         assert not (tmp_path / "windows.csv").exists()
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("alpha = 1e-6", "alpha = -1e-6", "alpha must be finite and >= 0"),
+        ("fwd_layer = 0.01", "fwd_layer = -0.01", "compute time fwd_layer"),
+        ("optim = 0.005", "optim = nan", "compute time optim"),
+        ("bytes_activation = 500000", "bytes_activation = -500000", "byte sizes"),
+    ], ids=["negative alpha", "negative compute time", "nan compute time",
+            "negative bytes"])
+    def test_negative_or_nonfinite_input_rejected(self, old, new, message, tmp_path,
+                                                  capsys):
+        # Such a value would make simulated time run backwards.
+        ini = tmp_path / "s.ini"
+        ini.write_text(SCENARIO.replace(old, new))
+        assert main(["sim", "--scenario", str(ini), "--out-dir", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_class_edges(self, scenario, tmp_path, capsys):
         assert main(["windows", "--scenario", scenario, "--classes", "1e6,abc",
@@ -166,6 +190,8 @@ class TestOverrides:
             main([command, "--scenario", scenario, *flag])
         assert exc.value.code == 2
         assert not list(run.iterdir())
+        # The usage line is the subcommand's own, not the top-level one.
+        assert capsys.readouterr().err.startswith(f"usage: railsim {command} ")
 
     @pytest.mark.parametrize("command,flag,text", KEPT_FLAGS, ids=flag_ids(KEPT_FLAGS))
     def test_kept_override_changes_output(self, command, flag, text, tmp_path, capsys):
@@ -193,6 +219,134 @@ class TestOverrides:
         assert main([command, "--scenario", str(ini)]) == 2
         assert message in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["s.ini"]
+
+
+def configparser_ini(path, what):
+    """The oracle for the strict reader: configparser as railsim used it
+    before, with `#` and `;` inline comments."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    with open(path, encoding="utf-8") as f:
+        cp.read_file(f)
+    return {name: dict(cp[name]) for name in cp.sections()}
+
+
+def oracle_scenario(path):
+    with mock.patch("railsim.cli._read_ini", configparser_ini):
+        return load_scenario(path)
+
+
+def benchmark_inis():
+    """(name, text) of every scenario the benchmark writes: both workloads,
+    seeds 1-5."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    for seed in range(1, 6):
+        cal = inputs.calibration(seed)
+        yield f"cli-mix {seed} sim", inputs.scenario_ini(inputs.SIM_19K, cal)
+        yield f"cli-mix {seed} sweep", inputs.scenario_ini(inputs.SWEEP_1K, cal,
+                                                          inputs.SWEEP_DELAYS)
+        for i, shape in enumerate(inputs.draw_shapes(seed)):
+            yield f"shape-mix {seed} s{i:03d}", inputs.scenario_ini(shape, cal)
+
+
+SPACING = st.sampled_from(["", " ", "  ", "\t"])
+INLINE_COMMENT = st.sampled_from(["", " # note", "\t; note", "  #", " ;; x = 1"])
+FILLER = st.lists(st.sampled_from(["", "   ", "# comment", "; comment: x",
+                                   "  # indented comment", "#[section]"]), max_size=2)
+
+
+@st.composite
+def scenario_texts(draw):
+    """SCENARIO in the accepted INI subset: sections and keys in any order,
+    blank and comment lines anywhere, inline comments, key case, spacing
+    and the `=` or `:` delimiter all varied."""
+    cp = configparser.ConfigParser()
+    cp.read_string(SCENARIO)
+    lines = draw(FILLER)
+    for name in draw(st.permutations(cp.sections())):
+        lines.append(f"[{name}]" + draw(INLINE_COMMENT))
+        lines += draw(FILLER)
+        for key, value in draw(st.permutations(list(cp[name].items()))):
+            upper = draw(st.lists(st.booleans(), min_size=len(key), max_size=len(key)))
+            key = "".join(ch.upper() if up else ch for ch, up in zip(key, upper))
+            lines.append(key + draw(SPACING) + draw(st.sampled_from("=:"))
+                         + draw(SPACING) + value + draw(INLINE_COMMENT) + draw(SPACING))
+            lines += draw(FILLER)
+    return "\n".join(lines) + "\n"
+
+
+def edit_first_key(edit):
+    """A text edit that rewrites the first `key = value` line."""
+    return lambda text: re.sub(r"^\w+ = .*$", lambda m: edit(m[0]), text, count=1,
+                               flags=re.M)
+
+
+# Forms outside the accepted subset, each with a fragment of its error
+# message.  Texts are written as UTF-8 with surrogate escapes.
+REJECTED_INI = {
+    "percent in a value": (edit_first_key(lambda line: line + "%"), "bad numeric value"),
+    "continuation line": (edit_first_key(lambda line: line + "\n    more"),
+                          "indented line"),
+    "text before the first section": (lambda text: "stray = 1\n" + text,
+                                      "text before the first [section]"),
+    "repeated section": (lambda text: text + re.search(r"^\[.*\]$", text, re.M)[0] + "\n",
+                         "repeated"),
+    "repeated key": (edit_first_key(lambda line: line + "\n" + line), "repeated"),
+    "not UTF-8": (edit_first_key(lambda line: line + "\udcff"), "not UTF-8 text"),
+}
+INI_COMMANDS = {
+    "gen": lambda ini: ["gen", "--scenario", ini],
+    "sim": lambda ini: ["sim", "--scenario", ini],
+    "econ --config": lambda ini: ["econ", "--config", ini],
+}
+
+
+class TestIniReader:
+    @settings(max_examples=80, deadline=None)
+    @given(text=scenario_texts())
+    def test_accepted_subset_matches_configparser(self, text, tmp_path_factory):
+        ini = tmp_path_factory.getbasetemp() / "accepted.ini"
+        ini.write_text(text)
+        scn = load_scenario(str(ini))
+        assert scn == oracle_scenario(str(ini))
+
+    def test_benchmark_and_shipped_inis_unchanged(self, tmp_path):
+        ini = tmp_path / "s.ini"
+        for name, text in benchmark_inis():
+            ini.write_text(text)
+            assert _read_ini(str(ini), "scenario") == configparser_ini(str(ini), ""), name
+            assert load_scenario(str(ini)) == oracle_scenario(str(ini)), name
+        assert load_scenario(DEFAULT_SCENARIO) == oracle_scenario(DEFAULT_SCENARIO)
+        with mock.patch("railsim.cli._read_ini", configparser_ini):
+            econ = load_econ_config(DEFAULT_ECON_CONFIG)
+        assert load_econ_config(DEFAULT_ECON_CONFIG) == econ
+
+    def test_values_are_literal(self, tmp_path):
+        # No `%` interpolation: a trace path keeps its `%` as written.
+        topology = SCENARIO[:SCENARIO.index("[workload]")]
+        ini = tmp_path / "s.ini"
+        ini.write_text(topology + "[workload]\ntrace = runs/100%(pp)s.csv\n")
+        assert load_scenario(str(ini)).trace_path == "runs/100%(pp)s.csv"
+
+    @pytest.mark.parametrize("command", INI_COMMANDS)
+    @pytest.mark.parametrize("form", REJECTED_INI)
+    def test_rejected_form(self, form, command, tmp_path, monkeypatch, capsys,
+                           shipped_econ_path):
+        edit, message = REJECTED_INI[form]
+        base = (Path(shipped_econ_path).read_text() if command.startswith("econ")
+                else SCENARIO)
+        text = edit(base)
+        assert text != base
+        ini = tmp_path / "bad.ini"
+        ini.write_bytes(text.encode("utf-8", "surrogateescape"))
+        run = tmp_path / "run"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        assert main(INI_COMMANDS[command](str(ini))) == 2
+        assert message in capsys.readouterr().err
+        assert not list(run.iterdir())
 
 
 class TestGen:

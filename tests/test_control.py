@@ -336,6 +336,39 @@ class TestMarkBusy:
             self.check(c, t)
 
 
+# One step of a request/scan sequence on rail 0: a request of a group
+# (reactive or speculative) whose ranks outside a bit mask ask only later,
+# or a scan with some groups protected.
+REQUEST = st.tuples(st.just("request"), st.sampled_from(sorted(TestMarkBusy.GROUPS)),
+                    st.integers(min_value=1, max_value=15), st.booleans())
+SCAN = st.tuples(st.just("scan"), st.sets(st.sampled_from(sorted(TestMarkBusy.GROUPS))))
+
+
+class TestPending:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.one_of(REQUEST, SCAN), min_size=1, max_size=30))
+    def test_pending_mirrors_the_queues(self, steps):
+        # Six groups on rail 0's four ranks with 2-port NICs: grants evict
+        # and block each other, and partial requests merge into later ones.
+        topo = make_topo(num_domains=4, gpus_per_domain=2, nic_ports=2, delay=0.01)
+        c = TestMarkBusy().controller(topo)
+        for k, step in enumerate(steps):
+            t = 0.004 * k
+            if step[0] == "request":
+                _, gid, mask, speculative = step
+                times = {r: t if mask >> n & 1 else t + 0.02
+                         for n, r in enumerate(c.groups[gid].members)}
+                c.request(gid, times, speculative)
+            else:
+                for gid, ready in c.scan(t, protected=step[1]):
+                    c.mark_busy(gid, ready, ready + 0.006)
+            queued = {p.group: p for q in c.queue.values() for p in q}
+            assert sum(map(len, c.queue.values())) == len(queued)  # one per group
+            assert c.pending == queued
+            for gid in TestMarkBusy.GROUPS:
+                assert c.has_pending(gid) == (gid in queued)
+
+
 # 4 domains x 2 GPUs, rank r in domain r // 2 on rail r % 2.  b (rank 4)
 # shares no rank with t (TP, ranks 0 and 1) or with c (DP, ranks 0 and 2),
 # and c shares none with h (DP, ranks 4 and 6), so those edges gate every rank.
