@@ -10,8 +10,8 @@ Subcommands:
 
 Scenarios and econ inputs are INI files with named sections, read by one
 strict reader (`_read_ini`); `sim` and `sweep` flags override scenario
-fields, and a scenario section or key the reader does not know is a config
-error.  Exit codes: 0 success, 2 config error, 3 infeasible topology or
+fields, and a scenario or econ section or key the reader does not know is a
+config error.  Exit codes: 0 success, 2 config error, 3 infeasible topology or
 port demand, 4 I/O error.
 """
 
@@ -56,6 +56,16 @@ _SCENARIO_KEYS = {
                            "optim", "pre_stage")),
     "control": frozenset(("provisioning", "alpha")),
     "sweep": frozenset(("delays",)),
+}
+# Every section and key an econ config may hold; anything else is rejected.
+_ECON_KEYS = {
+    "units": frozenset(("electrical_switch_cost", "electrical_switch_radix",
+                        "electrical_port_power_w", "transceiver_cost",
+                        "transceiver_power_w", "ocs_port_cost", "ocs_chassis_power_w",
+                        "ocs_chassis_ports")),
+    "reference_topology": frozenset(("num_domains", "gpus_per_domain", "scaleup_bandwidth",
+                                     "nic_ports", "nic_port_bandwidth", "radix",
+                                     "reconfig_delay")),
 }
 # An inline or full-line comment: `#` or `;` at the start of a line or
 # after whitespace.
@@ -163,17 +173,24 @@ def _read_ini(path: str, what: str) -> Dict[str, Dict[str, str]]:
     return sections
 
 
+def _read_known_ini(path: str, what: str,
+                    known: Dict[str, frozenset]) -> Dict[str, Dict[str, str]]:
+    """`_read_ini`, rejecting a section or key that `known` does not list."""
+    cp = _read_ini(path, what)
+    for name in cp:
+        if name not in known:
+            raise ConfigError(f"{what} {path}: unknown section [{name}]")
+        unknown = sorted(set(cp[name]) - known[name])
+        if unknown:
+            raise ConfigError(f"{what} {path}: unknown key {unknown[0]!r} "
+                              f"in [{name}]")
+    return cp
+
+
 def load_scenario(path: str, args: Optional[argparse.Namespace] = None) -> Scenario:
     """Parse a scenario INI file and apply the overrides `args` carries:
     `delay`, `switch` and `provisioning`, each None to keep the file's."""
-    cp = _read_ini(path, "scenario")
-    for name in cp:
-        if name not in _SCENARIO_KEYS:
-            raise ConfigError(f"scenario {path}: unknown section [{name}]")
-        unknown = sorted(set(cp[name]) - _SCENARIO_KEYS[name])
-        if unknown:
-            raise ConfigError(f"scenario {path}: unknown key {unknown[0]!r} "
-                              f"in [{name}]")
+    cp = _read_known_ini(path, "scenario", _SCENARIO_KEYS)
     if "topology" not in cp:
         raise ConfigError(f"scenario {path} missing [topology] section")
     t = cp["topology"]
@@ -465,7 +482,7 @@ def _bom_rows(bom: FabricBom) -> List[str]:
 
 
 def load_econ_config(path: str) -> Tuple[EconConfig, TopologySpec]:
-    cp = _read_ini(path, "econ config")
+    cp = _read_known_ini(path, "econ config", _ECON_KEYS)
     if "units" not in cp:
         raise ConfigError(f"econ config {path} missing [units] section")
     u = cp["units"]

@@ -18,6 +18,7 @@ without a new reconfiguration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -91,10 +92,14 @@ class _Pending:
     times: Dict[int, float]  # per-rank request time
     group: str
     speculative: bool
+    members: tuple  # the group's ranks, each of which must request
 
     def __post_init__(self) -> None:
-        self.order_time = min(self.times.values())  # FC-FS position: earliest request
-        self.barrier_time = max(self.times.values())  # every member rank has requested
+        times = self.times
+        self.order_time = min(times.values())  # FC-FS position: earliest request
+        # The barrier opens once every member rank has requested.
+        self.barrier_time = (max(times.values()) if all(m in times for m in self.members)
+                             else math.inf)
 
     def merge(self, times: Mapping[int, float], speculative: bool) -> None:
         """Fold a later request of the same group into this one."""
@@ -142,8 +147,9 @@ class Controller:
         if p is not None:
             p.merge(times, speculative)
             return
-        rail = next(iter(self.groups[gid].rails_touched))
-        p = self.pending[gid] = _Pending(dict(times), gid, speculative)
+        g = self.groups[gid]
+        rail = next(iter(g.rails_touched))
+        p = self.pending[gid] = _Pending(dict(times), gid, speculative, g.members)
         self.queue.setdefault(rail, []).append(p)
 
     def has_pending(self, gid: str) -> bool:

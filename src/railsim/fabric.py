@@ -22,6 +22,18 @@ ranks differ from its group's members, and a scale-out group that does not
 sit on exactly its one declared rail.  Timing the electrical longest path
 rejects a dependency cycle.
 
+A DAG with the generator's `rail_symmetric` record and two or more rails is
+compiled and timed on rail 0 only (`_Twins`): rail 0's rows and the TP rows
+that span rails, each dependency on another rail's row pointing to its
+rail-0 twin.  Rails share no port, group or controller queue, so every rail
+sees rail 0's grants and times.  The run's result copies each row's start
+and end from its twin, and each log entry to every rail with group ids,
+ranks and rails mapped to the twins (the circuit and transfer logs on first
+access).  Such a run's start order and logs list twins together, rail by
+rail, where a run of every rail would interleave them; as multisets they
+are the same.  Traces, hand-built DAGs and one-rail DAGs are timed row by
+row.
+
 An event starts once its last dependency has finished.  Per-rank join times
 (`_joins`: a rank joins at the latest end among the dependencies that
 include it or that share no rank with the event) are computed only when
@@ -35,12 +47,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .control import Controller, profile_iteration
+from .control import Controller, ReconfigLogEntry, profile_iteration
 from .errors import ConflictDeadlock, CyclicDependency, NotMember, UnsupportedKind
-from .model import Topology
+from .model import CommGroup, Topology
 from .workload import (ALLGATHER, ALLREDUCE, COLLECTIVE, REDUCESCATTER, SENDRECV,
                        EventDag)
 
@@ -83,12 +96,34 @@ class EventTiming:
 
 @dataclass
 class SimResult:
+    """One run's makespan, timing and logs.
+
+    `circuit_log` and `transfer_log` are built on first access: a run timed
+    on rail 0 only (`_Twins`) keeps rail 0's logs and copies them to the
+    other rails then.
+    """
+
     makespan: float
     event_times: Timeline  # event id -> EventTiming
     reconfig_log: list
     overhead_vs_baseline: Optional[float] = None
-    circuit_log: list = field(default_factory=list)  # (rail, rank, port, group, up, down)
-    transfer_log: list = field(default_factory=list)  # (event, rank, port, start, end)
+    _circuits: list = field(default_factory=list, repr=False)  # as the engine logged them
+    _transfers: list = field(default_factory=list, repr=False)
+    _twins: Optional[_Twins] = field(default=None, repr=False)
+
+    @cached_property
+    def circuit_log(self) -> list:
+        """(rail, rank, port, group, up, down) of every circuit."""
+        if self._twins is None:
+            return self._circuits
+        return self._twins.circuits(self._circuits)
+
+    @cached_property
+    def transfer_log(self) -> list:
+        """(event, rank, port, start, end) of every transfer."""
+        if self._twins is None:
+            return self._transfers
+        return self._twins.transfers(self._transfers)
 
 
 def _check_groups(dag: EventDag, topo: Topology) -> Dict[str, Set[int]]:
@@ -105,34 +140,125 @@ def _check_groups(dag: EventDag, topo: Topology) -> Dict[str, Set[int]]:
     return members
 
 
+class _Twins:
+    """How the rail-symmetric `dag` maps onto rail 0 (see
+    `EventDag.rail_symmetric`).
+
+    `rows` are the rows a run times, in row order: rail 0's and those whose
+    ranks span rails.  `twin[i]` is the timed row that row i copies: itself,
+    or its rail-0 twin.  `copies[i]` of a timed row i is the rows that copy
+    it, rail by rail (itself alone for a row spanning rails).  `spans` are
+    the rows spanning rails, and `groups[gid]` is rail-0 group gid's twins
+    by rail.  Rank r on rail 0 sits in domain r // G, so its twin on rail l
+    is r + l.
+    """
+
+    __slots__ = ("dag", "rows", "twin", "copies", "spans", "groups")
+
+    def __init__(self, dag: EventDag, rails: int):
+        self.dag = dag
+        by_rail: List[List[int]] = [[] for _ in range(rails)]
+        self.rows, self.spans = rows, spans = [], []
+        for i, rs in enumerate(dag.ranks):
+            rail = rs[0] % rails
+            if rs[-1] % rails != rail:
+                rows.append(i)
+                spans.append(i)
+                continue
+            by_rail[rail].append(i)
+            if not rail:
+                rows.append(i)
+        n = len(dag.ranks)
+        self.twin = twin = list(range(n))
+        rail0 = by_rail[0]
+        for others in by_rail[1:]:
+            for i, j in zip(others, rail0):
+                twin[i] = j
+        self.copies = copies = [()] * n
+        for i in spans:
+            copies[i] = (i,)
+        for same in zip(*by_rail):
+            copies[same[0]] = same
+        groups: List[List[str]] = [[] for _ in range(rails)]
+        for gid, g in dag.groups.items():
+            if g.is_scaleout:
+                groups[g.members[0] % rails].append(gid)
+        self.groups = {gids[0]: gids for gids in zip(*groups)}
+
+    def timing(self, order: List[int], start: List[float],
+               end: List[float]) -> Tuple[List[int], List[float], List[float]]:
+        """Every row's start order, start and end from the timed rows'."""
+        copies, twin = self.copies, self.twin
+        return ([i for k in order for i in copies[k]],
+                [start[k] for k in twin], [end[k] for k in twin])
+
+    def stuck(self, order: List[int]) -> int:
+        """Events that a run which started the timed rows `order` left out."""
+        copies = self.copies
+        return len(self.twin) - sum(len(copies[k]) for k in order)
+
+    def reconfigs(self, log: List[ReconfigLogEntry]) -> List[ReconfigLogEntry]:
+        groups = self.groups
+        return [ReconfigLogEntry(e.time, rail, gid, e.speculative, e.delay, e.ports_changed)
+                for e in log for rail, gid in enumerate(groups[e.group])]
+
+    def circuits(self, log: List[tuple]) -> List[tuple]:
+        groups = self.groups
+        return [(rail, rank + rail, port, gid, up, down)
+                for _, rank, port, g, up, down in log
+                for rail, gid in enumerate(groups[g])]
+
+    def transfers(self, log: List[tuple]) -> List[tuple]:
+        copies, ids, index = self.copies, self.dag.ids, self.dag.index
+        return [(ids[i], rank + rail, port, start, end)
+                for eid, rank, port, start, end in log
+                for rail, i in enumerate(copies[index[eid]])]
+
+
 class _CompiledDag:
     """What simulating one EventDag on one topology needs beyond its columns.
 
     Events keep their DAG rows, numbered in insertion order; `ids`, `index`,
     `ranks`, `deps` and the durations of compute events come from the DAG.
-    `dependents` lists are in row order: the engine's push order, and with it
-    every controller decision, depends on it.  A dependency naming no event
-    raises MissingDependency, and a collective naming no group raises
-    NotMember.
+    `rows` are the rows a run times: every row, or with `twins` rail 0's and
+    those spanning rails, whose dependencies on another rail's row then
+    point to its rail-0 twin (each once); `twins` is kept.  The other rows' entries are
+    unused.  `dependents` lists are in row order: the engine's push order,
+    and with it every controller decision, depends on it.  A dependency
+    naming no event raises MissingDependency, and a collective naming no
+    group raises NotMember.
     """
 
-    __slots__ = ("ids", "index", "ranks", "deps", "dependents", "indeg", "duration",
-                 "group", "circuit")
+    __slots__ = ("ids", "index", "ranks", "deps", "rows", "twins", "dependents",
+                 "indeg", "duration", "group", "circuit")
 
-    def __init__(self, dag: EventDag, topo: Topology, alpha: float):
+    def __init__(self, dag: EventDag, topo: Topology, alpha: float,
+                 twins: Optional[_Twins] = None):
         members = _check_groups(dag, topo)
         dag.resolve()
         groups, deps = dag.groups, dag.deps
-        self.ids, self.index, self.ranks, self.deps = dag.ids, dag.index, dag.ranks, deps
-        ranks = dag.ranks
         n = len(deps)
-        self.dependents = dependents = [[] for _ in range(n)]
-        self.indeg = [len(ds) for ds in deps]
+        if twins is None:
+            rows = range(n)
+            dependents = [[] for _ in range(n)]
+        else:
+            rows, twin, deps = twins.rows, twins.twin, list(deps)
+            for i in twins.spans:
+                deps[i] = tuple(dict.fromkeys([twin[d] for d in deps[i]]))
+            dependents = [None] * n
+            for i in rows:
+                dependents[i] = []
+        self.ids, self.index, self.ranks, self.deps = dag.ids, dag.index, dag.ranks, deps
+        self.rows, self.twins, self.dependents = rows, twins, dependents
+        ranks = dag.ranks
+        self.indeg = indeg = [0] * n
         self.duration = duration = list(dag.duration)
         self.group = group = [None] * n
         self.circuit = circuit = [False] * n
         kind, dag_group, coll_kind, nbytes = dag.kind, dag.group, dag.coll_kind, dag.bytes
-        for i, ds in enumerate(deps):
+        for i in rows:
+            ds = deps[i]
+            indeg[i] = len(ds)
             for d in ds:
                 dependents[d].append(i)
             if kind[i] == COLLECTIVE:
@@ -151,10 +277,10 @@ class _CompiledDag:
                 circuit[i] = g.is_scaleout and g.size >= 2
 
 
-def _joins(c: _CompiledDag, i: int, start: List[float],
-           end: List[float]) -> Dict[int, float]:
+def _joins(c, i: int, start: List[float], end: List[float]) -> Dict[int, float]:
     """Per-rank issue time: a rank joins once its own dependencies finish.
 
+    `c` is a `_CompiledDag` or an `EventDag`: its `ranks` and `deps` by row.
     A rank of a multi-rank event joins at the latest end among the
     dependencies that include it or that share no rank with the event, so
     its latest join is the latest end among all its dependencies.  An event
@@ -186,14 +312,14 @@ def _joins(c: _CompiledDag, i: int, start: List[float],
 def _longest_path(c: _CompiledDag) -> Tuple[List[float], List[float], List[int]]:
     """Start and end of every event with full connectivity (electrical rails
     or free switching), and the order they were timed in: level by level,
-    each level in row order."""
+    each level in row order.  Only `c.rows` are timed."""
     n = len(c.ids)
     start = [0.0] * n  # the latest end among dependencies timed so far
     end = [0.0] * n
     indeg = list(c.indeg)
     duration, dependents = c.duration, c.dependents
     order: List[int] = []
-    ready = [i for i in range(n) if not indeg[i]]
+    ready = [i for i in c.rows if not indeg[i]]
     while ready:
         order += ready
         next_ready: List[int] = []
@@ -207,7 +333,7 @@ def _longest_path(c: _CompiledDag) -> Tuple[List[float], List[float], List[int]]
                     next_ready.append(j)
         next_ready.sort()
         ready = next_ready
-    if len(order) != n:
+    if len(order) != len(c.rows):
         raise CyclicDependency("event DAG contains a cycle")
     return start, end, order
 
@@ -217,36 +343,59 @@ class Timeline(Mapping):
     run's arrays; iterates in the order the events started.
 
     `start` and `end` are indexed by DAG row, and `starts(i)` gives row i's
-    per-rank join times.  A full-connectivity run shares its arrays with its
+    per-rank join times.  A run timed on rail 0 only passes its `_Twins`:
+    the first read of `order`, `start` or `end` copies the timed rows'
+    times to their twins, and `order` then lists each row's twins together,
+    rail by rail.  A full-connectivity run shares its arrays with its
     `Prepared` simulation, so they are read, never changed.
     """
 
-    __slots__ = ("_c", "order", "start", "end")
+    __slots__ = ("_dag", "_twins", "_order", "_start", "_end")
 
-    def __init__(self, c: _CompiledDag, order: List[int], start: List[float],
-                 end: List[float]):
-        self._c, self.order, self.start, self.end = c, order, start, end
+    def __init__(self, dag: EventDag, order: List[int], start: List[float],
+                 end: List[float], twins: Optional[_Twins] = None):
+        self._dag, self._twins = dag, twins
+        self._order, self._start, self._end = order, start, end
+
+    def _timing(self) -> Tuple[List[int], List[float], List[float]]:
+        if self._twins is not None:
+            self._order, self._start, self._end = self._twins.timing(
+                self._order, self._start, self._end)
+            self._twins = None
+        return self._order, self._start, self._end
+
+    @property
+    def order(self) -> List[int]:
+        return self._timing()[0]
+
+    @property
+    def start(self) -> List[float]:
+        return self._timing()[1]
+
+    @property
+    def end(self) -> List[float]:
+        return self._timing()[2]
 
     @property
     def ids(self) -> List[str]:
-        return self._c.ids
+        return self._dag.ids
 
     @property
     def ranks(self) -> List[tuple]:
-        return self._c.ranks
+        return self._dag.ranks
 
     def starts(self, i: int) -> Dict[int, float]:
-        return _joins(self._c, i, self.start, self.end)
+        return _joins(self._dag, i, self.start, self.end)
 
     def __getitem__(self, eid: str) -> EventTiming:
-        i = self._c.index[eid]
+        i = self._dag.index[eid]
         return EventTiming(self.start[i], self.end[i], self.starts(i))
 
     def __contains__(self, eid) -> bool:
-        return eid in self._c.index
+        return eid in self._dag.index
 
     def __iter__(self) -> Iterator[str]:
-        ids = self._c.ids
+        ids = self._dag.ids
         return (ids[i] for i in self.order)
 
     def __len__(self) -> int:
@@ -270,13 +419,14 @@ class _Engine:
     builds the per-rank joins.  It requests the ring unless the ring is being
     reconfigured already: the wake-up when that ring comes up releases it.
     A released event starts when its ring is up: at a grant's ready time or
-    at the wake-up.
+    at the wake-up.  `run` leaves the times in `start`, `end` and `order`.
+    When `c` times rail 0 only, a deadlock counts every rail's stuck events.
     """
 
-    def __init__(self, c: _CompiledDag, dag: EventDag, topo: Topology,
+    def __init__(self, c: _CompiledDag, groups: Dict[str, CommGroup], topo: Topology,
                  schedule: Optional[dict]):
         self.c = c
-        self.controller = Controller(topo, dag.groups)
+        self.controller = Controller(topo, groups)
         n = len(c.ids)
         self.start = [0.0] * n
         self.end = [0.0] * n
@@ -338,7 +488,7 @@ class _Engine:
                 continue
             controller.request(gid, dict.fromkeys(g.members, now), speculative=True)
 
-    def run(self) -> Tuple[Timeline, Controller, List[tuple]]:
+    def run(self) -> None:
         c = self.c
         controller = self.controller
         waiting, phase_of = self.waiting, self.phase_of
@@ -347,7 +497,7 @@ class _Engine:
         duration, circuit, group, dependents = c.duration, c.circuit, c.group, c.dependents
         pending = controller.pending
         now = 0.0
-        batch = [i for i, n in enumerate(indeg) if not n]  # the roots
+        batch = [i for i in c.rows if not indeg[i]]  # the roots
         finished = 0
         while True:
             # Entries pushed at `now` meanwhile: the next batch at this time.
@@ -405,13 +555,13 @@ class _Engine:
                 batch = calendar.pop(now)
             else:
                 break
-        total = len(c.ids)
+        total = len(c.rows)
         if finished != total:
             if pending or waiting:
+                stuck = total - finished if c.twins is None else c.twins.stuck(order)
                 raise ConflictDeadlock(
-                    f"{total - finished} events stuck behind the reconfiguration queue")
+                    f"{stuck} events stuck behind the reconfiguration queue")
             raise CyclicDependency("event DAG contains a cycle")
-        return Timeline(c, order, start, end), controller, self.transfer_log
 
 
 class Prepared:
@@ -424,15 +574,22 @@ class Prepared:
     whose DAG, alpha or topology (other than `rail_switch.reconfig_delay`)
     differs is refused.  The compiled DAG reads the DAG's columns in place,
     so the DAG must not change while it is prepared.
+
+    For a DAG with the `rail_symmetric` record on two or more rails, `twins`
+    maps it onto rail 0 and only `twins.rows` are compiled and timed: the
+    start and end of row i are those of row `twins.twin[i]`, which a run's
+    `Timeline` copies.  Otherwise `twins` is None and every row is timed.
     """
 
-    __slots__ = ("dag", "alpha", "c", "start", "end", "order", "baseline_makespan",
-                 "_topo", "_schedule")
+    __slots__ = ("dag", "alpha", "twins", "c", "start", "end", "order",
+                 "baseline_makespan", "_topo", "_schedule")
 
     def __init__(self, dag: EventDag, topo: Topology, alpha: float):
         self.dag, self.alpha = dag, alpha
         self._topo = _without_delay(topo)
-        self.c = _CompiledDag(dag, topo, alpha)
+        rails = topo.num_rails
+        self.twins = _Twins(dag, rails) if dag.rail_symmetric and rails > 1 else None
+        self.c = _CompiledDag(dag, topo, alpha, self.twins)
         self.start, self.end, self.order = _longest_path(self.c)
         self.baseline_makespan = max(self.end, default=0.0)
         self._schedule: Optional[dict] = None
@@ -447,15 +604,17 @@ class Prepared:
                              "the reconfiguration delay")
 
     def schedule(self) -> dict:
-        """The provisioning profiler's per-rail phase schedule."""
+        """The provisioning profiler's per-rail phase schedule (rail 0's
+        alone when the DAG is timed on rail 0 only)."""
         if self._schedule is None:
-            ids, start, end = self.c.ids, self.start, self.end
+            dag, start, end = self.dag, self.start, self.end
+            by_rail = dag.scaleout_by_rail()
+            rails = range(self._topo.num_rails) if self.twins is None else (0,)
             # The profiler reads the start and end of scale-out collectives
             # only; at full connectivity every rank has joined by the start.
-            collectives = {ids[i]: EventTiming(start[i], end[i])
-                           for rows in self.dag.scaleout_by_rail().values() for i in rows}
-            self._schedule = profile_iteration(self.dag, collectives,
-                                               range(self._topo.num_rails))
+            collectives = {dag.ids[i]: EventTiming(start[i], end[i])
+                           for rail in rails for i in by_rail.get(rail, ())}
+            self._schedule = profile_iteration(dag, collectives, rails)
         return self._schedule
 
 
@@ -483,26 +642,30 @@ def simulate(dag: EventDag, topo: Topology, policy: Optional[ControlPolicy] = No
         prepared = Prepared(dag, topo, policy.alpha)
     else:
         prepared.check(dag, topo, policy.alpha)
-    c, start, end = prepared.c, prepared.start, prepared.end
     baseline_makespan = prepared.baseline_makespan
     ocs_active = topo.rail_switch.is_ocs and topo.rail_switch.reconfig_delay > 0
     if force_baseline or not ocs_active:
         # Full connectivity (electrical, or free switching): no circuit events.
-        return SimResult(makespan=baseline_makespan,
-                         event_times=Timeline(c, prepared.order, start, end),
+        timeline = Timeline(dag, prepared.order, prepared.start, prepared.end,
+                            prepared.twins)
+        return SimResult(makespan=baseline_makespan, event_times=timeline,
                          reconfig_log=[], overhead_vs_baseline=1.0)
     schedule = prepared.schedule() if policy.provisioning else None
-    engine = _Engine(c, dag, topo, schedule)
-    times, controller, transfers = engine.run()
+    twins = prepared.twins
+    engine = _Engine(prepared.c, dag.groups, topo, schedule)
+    engine.run()
     makespan = max(engine.end, default=0.0)
+    controller = engine.controller
     controller.close(makespan)
+    log = controller.log if twins is None else twins.reconfigs(controller.log)
     return SimResult(
         makespan=makespan,
-        event_times=times,
-        reconfig_log=controller.log,
+        event_times=Timeline(dag, engine.order, engine.start, engine.end, twins),
+        reconfig_log=log,
         overhead_vs_baseline=(makespan / baseline_makespan if baseline_makespan else 1.0),
-        circuit_log=controller.circuit_intervals,
-        transfer_log=transfers,
+        _circuits=controller.circuit_intervals,
+        _transfers=engine.transfer_log,
+        _twins=twins,
     )
 
 

@@ -18,6 +18,19 @@ order, with dependencies as tuples of rows.  The generator, the trace parser,
 the simulator and the writers all work on the columns; `Event` is the row
 record that hand-built DAGs pass to `EventDag.add` and that `dag.events`
 returns.
+
+A generated DAG is rail-symmetric, and the generator records that in
+`EventDag.rail_symmetric`: rail l runs rail 0's schedule on the twin ranks
+(the ranks of the same domains on rail l).  The k-th row whose ranks all sit
+on rail l is the twin of rail 0's k-th such row, with the same kind,
+duration, bytes and collective kind, and the k-th scale-out group of rail l
+(in `groups` order) is the twin of rail 0's k-th.  The only rows whose ranks
+span rails are the TP collectives, which take no circuit.  The simulator
+times a DAG with the record on rail 0 only and copies the timing to the
+other rails.  `EventDag.add` drops the record (so `resolve`, which only
+resolves rows `add` stored, never sees it set); the trace parser and
+hand-built DAGs never set it.  Changing the columns in place voids it too,
+so a DAG whose rows are edited that way must have `rail_symmetric` cleared.
 """
 
 from __future__ import annotations
@@ -70,7 +83,9 @@ class EventDag:
     by row; `index` maps an event id to its row and `groups` holds the
     communication groups.  `deps[i]` is a tuple of the rows event i depends
     on.  `streams[i]` is one stream name when all of the event's ranks issue
-    it on the same stream, else a dict of them by rank.
+    it on the same stream, else a dict of them by rank.  `rail_symmetric`
+    is the generator's record that every rail runs rail 0's schedule (see
+    the module docstring); `add` drops it.
     """
 
     def __init__(self) -> None:
@@ -91,6 +106,7 @@ class EventDag:
         # dependency names, until `resolve` turns them into rows.
         self._unresolved: Dict[int, tuple] = {}
         self._by_rail: Optional[Dict[int, List[int]]] = None
+        self.rail_symmetric = False
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -123,6 +139,7 @@ class EventDag:
         else:
             self._unresolved[i] = tuple(event.deps)
         self._by_rail = None
+        self.rail_symmetric = False
         return i
 
     def resolve(self) -> None:
@@ -457,4 +474,5 @@ def generate_3d_schedule(params: WorkloadParams, topo: Topology) -> EventDag:
     dag.index = {eid: i for i, eid in enumerate(ids)}
     dag.observed_start = [None] * len(ids)
     dag.observed_end = [None] * len(ids)
+    dag.rail_symmetric = True
     return dag

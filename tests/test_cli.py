@@ -348,6 +348,25 @@ class TestIniReader:
         assert message in capsys.readouterr().err
         assert not list(run.iterdir())
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda text: text.replace("reconfig_delay", "reconfig_dealy"),
+         "unknown key 'reconfig_dealy' in [reference_topology]"),
+        (lambda text: text + "\n[bogus]\nbogus_key = 7\n", "unknown section [bogus]"),
+        (lambda text: text.replace("[units]\n", "[units]\nbogus_key = 7\n"),
+         "unknown key 'bogus_key' in [units]"),
+    ], ids=["misspelt key", "extra section", "extra key"])
+    def test_unknown_econ_entry_rejected(self, edit, message, tmp_path, monkeypatch,
+                                         capsys, shipped_econ_path):
+        base = Path(shipped_econ_path).read_text()
+        ini = tmp_path / "econ.ini"
+        ini.write_text(edit(base))
+        run = tmp_path / "run"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        assert main(["econ", "--config", str(ini)]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(run.iterdir())
+
 
 class TestGen:
     def test_deterministic_output(self, scenario, tmp_path):

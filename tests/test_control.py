@@ -272,6 +272,15 @@ class TestController:
         c = Controller(topo, groups)
         assert grant(c, "g", 0.0) == [("g", 0.01)]
 
+    def test_partial_request_waits_for_the_missing_rank(self, topo, rail0_groups):
+        c = Controller(topo, rail0_groups)
+        # Rank 4 of a = [0, 2, 4] has not asked: no scan may grant a.
+        c.request("a", {0: 1.0, 2: 1.0}, False)
+        assert c.scan(1.0, protected=set()) == []
+        assert c.scan(2.0, protected=set()) == []
+        c.request("a", {4: 2.5}, False)
+        assert c.scan(2.5, protected=set()) == [("a", 2.51)]
+
     def test_merged_request_moves_its_barrier(self, topo, rail0_groups):
         c = Controller(topo, rail0_groups)
         c.request("a", {0: 1.0, 2: 1.0, 4: 3.0}, False)
@@ -391,18 +400,22 @@ class TestBarrier:
 
     def check(self, dag, topo, policy):
         prepared = Prepared(dag, topo, policy.alpha)
-        c = prepared.c
+        # The compiled DAG's row of each DAG row: its rail-0 twin's when the
+        # DAG is timed on rail 0 only.
+        twins = prepared.twins
+        row = range(len(dag)) if twins is None else twins.twin
+        circuit = [prepared.c.circuit[k] for k in row]
         times = simulate(dag, topo, policy, prepared=prepared).event_times
         seen = {False: 0, True: 0}
         for i, ranks in enumerate(times.ranks):
             if len(ranks) < 2:
                 continue
             joined = max(times.starts(i).values())
-            if c.circuit[i]:
+            if circuit[i]:
                 assert times.start[i] >= joined
             else:
                 assert times.start[i] == joined
-            seen[c.circuit[i]] += 1
+            seen[circuit[i]] += 1
         return seen
 
     @pytest.mark.parametrize("policy", [REACTIVE, PROVISIONED])

@@ -5,12 +5,13 @@ tracemalloc counts the bytes Python allocates, so the bounds do not depend
 on the allocator or on what the process held before.  Each bound sits about
 halfway between the per-event peak of a design that kept extra copies of
 every event and that of the design that holds each event once.  Measured on
-Python 3.10, 3.11 and 3.12 at these tests' shapes: `sim` plus writer
-629-652 B/event with a gating list per dependency edge and the whole
-timeline.csv text, 409-424 without; the loader 580-616 with a dependents
-list per event for its cycle check (594 on 3.11), 441-474 with the
-depth-first check over `deps` (452 on 3.11); the trace writer 428-438 with
-the whole file's text, 132-135 writing it in chunks.
+Python 3.10, 3.11 and 3.12 at these tests' shapes: the loader 580-616
+B/event with a dependents list per event for its cycle check (594 on 3.11),
+441-474 with the depth-first check over `deps` (452 on 3.11); the trace
+writer 428-438 with the whole file's text, 132-135 writing it in chunks.
+`sim` plus writer, on Python 3.11: 413 B/event compiling and timing every
+rail of the G=4 shape (409-424 on 3.10-3.12), 247 compiling and timing
+rail 0 and copying its times to the other rails.
 """
 
 import gc
@@ -23,7 +24,7 @@ from conftest import CALIBRATION, PROVISIONED, make_params, make_topo
 
 LOAD_TRACE_BYTES_PER_EVENT = 523
 SAVE_TRACE_BYTES_PER_EVENT = 285
-SIM_WRITE_BYTES_PER_EVENT = 530
+SIM_WRITE_BYTES_PER_EVENT = 330
 
 
 def peak_bytes(fn) -> int:
