@@ -11,9 +11,8 @@ from .errors import (ConfigError, ConflictDeadlock, CyclicDependency,
                      DegreeInfeasible, EmptyInput, InvalidNicConfig,
                      InvalidParams, MissingDependency, NotMember, ParseError,
                      RadixExceeded, RailsimError, UnsupportedKind)
-from .model import (CommGroup, NicPortConfig, RailSwitch, Rank, Topology,
-                    TopologySpec, build_topology, make_group, max_gpus,
-                    ports_needed)
+from .model import (CommGroup, NicPortConfig, RailSwitch, Topology, TopologySpec,
+                    build_topology, make_group, max_gpus, ports_needed)
 from .workload import (Event, EventDag, WorkloadParams, generate_3d_schedule,
                        one_f_one_b)
 from .trace import load_trace, loads_trace, save_trace
@@ -34,7 +33,7 @@ __all__ = [
     "InvalidParams", "NotMember", "ParseError", "CyclicDependency",
     "MissingDependency", "UnsupportedKind", "DegreeInfeasible",
     "ConflictDeadlock", "EmptyInput",
-    "NicPortConfig", "RailSwitch", "Rank", "Topology", "TopologySpec",
+    "NicPortConfig", "RailSwitch", "Topology", "TopologySpec",
     "CommGroup", "build_topology", "make_group", "max_gpus", "ports_needed",
     "Event", "EventDag", "WorkloadParams", "generate_3d_schedule", "one_f_one_b",
     "save_trace", "load_trace", "loads_trace",

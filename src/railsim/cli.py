@@ -32,7 +32,7 @@ from .errors import (ConfigError, ConflictDeadlock, CyclicDependency,
                      DegreeInfeasible, EmptyInput, InvalidNicConfig,
                      InvalidParams, MissingDependency, NotMember, ParseError,
                      RadixExceeded, UnsupportedKind)
-from .fabric import ControlPolicy, EventTiming, SimResult, simulate, sweep_delay
+from .fabric import ControlPolicy, SimResult, simulate, sweep_delay
 from .model import Topology, TopologySpec, build_topology
 from .trace import FloatText, load_trace, save_trace
 from .windows import Window, analyze_rail, classify_by_volume, window_cdf
@@ -341,14 +341,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _observed_times(dag: EventDag) -> Dict[str, EventTiming]:
-    """Observed timings of what window analysis reads: scale-out collectives."""
-    ids, start, end = dag.ids, dag.observed_start, dag.observed_end
-    return {ids[i]: EventTiming(start[i], end[i])
-            for rows in dag.scaleout_by_rail().values() for i in rows
-            if start[i] is not None and end[i] is not None}
-
-
 def cmd_windows(args: argparse.Namespace) -> int:
     edges = DEFAULT_CLASS_EDGES
     if args.classes:
@@ -359,7 +351,7 @@ def cmd_windows(args: argparse.Namespace) -> int:
                               f"got {args.classes!r}") from None
     if args.trace:
         dag = load_trace(args.trace)
-        times = _observed_times(dag)
+        start, end = dag.observed_start, dag.observed_end
         rails = sorted({r for g in dag.groups.values() if g.is_scaleout
                         for r in g.rails_touched})
     else:
@@ -368,13 +360,13 @@ def cmd_windows(args: argparse.Namespace) -> int:
         dag = _scenario_dag(scn, topo)
         res = simulate(dag, topo, ControlPolicy(alpha=scn.alpha),
                        force_baseline=True)
-        times = res.event_times
+        start, end = res.event_times.start, res.event_times.end
         rails = list(range(topo.gpus_per_domain))
 
     windows: List[Window] = []
     overlaps = 0
     for rail in rails:
-        rep = analyze_rail(dag, times, rail)
+        rep = analyze_rail(dag, start, end, rail)
         windows.extend(rep.windows)
         overlaps += len(rep.overlaps)
 

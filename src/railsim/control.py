@@ -4,7 +4,9 @@ The paper's shim, which intercepts collective calls and asks for a ring only
 when its group's circuits are not up, is the step of the circuit engine's
 loop (`fabric._Engine.run`) that takes an event whose dependencies are done.
 The first iteration's phase schedule comes
-from `profile_iteration`.  With provisioning enabled, the engine
+from `profile_iteration`, which reads the same per-row start and end lists
+as the window analysis: the caller supplies each row's communication start,
+the slowest member's join.  With provisioning enabled, the engine
 (`fabric._Engine._provision_on_finish`) requests the next phase's rings
 speculatively as soon as the previous phase's traffic completes, so the
 switching delay hides inside the idle window.  The `Controller` realizes
@@ -20,15 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import DegreeInfeasible
 from .model import CommGroup, Topology, ports_needed
-from .windows import comm_start, rail_collectives
+from .windows import Times, rail_collectives
 from .workload import EventDag
-
-if TYPE_CHECKING:
-    from .fabric import EventTiming
 
 
 @dataclass
@@ -46,33 +45,33 @@ class ControlPhase:
     """One entry of a profiled per-rail schedule."""
 
     groups: frozenset
-    events: tuple  # event ids, in start order
+    events: tuple  # DAG rows, in start order
 
 
-def profile_iteration(dag: EventDag, times: Mapping[str, EventTiming],
+def profile_iteration(dag: EventDag, start: Times, end: Times,
                       rails: Sequence[int]) -> Dict[int, List[ControlPhase]]:
-    """Per-rail ordered phase schedule from a first-iteration timeline.
+    """Per-rail ordered phase schedule from a first-iteration timeline:
+    `start` and `end` by DAG row, as `windows.rail_collectives` reads them.
 
     Consecutive collectives join the current phase when their group is already
     part of it or when they overlap the phase in time; otherwise a new phase
     starts.  Idempotent: identical timelines give identical schedules.
     """
     schedule: Dict[int, List[ControlPhase]] = {}
-    ids, group = dag.ids, dag.group
+    group = dag.group
     for rail in rails:
         phases: List[ControlPhase] = []
-        cur_events: List[str] = []
+        cur_events: List[int] = []
         cur_groups: Set[str] = set()
         cur_max_end = float("-inf")
-        for i in rail_collectives(dag, times, rail):
-            eid, g = ids[i], group[i]
-            start = comm_start(times, eid)
-            if cur_events and g not in cur_groups and start >= cur_max_end:
+        for i in rail_collectives(dag, start, end, rail):
+            g = group[i]
+            if cur_events and g not in cur_groups and start[i] >= cur_max_end:
                 phases.append(ControlPhase(frozenset(cur_groups), tuple(cur_events)))
                 cur_events, cur_groups, cur_max_end = [], set(), float("-inf")
-            cur_events.append(eid)
+            cur_events.append(i)
             cur_groups.add(g)
-            cur_max_end = max(cur_max_end, times[eid].end)
+            cur_max_end = max(cur_max_end, end[i])
         if cur_events:
             phases.append(ControlPhase(frozenset(cur_groups), tuple(cur_events)))
         schedule[rail] = phases
@@ -151,9 +150,6 @@ class Controller:
         rail = next(iter(g.rails_touched))
         p = self.pending[gid] = _Pending(dict(times), gid, speculative, g.members)
         self.queue.setdefault(rail, []).append(p)
-
-    def has_pending(self, gid: str) -> bool:
-        return gid in self.pending
 
     def scan(self, now: float, protected: Set[str]) -> List[Tuple[str, float]]:
         """Serve eligible requests in FC-FS order; returns (group, ready_time).

@@ -443,8 +443,8 @@ class _Engine:
         for rail, phases in self.schedule.items():
             for k, ph in enumerate(phases):
                 self.phase_left[(rail, k)] = len(ph.events)
-                for e in ph.events:
-                    self.phase_of[c.index[e]] = (rail, k)
+                for i in ph.events:
+                    self.phase_of[i] = (rail, k)
 
     def _push(self, t: float, entry: Optional[int]) -> None:
         entries = self.calendar.get(t)
@@ -607,14 +607,9 @@ class Prepared:
         """The provisioning profiler's per-rail phase schedule (rail 0's
         alone when the DAG is timed on rail 0 only)."""
         if self._schedule is None:
-            dag, start, end = self.dag, self.start, self.end
-            by_rail = dag.scaleout_by_rail()
             rails = range(self._topo.num_rails) if self.twins is None else (0,)
-            # The profiler reads the start and end of scale-out collectives
-            # only; at full connectivity every rank has joined by the start.
-            collectives = {dag.ids[i]: EventTiming(start[i], end[i])
-                           for rail in rails for i in by_rail.get(rail, ())}
-            self._schedule = profile_iteration(dag, collectives, rails)
+            # At full connectivity every rank has joined by the start.
+            self._schedule = profile_iteration(self.dag, self.start, self.end, rails)
         return self._schedule
 
 

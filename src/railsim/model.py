@@ -37,10 +37,6 @@ class NicPortConfig:
         if self.per_port_bandwidth <= 0:
             raise InvalidNicConfig("per-port bandwidth must be positive")
 
-    @property
-    def total_bandwidth(self) -> float:
-        return self.ports * self.per_port_bandwidth
-
 
 @dataclass(frozen=True)
 class RailSwitch:
@@ -63,13 +59,6 @@ class RailSwitch:
 
 
 @dataclass(frozen=True)
-class Rank:
-    global_id: int
-    domain: int
-    local_rank: int  # == rail id
-
-
-@dataclass(frozen=True)
 class Topology:
     num_domains: int  # D
     gpus_per_domain: int  # G == number of rails
@@ -84,10 +73,6 @@ class Topology:
     @property
     def num_rails(self) -> int:
         return self.gpus_per_domain
-
-    def rank(self, global_id: int) -> Rank:
-        g = self.gpus_per_domain
-        return Rank(global_id, global_id // g, global_id % g)
 
     def rank_id(self, domain: int, local_rank: int) -> int:
         return domain * self.gpus_per_domain + local_rank
@@ -112,10 +97,6 @@ class TopologySpec:
     rail_switch_kind: str = ELECTRICAL
     reconfig_delay: float = 0.0
     radix: int = 0
-
-
-# Parallelism axes a communication group can belong to.
-AXES = ("TP", "DP", "FSDP", "PP", "CP", "EP", "SYNC")
 
 
 @dataclass(frozen=True)

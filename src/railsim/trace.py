@@ -16,6 +16,11 @@ read yet are kept by name, until the closing pass resolves them.  Repeated
 strings (kind, stream, coll_kind, group_id) and one-rank tuples are shared
 between rows, and each distinct rank text is converted once.
 
+A collective's observed start and end are the latest over its records, so
+its start is the join of its slowest member rank whatever the record order;
+a compute event keeps its first record's times, and its duration is that
+record's end minus its start.
+
 A record that repeats the record before it on another rank (same event id
 and the same text after the stream, as a collective's per-rank records are
 written) passed every check of that text already: the parser reads only its
@@ -217,6 +222,11 @@ def _parse(f) -> EventDag:
             elif (kind, coll_kind, group_id) != (kinds[i], coll_kinds[i], groups[i]):
                 raise ParseError(f"record of {eid} disagrees with its first record on "
                                  "kind, coll_kind or group_id", lineno)
+            elif kind == COLLECTIVE:  # keep the latest start and end over its records
+                if start is not None and (starts[i] is None or start > starts[i]):
+                    starts[i] = start
+                if end is not None and (ends[i] is None or end > ends[i]):
+                    ends[i] = end
             rows = []
             if deps_s:
                 for d in deps_s.split(";"):

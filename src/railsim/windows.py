@@ -8,29 +8,33 @@ and P2 is
     window = [ max over c in P1 of end(c),  min over c in P2 of start(c) ]
 
 where a collective's start is the join time of its slowest member rank.
-Negative gaps mean the phases overlap and are reported separately, not as
-windows.  A rail's collectives come from `EventDag.scaleout_by_rail`, which
-buckets them by rail once per DAG, so analysing one rail reads only that
-rail's rows.
+The caller supplies that start and the end of every row in two lists
+indexed by DAG row: a full-connectivity run's `Timeline.start` (the latest
+end among the dependencies) or a trace's `observed_start` (the parser keeps
+the latest over a collective's records).  A row whose start or end is None
+is not covered.  Negative gaps mean the phases overlap and are reported
+separately, not as windows.  A rail's collectives come from
+`EventDag.scaleout_by_rail`, which buckets them by rail once per DAG, so
+analysing one rail reads only that rail's rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EmptyInput, InvalidParams
 from .workload import EventDag
 
-if TYPE_CHECKING:
-    from .fabric import EventTiming
+# Per-row times: a row's communication start, or its end; None where unknown.
+Times = Sequence[Optional[float]]
 
 
 @dataclass
 class Phase:
     id: str
     groups: frozenset  # CommGroup ids
-    events: tuple  # ordered event ids
+    events: tuple  # DAG rows, in communication-start order
     axis: str = ""
     kind: str = ""
 
@@ -61,43 +65,30 @@ class WindowReport:
     overlaps: List[Overlap] = field(default_factory=list)
 
 
-def comm_start(times: Mapping[str, EventTiming], eid: str) -> float:
-    """Join time of the slowest member rank."""
-    t = times[eid]
-    starts = t.starts
-    if starts:
-        return max(starts.values())
-    return t.start
-
-
-def rail_collectives(dag: EventDag, times: Mapping[str, EventTiming], rail: int) -> List[int]:
-    """Rows of the scale-out collectives on `rail` that `times` covers,
-    ordered by communication start, then id."""
+def rail_collectives(dag: EventDag, start: Times, end: Times, rail: int) -> List[int]:
+    """Rows of the scale-out collectives on `rail` that `start` and `end`
+    cover, ordered by communication start, then id."""
     ids = dag.ids
-    keyed = []
-    for i in dag.scaleout_by_rail().get(rail, ()):
-        eid = ids[i]
-        if eid in times:
-            keyed.append((comm_start(times, eid), eid, i))
+    keyed = [(start[i], ids[i], i) for i in dag.scaleout_by_rail().get(rail, ())
+             if start[i] is not None and end[i] is not None]
     keyed.sort()
     return [i for _, _, i in keyed]
 
 
-def segment_phases(dag: EventDag, times: Mapping[str, EventTiming], rail: int) -> List[Phase]:
+def segment_phases(dag: EventDag, start: Times, end: Times, rail: int) -> List[Phase]:
     """Split a rail's collectives into parallelism phases."""
     phases: List[Phase] = []
     current: List[int] = []
     key = None
-    ids, group, coll_kind = dag.ids, dag.group, dag.coll_kind
+    group, coll_kind = dag.group, dag.coll_kind
 
     def flush():
         if current:
             phases.append(Phase(id=f"rail{rail}.ph{len(phases)}",
                                 groups=frozenset(group[i] for i in current),
-                                events=tuple(ids[i] for i in current),
-                                axis=key[0], kind=key[1]))
+                                events=tuple(current), axis=key[0], kind=key[1]))
 
-    for i in rail_collectives(dag, times, rail):
+    for i in rail_collectives(dag, start, end, rail):
         k = (dag.groups[group[i]].axis, coll_kind[i])
         if k != key:
             flush()
@@ -108,16 +99,16 @@ def segment_phases(dag: EventDag, times: Mapping[str, EventTiming], rail: int) -
     return phases
 
 
-def analyze_rail(dag: EventDag, times: Mapping[str, EventTiming], rail: int) -> WindowReport:
+def analyze_rail(dag: EventDag, start: Times, end: Times, rail: int) -> WindowReport:
     """Windows (and overlaps) between each consecutive phase pair on `rail`."""
     report = WindowReport()
-    phases = segment_phases(dag, times, rail)
-    index = dag.index
+    phases = segment_phases(dag, start, end, rail)
+    nbytes, ranks = dag.bytes, dag.ranks
     for p1, p2 in zip(phases, phases[1:]):
-        w_start = max(times[e].end for e in p1.events)
-        w_end = min(comm_start(times, e) for e in p2.events)
+        w_start = max(end[i] for i in p1.events)
+        w_end = min(start[i] for i in p2.events)
         if w_end >= w_start:
-            volume = sum(dag.bytes[index[e]] * len(dag.ranks[index[e]]) for e in p2.events)
+            volume = sum(nbytes[i] * len(ranks[i]) for i in p2.events)
             report.windows.append(Window(rail=rail, before_phase=p1.id, after_phase=p2.id,
                                          start=w_start, end=w_end, size=w_end - w_start,
                                          next_volume_bytes=volume))

@@ -11,7 +11,12 @@ under a one-forward-one-backward (1F1B) microbatch schedule:
   * TP collectives that consume only scale-up bandwidth.
 
 Events carry explicit dependency edges, including per-rank stream-order
-edges, so a DAG round-trips through the trace format unchanged.
+edges, so the trace format keeps a DAG's events, groups and edges.  It does
+not keep every duration bit for bit: the parser takes a compute event's
+duration as its observed end minus its observed start, which can differ
+from the generated duration in the last bits (1.3055989999999997 against
+1.305599), so `sim` on a trace that `gen` wrote can differ from `sim` on
+the generated DAG in the last digits of its times.
 
 An `EventDag` is one set of parallel columns, a row per event in insertion
 order, with dependencies as tuples of rows.  The generator, the trace parser,

@@ -112,7 +112,10 @@ def test_criterion_2_window_oracle(capfd):
             starts = {r: start + rng.uniform(0, 3) for r in g.members}
             end = max(starts.values()) + rng.uniform(0, 5)
             times[ev.id] = EventTiming(start, end, starts)
-        rep = analyze_rail(dag, times, 0)
+        # The caller supplies each row's communication start: its slowest
+        # rank's join.
+        rep = analyze_rail(dag, [max(times[e].starts.values()) for e in dag.ids],
+                           [times[e].end for e in dag.ids], 0)
         expected = brute_force_windows(dag, times, 0)
         got = [(w.start, w.end) for w in rep.windows] + \
               [(o.magnitude,) for o in rep.overlaps]
@@ -140,7 +143,8 @@ def test_criterion_3_window_count_bound(capfd):
                 res = simulate(dag, topo, REACTIVE)  # zero switching delay
                 bound = eq1_bound(pp, n_layer, m, False, False)
                 for rail in range(topo.num_rails):
-                    n = len(analyze_rail(dag, res.event_times, rail).windows)
+                    n = len(analyze_rail(dag, res.event_times.start,
+                                         res.event_times.end, rail).windows)
                     if n / bound > worst[0] / worst[1]:
                         worst = (n, bound, (pp, n_layer, m, rail))
                     if n > bound:
@@ -196,8 +200,9 @@ def test_criterion_6_overheads_at_100ms(capfd, scenario):
     windows = []
     pre_rs = []
     for rail in range(topo.num_rails):
-        phases = segment_phases(dag, base.event_times, rail)
-        rep = analyze_rail(dag, base.event_times, rail)
+        start, end = base.event_times.start, base.event_times.end
+        phases = segment_phases(dag, start, end, rail)
+        rep = analyze_rail(dag, start, end, rail)
         rs_ids = {ph.id for ph in phases if ph.kind == "ReduceScatter"}
         windows.extend(rep.windows)
         pre_rs.extend(w for w in rep.windows if w.after_phase in rs_ids)

@@ -378,15 +378,20 @@ class TestGen:
 
 class TestWindows:
     def test_scenario_and_trace_agree(self, scenario, tmp_path, capsys):
-        trace = tmp_path / "trace.csv"
-        assert main(["gen", "--scenario", scenario, "--out", str(trace)]) == 0
-        d1, d2 = tmp_path / "w1", tmp_path / "w2"
-        assert main(["windows", "--scenario", scenario,
-                     "--out-dir", str(d1)]) == 0
-        assert main(["windows", "--trace", str(trace),
-                     "--out-dir", str(d2)]) == 0
-        assert (d1 / "windows.csv").read_bytes() == (d2 / "windows.csv").read_bytes()
-        assert (d1 / "cdf.csv").read_bytes() == (d2 / "cdf.csv").read_bytes()
+        # The small 4x4 shape, the shipped scenario (24 windows on 4 rails)
+        # and a 4x1 shape whose only rail carries every scale-out collective.
+        one_rail = tmp_path / "one_rail.ini"
+        one_rail.write_text(SCENARIO.replace("gpus_per_domain = 4", "gpus_per_domain = 1")
+                            .replace("tp = 4", "tp = 1"))
+        for k, ini in enumerate((scenario, DEFAULT_SCENARIO, str(one_rail))):
+            trace = tmp_path / f"trace{k}.csv"
+            assert main(["gen", "--scenario", ini, "--out", str(trace)]) == 0
+            d1, d2 = tmp_path / f"w{k}s", tmp_path / f"w{k}t"
+            assert main(["windows", "--scenario", ini, "--out-dir", str(d1)]) == 0
+            assert main(["windows", "--trace", str(trace), "--out-dir", str(d2)]) == 0
+            assert len((d1 / "windows.csv").read_text().splitlines()) > 1, ini
+            for name in ("windows.csv", "cdf.csv"):
+                assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), (ini, name)
 
     def test_no_windows_message(self, tmp_path, capsys):
         trace = tmp_path / "one.csv"

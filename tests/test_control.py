@@ -5,9 +5,8 @@ port-level circuit controller."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from railsim import (Controller, DegreeInfeasible, EventDag, EventTiming,
-                     generate_3d_schedule, loads_trace, make_group,
-                     profile_iteration, simulate)
+from railsim import (Controller, DegreeInfeasible, EventDag, generate_3d_schedule,
+                     loads_trace, make_group, profile_iteration, simulate)
 from railsim.fabric import Prepared
 from railsim.workload import COLLECTIVE, COMPUTE, Event
 
@@ -81,24 +80,21 @@ class TestShim:
 class TestProfiler:
     def make_timeline(self, topo):
         dag = generate_3d_schedule(make_params(), topo)
-        times, t = {}, 0.0
-        for eid in dag.events:
-            times[eid] = EventTiming(t, t + 0.4)
-            t += 1.0
-        return dag, times
+        start = [float(i) for i in range(len(dag))]
+        return dag, start, [t + 0.4 for t in start]
 
     def test_idempotent(self):
         topo = make_topo()
-        dag, times = self.make_timeline(topo)
-        s1 = profile_iteration(dag, times, range(topo.num_rails))
-        s2 = profile_iteration(dag, times, range(topo.num_rails))
+        dag, start, end = self.make_timeline(topo)
+        s1 = profile_iteration(dag, start, end, range(topo.num_rails))
+        s2 = profile_iteration(dag, start, end, range(topo.num_rails))
         assert s1 == s2
 
     def test_phases_cover_all_rail_collectives(self):
         topo = make_topo()
-        dag, times = self.make_timeline(topo)
-        sched = profile_iteration(dag, times, [0])
-        seen = [e for ph in sched[0] for e in ph.events]
+        dag, start, end = self.make_timeline(topo)
+        sched = profile_iteration(dag, start, end, [0])
+        seen = [dag.ids[i] for ph in sched[0] for i in ph.events]
         expected = [eid for eid, ev in dag.events.items()
                     if ev.kind == COLLECTIVE
                     and dag.groups[ev.group].is_scaleout
@@ -114,10 +110,8 @@ class TestProfiler:
         dag.add(coll("e1", "a", [0, 2]))
         dag.add(coll("e2", "b", [4, 6]))  # overlaps e1 in time
         dag.add(coll("e3", "d", [0, 4]))  # later, new group: new phase
-        times = {"e1": EventTiming(0.0, 2.0), "e2": EventTiming(1.0, 3.0),
-                 "e3": EventTiming(5.0, 6.0)}
-        sched = profile_iteration(dag, times, [0])
-        assert [ph.events for ph in sched[0]] == [("e1", "e2"), ("e3",)]
+        sched = profile_iteration(dag, [0.0, 1.0, 5.0], [2.0, 3.0, 6.0], [0])
+        assert [ph.events for ph in sched[0]] == [(0, 1), (2,)]  # e1, e2 | e3
 
 
 class TestProvision:
@@ -173,7 +167,7 @@ class TestController:
         # Ranks 0 and 2 ask at t=1, rank 4 only at t=3: nothing happens at 1.
         c.request("a", {0: 1.0, 2: 1.0, 4: 3.0}, False)
         assert c.scan(1.0, protected=set()) == []
-        assert c.has_pending("a")
+        assert "a" in c.pending
         # The last rank's request completes the barrier.
         assert c.scan(3.0, protected=set()) == [("a", 3.01)]
 
@@ -187,7 +181,7 @@ class TestController:
         assert [g for g, _ in grants] == ["b"]
         # a stays queued while b's ports are still switching; the next scan
         # after the switch completes evicts b and serves a.
-        assert c.has_pending("a")
+        assert "a" in c.pending
         grants = c.scan(2.01, protected=set())
         assert [g for g, _ in grants] == ["a"]
         assert c.group_up("a", 2.03)
@@ -199,7 +193,7 @@ class TestController:
         c.mark_busy("a", 0.02, 5.0)
         # Both ports of ranks 2 and 4 carry traffic until t=5: c cannot form.
         assert grant(c, "c", 1.0) == []
-        assert c.has_pending("c")
+        assert "c" in c.pending
         grants = c.scan(5.0, protected=set())
         assert [g for g, _ in grants] == ["c"]
         assert grants[0][1] == pytest.approx(5.01)
@@ -375,7 +369,7 @@ class TestPending:
             assert sum(map(len, c.queue.values())) == len(queued)  # one per group
             assert c.pending == queued
             for gid in TestMarkBusy.GROUPS:
-                assert c.has_pending(gid) == (gid in queued)
+                assert (gid in c.pending) == (gid in queued)
 
 
 # 4 domains x 2 GPUs, rank r in domain r // 2 on rail r % 2.  b (rank 4)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from railsim import (EmptyInput, EventDag, EventTiming, InvalidParams,
                      Window, analyze_rail, classify_by_volume, eq1_bound,
                      generate_3d_schedule, segment_phases, simulate, window_cdf)
+from railsim.cli import main
 from railsim.workload import COLLECTIVE, Event
 
 from conftest import make_params, make_topo
@@ -29,52 +30,65 @@ def two_phase_dag():
     return dag
 
 
+# Rows 0 (ag) and 1 (rs) of `two_phase_dag` as trace records, rs's four
+# ranks joining at 6.5, 9.0, 8.0 and 7.0 s.
+STRAGGLER_TRACE = """\
+event_id,rank,stream,kind,coll_kind,group_id,bytes,dep_ids,observed_start_s,observed_end_s
+#group,g,DP,0;1;2;3,0
+{ag}
+{rs}
+"""
+STRAGGLER_AG = [f"ag,{r},dp,collective,AllGather,g,50,,1.0,5.0" for r in range(4)]
+STRAGGLER_RS = [f"rs,{r},dp,collective,ReduceScatter,g,200,,{t},12.0"
+                for r, t in enumerate(("6.5", "9.0", "8.0", "7.0"))]
+
+
 class TestHandExamples:
     def test_simple_window(self):
         dag = two_phase_dag()
-        times = {"ag": EventTiming(1.0, 5.0), "rs": EventTiming(9.0, 12.0)}
-        rep = analyze_rail(dag, times, 0)
+        rep = analyze_rail(dag, [1.0, 9.0], [5.0, 12.0], 0)
         assert len(rep.windows) == 1 and not rep.overlaps
         w = rep.windows[0]
         assert (w.start, w.end, w.size) == (5.0, 9.0, 4.0)
         assert w.next_volume_bytes == 200 * 4
 
-    def test_straggler_extends_window(self):
+    def test_straggler_extends_window(self, tmp_path, capsys):
         # An event's communication start is its slowest rank's join time, so
-        # the window runs to 9.0 even though rank 1 joined at 6.5.
-        dag = two_phase_dag()
-        times = {"ag": EventTiming(1.0, 6.0),
-                 "rs": EventTiming(6.5, 12.0, {0: 9.0, 1: 6.5, 2: 8.0, 3: 7.0})}
-        rep = analyze_rail(dag, times, 0)
-        assert len(rep.windows) == 1
-        assert (rep.windows[0].start, rep.windows[0].end) == (6.0, 9.0)
+        # the window runs to 9.0 even though rank 0 joined at 6.5, in either
+        # record order.
+        for order in (1, -1):
+            trace = tmp_path / "straggler.csv"
+            trace.write_text(STRAGGLER_TRACE.format(ag="\n".join(STRAGGLER_AG),
+                                                    rs="\n".join(STRAGGLER_RS[::order])))
+            assert main(["windows", "--trace", str(trace), "--out-dir", str(tmp_path)]) == 0
+            rows = (tmp_path / "windows.csv").read_text().splitlines()[1:]
+            assert [row.split(",")[:3] for row in rows] == [["0", "5.0", "9.0"]], order
 
     def test_overlap_reported(self):
         dag = two_phase_dag()
-        times = {"ag": EventTiming(1.0, 7.0), "rs": EventTiming(5.0, 12.0)}
-        rep = analyze_rail(dag, times, 0)
+        rep = analyze_rail(dag, [1.0, 5.0], [7.0, 12.0], 0)
         assert not rep.windows
         assert len(rep.overlaps) == 1
         assert rep.overlaps[0].magnitude == pytest.approx(2.0)
 
     def test_zero_width_window_counts(self):
         dag = two_phase_dag()
-        times = {"ag": EventTiming(1.0, 5.0), "rs": EventTiming(5.0, 12.0)}
-        rep = analyze_rail(dag, times, 0)
+        rep = analyze_rail(dag, [1.0, 5.0], [5.0, 12.0], 0)
         assert len(rep.windows) == 1 and rep.windows[0].size == 0.0
+
+    def test_uncovered_rows_skipped(self):
+        dag = two_phase_dag()
+        assert segment_phases(dag, [1.0, None], [5.0, 12.0], 0)[0].events == (0,)
+        assert segment_phases(dag, [1.0, 9.0], [None, 12.0], 0)[0].events == (1,)
 
     def test_phases_split_on_axis_and_kind(self):
         topo = make_topo()
         dag = generate_3d_schedule(make_params(), topo)
-        times = {}
-        t = 0.0
-        for eid, ev in dag.events.items():
-            times[eid] = EventTiming(t, t + 0.5)
-            t += 1.0
-        phases = segment_phases(dag, times, 0)
+        start = [float(i) for i in range(len(dag))]
+        end = [t + 0.5 for t in start]
+        phases = segment_phases(dag, start, end, 0)
         for ph in phases:
-            kinds = {(dag.groups[dag.events[e].group].axis, dag.events[e].coll_kind)
-                     for e in ph.events}
+            kinds = {(dag.groups[dag.group[i]].axis, dag.coll_kind[i]) for i in ph.events}
             assert len(kinds) == 1
         for p1, p2 in zip(phases, phases[1:]):
             assert (p1.axis, p1.kind) != (p2.axis, p2.kind)
@@ -95,20 +109,16 @@ class TestRailBuckets:
         timeline = simulate(dag, topo, force_baseline=True).event_times
         seen = set()
 
-        class Recording(dict):
-            def __contains__(self, eid):
-                seen.add(eid)
-                return super().__contains__(eid)
+        class Recording(list):
+            def __getitem__(self, i):
+                seen.add(i)
+                return super().__getitem__(i)
 
-            def __getitem__(self, eid):
-                seen.add(eid)
-                return super().__getitem__(eid)
-
-        times = Recording(timeline)
+        start, end = Recording(timeline.start), Recording(timeline.end)
         for rail in range(topo.num_rails):
             seen.clear()
-            assert analyze_rail(dag, times, rail).windows
-            rails = {r for e in seen for r in dag.groups[dag.events[e].group].rails_touched}
+            assert analyze_rail(dag, start, end, rail).windows
+            rails = {r for i in seen for r in dag.groups[dag.group[i]].rails_touched}
             assert rails == {rail}
 
 
@@ -158,7 +168,11 @@ class TestOracle:
                 times[eid] = EventTiming(
                     start, max(starts.values()) + rng.uniform(0.01, 10), starts)
             rail = trial % topo.num_rails
-            rep = analyze_rail(dag, times, rail)
+            # The caller supplies each row's communication start: its
+            # slowest rank's join.
+            start = [max(times[eid].starts.values()) for eid in dag.ids]
+            end = [times[eid].end for eid in dag.ids]
+            rep = analyze_rail(dag, start, end, rail)
             expected = self.brute_force(dag, times, rail)
             got_windows = [(w.start, w.end) for w in rep.windows]
             got_overlaps = [o.magnitude for o in rep.overlaps]

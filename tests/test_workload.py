@@ -488,8 +488,11 @@ class TestTrace:
         dag = loads_trace(HEADER + "#group,g,DP,0;2,0\n"
                           "c,0,dp,collective,AllGather,g,100,,0.0,1.0\n"
                           "c,2,dp,collective,AllGather,g,200,,0.5,1.5\n")
+        # Bytes are the first record's; the observed start and end are the
+        # latest over the records, so the start is the slowest rank's join.
         ev = dag.events["c"]
-        assert (ev.bytes, ev.observed_start, ev.rank_set) == (100, 0.0, (0, 2))
+        assert (ev.bytes, ev.observed_start, ev.observed_end, ev.rank_set) == \
+            (100, 0.5, 1.5, (0, 2))
 
     def test_stream_order_skips_records_without_a_start(self):
         # b has no observed start; c is checked against a's.
