@@ -366,8 +366,10 @@ def cmd_windows(args: argparse.Namespace) -> int:
     windows: List[Window] = []
     overlaps = 0
     for rail in rails:
-        rep = analyze_rail(dag, start, end, rail)
-        windows.extend(rep.windows)
+        # Every rail of a DAG that holds rail 0 has rail 0's windows.
+        if dag.rails == 1 or not rail:
+            rep = analyze_rail(dag, start, end, rail)
+        windows += [w if w.rail == rail else replace(w, rail=rail) for w in rep.windows]
         overlaps += len(rep.overlaps)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -399,22 +401,32 @@ def _write_sim_outputs(res: SimResult, out_dir: str) -> None:
     """Write timeline.csv (one row per event and rank, by event id) and
     reconfig.csv.  Timeline rows are written in chunks of
     `TIMELINE_CHUNK_ROWS` as they are formatted, so the file's text is never
-    held whole."""
+    held whole.  The DAG's rows go by id, each row's twins together in the
+    text order of their rails, which orders every rail's ids (see the
+    `workload` module); a twin's per-rank joins are its row's, each rank
+    moved to the twin's rail."""
     os.makedirs(out_dir, exist_ok=True)
     timeline = res.event_times
-    ids, ranks, start, end = timeline.ids, timeline.ranks, timeline.start, timeline.end
+    dag, start, end = timeline.dag, timeline.start, timeline.end
+    ids, ranks, spans = dag.ids, dag.ranks, dag.spans
+    rails = sorted(range(dag.rails), key=str)
+    tails = [str(l) for l in range(dag.rails)]
     text = FloatText()
     with open(os.path.join(out_dir, "timeline.csv"), "w", encoding="utf-8",
               newline="\n") as f:
         rows = ["event_id,rank,start_s,end_s"]
-        for i in sorted(timeline.order, key=ids.__getitem__):
-            eid, rs, e = ids[i], ranks[i], text[end[i]]
+        for i in sorted(range(len(ids)), key=ids.__getitem__):
+            rs, e = ranks[i], text[end[i]]
             if len(rs) == 1:  # one rank joins when the event starts
-                rows.append(f"{eid},{rs[0]},{text[start[i]]},{e}")
+                joins = ((rs[0], text[start[i]]),)
             else:
                 starts = timeline.starts(i)
-                for rank in sorted(starts):
-                    rows.append(f"{eid},{rank},{text[starts[rank]]},{e}")
+                joins = [(rank, text[starts[rank]]) for rank in sorted(starts)]
+            eid, head = ids[i], ids[i][:-1]
+            for l in (0,) if i in spans else rails:
+                twin_id = head + tails[l] if l else eid
+                for rank, t in joins:
+                    rows.append(f"{twin_id},{rank + l},{t},{e}")
             if len(rows) >= TIMELINE_CHUNK_ROWS:
                 f.write("\n".join(rows) + "\n")
                 rows.clear()

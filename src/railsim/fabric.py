@@ -22,17 +22,17 @@ ranks differ from its group's members, and a scale-out group that does not
 sit on exactly its one declared rail.  Timing the electrical longest path
 rejects a dependency cycle.
 
-A DAG with the generator's `rail_symmetric` record and two or more rails is
-compiled and timed on rail 0 only (`_Twins`): rail 0's rows and the TP rows
-that span rails, each dependency on another rail's row pointing to its
-rail-0 twin.  Rails share no port, group or controller queue, so every rail
-sees rail 0's grants and times.  The run's result copies each row's start
-and end from its twin, and each log entry to every rail with group ids,
-ranks and rails mapped to the twins (the circuit and transfer logs on first
-access).  Such a run's start order and logs list twins together, rail by
-rail, where a run of every rail would interleave them; as multisets they
-are the same.  Traces, hand-built DAGs and one-rail DAGs are timed row by
-row.
+A generated DAG holds rail 0's rows and the TP rows that span rails, each
+other row standing for its twin on every rail (`EventDag.rails`).  Rails
+share no port, group or controller queue, so every rail sees rail 0's
+grants and times: the DAG is compiled and timed as it is held, and each row's
+start and end are those of its twins.  A run's result copies each log
+entry to every rail, with group and event ids, ranks and rails mapped to
+the twins (the circuit and transfer logs on first access).  Such a run's
+start order and logs list twins together, rail by rail, where a run of
+every row would interleave them; as multisets they are the same.  Traces,
+hand-built DAGs and DAGs after `EventDag.add` hold every row and are timed
+row by row.
 
 An event starts once its last dependency has finished.  Per-rank join times
 (`_joins`: a rank joins at the latest end among the dependencies that
@@ -49,13 +49,13 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .control import Controller, ReconfigLogEntry, profile_iteration
 from .errors import ConflictDeadlock, CyclicDependency, NotMember, UnsupportedKind
 from .model import CommGroup, Topology
 from .workload import (ALLGATHER, ALLREDUCE, COLLECTIVE, REDUCESCATTER, SENDRECV,
-                       EventDag)
+                       EventDag, twin)
 
 
 def collective_time(kind: str, bytes_per_rank: int, n: int, bandwidth: float,
@@ -98,9 +98,9 @@ class EventTiming:
 class SimResult:
     """One run's makespan, timing and logs.
 
-    `circuit_log` and `transfer_log` are built on first access: a run timed
-    on rail 0 only (`_Twins`) keeps rail 0's logs and copies them to the
-    other rails then.
+    `circuit_log` and `transfer_log` are built on first access: a run of a
+    DAG that holds one rail keeps rail 0's logs and copies them to the
+    other `_rails` then.
     """
 
     makespan: float
@@ -109,21 +109,25 @@ class SimResult:
     overhead_vs_baseline: Optional[float] = None
     _circuits: list = field(default_factory=list, repr=False)  # as the engine logged them
     _transfers: list = field(default_factory=list, repr=False)
-    _twins: Optional[_Twins] = field(default=None, repr=False)
+    _rails: int = field(default=1, repr=False)
 
     @cached_property
     def circuit_log(self) -> list:
         """(rail, rank, port, group, up, down) of every circuit."""
-        if self._twins is None:
+        if self._rails == 1:
             return self._circuits
-        return self._twins.circuits(self._circuits)
+        return [(rail, rank + rail, port, twin(gid, rail), up, down)
+                for _, rank, port, gid, up, down in self._circuits
+                for rail in range(self._rails)]
 
     @cached_property
     def transfer_log(self) -> list:
         """(event, rank, port, start, end) of every transfer."""
-        if self._twins is None:
+        if self._rails == 1:
             return self._transfers
-        return self._twins.transfers(self._transfers)
+        return [(twin(eid, rail), rank + rail, port, start, end)
+                for eid, rank, port, start, end in self._transfers
+                for rail in range(self._rails)]
 
 
 def _check_groups(dag: EventDag, topo: Topology) -> Dict[str, Set[int]]:
@@ -140,123 +144,34 @@ def _check_groups(dag: EventDag, topo: Topology) -> Dict[str, Set[int]]:
     return members
 
 
-class _Twins:
-    """How the rail-symmetric `dag` maps onto rail 0 (see
-    `EventDag.rail_symmetric`).
-
-    `rows` are the rows a run times, in row order: rail 0's and those whose
-    ranks span rails.  `twin[i]` is the timed row that row i copies: itself,
-    or its rail-0 twin.  `copies[i]` of a timed row i is the rows that copy
-    it, rail by rail (itself alone for a row spanning rails).  `spans` are
-    the rows spanning rails, and `groups[gid]` is rail-0 group gid's twins
-    by rail.  Rank r on rail 0 sits in domain r // G, so its twin on rail l
-    is r + l.
-    """
-
-    __slots__ = ("dag", "rows", "twin", "copies", "spans", "groups")
-
-    def __init__(self, dag: EventDag, rails: int):
-        self.dag = dag
-        by_rail: List[List[int]] = [[] for _ in range(rails)]
-        self.rows, self.spans = rows, spans = [], []
-        for i, rs in enumerate(dag.ranks):
-            rail = rs[0] % rails
-            if rs[-1] % rails != rail:
-                rows.append(i)
-                spans.append(i)
-                continue
-            by_rail[rail].append(i)
-            if not rail:
-                rows.append(i)
-        n = len(dag.ranks)
-        self.twin = twin = list(range(n))
-        rail0 = by_rail[0]
-        for others in by_rail[1:]:
-            for i, j in zip(others, rail0):
-                twin[i] = j
-        self.copies = copies = [()] * n
-        for i in spans:
-            copies[i] = (i,)
-        for same in zip(*by_rail):
-            copies[same[0]] = same
-        groups: List[List[str]] = [[] for _ in range(rails)]
-        for gid, g in dag.groups.items():
-            if g.is_scaleout:
-                groups[g.members[0] % rails].append(gid)
-        self.groups = {gids[0]: gids for gids in zip(*groups)}
-
-    def timing(self, order: List[int], start: List[float],
-               end: List[float]) -> Tuple[List[int], List[float], List[float]]:
-        """Every row's start order, start and end from the timed rows'."""
-        copies, twin = self.copies, self.twin
-        return ([i for k in order for i in copies[k]],
-                [start[k] for k in twin], [end[k] for k in twin])
-
-    def stuck(self, order: List[int]) -> int:
-        """Events that a run which started the timed rows `order` left out."""
-        copies = self.copies
-        return len(self.twin) - sum(len(copies[k]) for k in order)
-
-    def reconfigs(self, log: List[ReconfigLogEntry]) -> List[ReconfigLogEntry]:
-        groups = self.groups
-        return [ReconfigLogEntry(e.time, rail, gid, e.speculative, e.delay, e.ports_changed)
-                for e in log for rail, gid in enumerate(groups[e.group])]
-
-    def circuits(self, log: List[tuple]) -> List[tuple]:
-        groups = self.groups
-        return [(rail, rank + rail, port, gid, up, down)
-                for _, rank, port, g, up, down in log
-                for rail, gid in enumerate(groups[g])]
-
-    def transfers(self, log: List[tuple]) -> List[tuple]:
-        copies, ids, index = self.copies, self.dag.ids, self.dag.index
-        return [(ids[i], rank + rail, port, start, end)
-                for eid, rank, port, start, end in log
-                for rail, i in enumerate(copies[index[eid]])]
-
-
 class _CompiledDag:
     """What simulating one EventDag on one topology needs beyond its columns.
 
-    Events keep their DAG rows, numbered in insertion order; `ids`, `index`,
+    Events keep their DAG rows, numbered in insertion order; `ids`,
     `ranks`, `deps` and the durations of compute events come from the DAG.
-    `rows` are the rows a run times: every row, or with `twins` rail 0's and
-    those spanning rails, whose dependencies on another rail's row then
-    point to its rail-0 twin (each once); `twins` is kept.  The other rows' entries are
-    unused.  `dependents` lists are in row order: the engine's push order,
-    and with it every controller decision, depends on it.  A dependency
-    naming no event raises MissingDependency, and a collective naming no
-    group raises NotMember.
+    `dependents` lists are in row order: the engine's push order, and with
+    it every controller decision, depends on it.  A dependency naming no
+    event raises MissingDependency, and a collective naming no group raises
+    NotMember.
     """
 
-    __slots__ = ("ids", "index", "ranks", "deps", "rows", "twins", "dependents",
-                 "indeg", "duration", "group", "circuit")
+    __slots__ = ("dag", "ids", "ranks", "deps", "dependents", "indeg",
+                 "duration", "group", "circuit")
 
-    def __init__(self, dag: EventDag, topo: Topology, alpha: float,
-                 twins: Optional[_Twins] = None):
+    def __init__(self, dag: EventDag, topo: Topology, alpha: float):
         members = _check_groups(dag, topo)
         dag.resolve()
         groups, deps = dag.groups, dag.deps
         n = len(deps)
-        if twins is None:
-            rows = range(n)
-            dependents = [[] for _ in range(n)]
-        else:
-            rows, twin, deps = twins.rows, twins.twin, list(deps)
-            for i in twins.spans:
-                deps[i] = tuple(dict.fromkeys([twin[d] for d in deps[i]]))
-            dependents = [None] * n
-            for i in rows:
-                dependents[i] = []
-        self.ids, self.index, self.ranks, self.deps = dag.ids, dag.index, dag.ranks, deps
-        self.rows, self.twins, self.dependents = rows, twins, dependents
+        self.dag, self.ids, self.ranks, self.deps = dag, dag.ids, dag.ranks, deps
+        self.dependents = dependents = [[] for _ in range(n)]
         ranks = dag.ranks
         self.indeg = indeg = [0] * n
         self.duration = duration = list(dag.duration)
         self.group = group = [None] * n
         self.circuit = circuit = [False] * n
         kind, dag_group, coll_kind, nbytes = dag.kind, dag.group, dag.coll_kind, dag.bytes
-        for i in rows:
+        for i in range(n):
             ds = deps[i]
             indeg[i] = len(ds)
             for d in ds:
@@ -277,25 +192,16 @@ class _CompiledDag:
                 circuit[i] = g.is_scaleout and g.size >= 2
 
 
-def _joins(c, i: int, start: List[float], end: List[float]) -> Dict[int, float]:
-    """Per-rank issue time: a rank joins once its own dependencies finish.
-
-    `c` is a `_CompiledDag` or an `EventDag`: its `ranks` and `deps` by row.
-    A rank of a multi-rank event joins at the latest end among the
-    dependencies that include it or that share no rank with the event, so
-    its latest join is the latest end among all its dependencies.  An event
-    with one rank joins when it starts.
-    """
-    ranks = c.ranks[i]
-    if len(ranks) < 2:
-        return {ranks[0]: start[i]} if ranks else {}
+def _joins(ranks: tuple, deps: Iterable[Tuple[tuple, float]]) -> Dict[int, float]:
+    """Per-rank issue time of an event on two or more `ranks` whose
+    dependencies are `deps`, (ranks, end) pairs: a rank joins at the latest
+    end among the dependencies that include it or that share no rank with
+    the event, so its latest join is the latest end among all of them."""
     joins = dict.fromkeys(ranks, 0.0)
     everyone = 0.0  # the latest end among dependencies sharing no rank
-    dep_ranks = c.ranks
-    for d in c.deps[i]:
-        e = end[d]
+    for dep_ranks, e in deps:
         shared = False
-        for r in dep_ranks[d]:
+        for r in dep_ranks:
             if r in joins:
                 shared = True
                 if e > joins[r]:
@@ -312,14 +218,14 @@ def _joins(c, i: int, start: List[float], end: List[float]) -> Dict[int, float]:
 def _longest_path(c: _CompiledDag) -> Tuple[List[float], List[float], List[int]]:
     """Start and end of every event with full connectivity (electrical rails
     or free switching), and the order they were timed in: level by level,
-    each level in row order.  Only `c.rows` are timed."""
+    each level in row order."""
     n = len(c.ids)
     start = [0.0] * n  # the latest end among dependencies timed so far
     end = [0.0] * n
     indeg = list(c.indeg)
     duration, dependents = c.duration, c.dependents
     order: List[int] = []
-    ready = [i for i in c.rows if not indeg[i]]
+    ready = [i for i in range(n) if not indeg[i]]
     while ready:
         order += ready
         next_ready: List[int] = []
@@ -333,7 +239,7 @@ def _longest_path(c: _CompiledDag) -> Tuple[List[float], List[float], List[int]]
                     next_ready.append(j)
         next_ready.sort()
         ready = next_ready
-    if len(order) != len(c.rows):
+    if len(order) != n:
         raise CyclicDependency("event DAG contains a cycle")
     return start, end, order
 
@@ -342,64 +248,45 @@ class Timeline(Mapping):
     """A run's `EventTiming` of every event by id, built on lookup from the
     run's arrays; iterates in the order the events started.
 
-    `start` and `end` are indexed by DAG row, and `starts(i)` gives row i's
-    per-rank join times.  A run timed on rail 0 only passes its `_Twins`:
-    the first read of `order`, `start` or `end` copies the timed rows'
-    times to their twins, and `order` then lists each row's twins together,
-    rail by rail.  A full-connectivity run shares its arrays with its
-    `Prepared` simulation, so they are read, never changed.
+    `start`, `end` and `order` are by row of `dag`.  On a DAG that holds one
+    rail, a row's times are those of each of its twins, and iteration lists
+    each row's twins together, rail by rail.  `starts(i, rail)` gives the
+    per-rank join times of row i's twin on `rail`.  A full-connectivity run
+    shares its arrays with its `Prepared` simulation, so they are read,
+    never changed.
     """
 
-    __slots__ = ("_dag", "_twins", "_order", "_start", "_end")
+    __slots__ = ("dag", "order", "start", "end")
 
     def __init__(self, dag: EventDag, order: List[int], start: List[float],
-                 end: List[float], twins: Optional[_Twins] = None):
-        self._dag, self._twins = dag, twins
-        self._order, self._start, self._end = order, start, end
+                 end: List[float]):
+        self.dag, self.order, self.start, self.end = dag, order, start, end
 
-    def _timing(self) -> Tuple[List[int], List[float], List[float]]:
-        if self._twins is not None:
-            self._order, self._start, self._end = self._twins.timing(
-                self._order, self._start, self._end)
-            self._twins = None
-        return self._order, self._start, self._end
-
-    @property
-    def order(self) -> List[int]:
-        return self._timing()[0]
-
-    @property
-    def start(self) -> List[float]:
-        return self._timing()[1]
-
-    @property
-    def end(self) -> List[float]:
-        return self._timing()[2]
-
-    @property
-    def ids(self) -> List[str]:
-        return self._dag.ids
-
-    @property
-    def ranks(self) -> List[tuple]:
-        return self._dag.ranks
-
-    def starts(self, i: int) -> Dict[int, float]:
-        return _joins(self._dag, i, self.start, self.end)
+    def starts(self, i: int, rail: int = 0) -> Dict[int, float]:
+        dag, end = self.dag, self.end
+        ranks = dag.ranks[i]
+        if len(ranks) < 2:  # one rank joins when the event starts
+            return {ranks[0] + rail: self.start[i]} if ranks else {}
+        if i in dag.spans:
+            joins = _joins(ranks, [(dag.twin_ranks(d, l), end[d])
+                                   for d, l in dag.twin_deps(i, 0)])
+        else:  # rail 0's joins, each rank moved to `rail`
+            joins = _joins(ranks, [(dag.ranks[d], end[d]) for d in dag.deps[i]])
+        return {r + rail: t for r, t in joins.items()} if rail else joins
 
     def __getitem__(self, eid: str) -> EventTiming:
-        i = self._dag.index[eid]
-        return EventTiming(self.start[i], self.end[i], self.starts(i))
-
-    def __contains__(self, eid) -> bool:
-        return eid in self._dag.index
+        i, rail = self.dag.locate(eid)
+        return EventTiming(self.start[i], self.end[i], self.starts(i, rail))
 
     def __iter__(self) -> Iterator[str]:
-        ids = self._dag.ids
-        return (ids[i] for i in self.order)
+        ids, spans, rails = self.dag.ids, self.dag.spans, self.dag.rails
+        for i in self.order:
+            yield ids[i]
+            if i not in spans:
+                yield from (twin(ids[i], l) for l in range(1, rails))
 
     def __len__(self) -> int:
-        return len(self.order)
+        return len(self.dag)
 
 
 class _Engine:
@@ -420,7 +307,7 @@ class _Engine:
     reconfigured already: the wake-up when that ring comes up releases it.
     A released event starts when its ring is up: at a grant's ready time or
     at the wake-up.  `run` leaves the times in `start`, `end` and `order`.
-    When `c` times rail 0 only, a deadlock counts every rail's stuck events.
+    A deadlock counts the stuck events of every rail a row stands for.
     """
 
     def __init__(self, c: _CompiledDag, groups: Dict[str, CommGroup], topo: Topology,
@@ -495,9 +382,9 @@ class _Engine:
         calendar, times = self.calendar, self.times
         indeg, start, end, order = self.indeg, self.start, self.end, self.order
         duration, circuit, group, dependents = c.duration, c.circuit, c.group, c.dependents
-        pending = controller.pending
+        ranks, deps, pending = c.ranks, c.deps, controller.pending
         now = 0.0
-        batch = [i for i in c.rows if not indeg[i]]  # the roots
+        batch = [i for i in range(len(indeg)) if not indeg[i]]  # the roots
         finished = 0
         while True:
             # Entries pushed at `now` meanwhile: the next batch at this time.
@@ -522,7 +409,8 @@ class _Engine:
                         continue
                     waiting.setdefault(gid, []).append(x)
                     if gid not in controller.ready_at:  # else its ring is being reconfigured
-                        controller.request(gid, _joins(c, x, start, end), speculative=False)
+                        joins = _joins(ranks[x], [(ranks[d], end[d]) for d in deps[x]])
+                        controller.request(gid, joins, speculative=False)
                     continue
                 start[x] = now
                 e = end[x] = now + duration[x]
@@ -555,10 +443,12 @@ class _Engine:
                 batch = calendar.pop(now)
             else:
                 break
-        total = len(c.rows)
-        if finished != total:
+        if finished != len(indeg):
             if pending or waiting:
-                stuck = total - finished if c.twins is None else c.twins.stuck(order)
+                # Every started event has finished; count what the rest
+                # of the rows stand for.
+                dag = c.dag
+                stuck = len(dag) - sum(1 if i in dag.spans else dag.rails for i in order)
                 raise ConflictDeadlock(
                     f"{stuck} events stuck behind the reconfiguration queue")
             raise CyclicDependency("event DAG contains a cycle")
@@ -575,21 +465,17 @@ class Prepared:
     differs is refused.  The compiled DAG reads the DAG's columns in place,
     so the DAG must not change while it is prepared.
 
-    For a DAG with the `rail_symmetric` record on two or more rails, `twins`
-    maps it onto rail 0 and only `twins.rows` are compiled and timed: the
-    start and end of row i are those of row `twins.twin[i]`, which a run's
-    `Timeline` copies.  Otherwise `twins` is None and every row is timed.
+    A DAG that holds one rail is compiled and timed as it is held: its
+    rows' times stand for their twins' (see the module docstring).
     """
 
-    __slots__ = ("dag", "alpha", "twins", "c", "start", "end", "order",
+    __slots__ = ("dag", "alpha", "c", "start", "end", "order",
                  "baseline_makespan", "_topo", "_schedule")
 
     def __init__(self, dag: EventDag, topo: Topology, alpha: float):
         self.dag, self.alpha = dag, alpha
         self._topo = _without_delay(topo)
-        rails = topo.num_rails
-        self.twins = _Twins(dag, rails) if dag.rail_symmetric and rails > 1 else None
-        self.c = _CompiledDag(dag, topo, alpha, self.twins)
+        self.c = _CompiledDag(dag, topo, alpha)
         self.start, self.end, self.order = _longest_path(self.c)
         self.baseline_makespan = max(self.end, default=0.0)
         self._schedule: Optional[dict] = None
@@ -604,12 +490,12 @@ class Prepared:
                              "the reconfiguration delay")
 
     def schedule(self) -> dict:
-        """The provisioning profiler's per-rail phase schedule (rail 0's
-        alone when the DAG is timed on rail 0 only)."""
+        """The provisioning profiler's per-rail phase schedule (empty on
+        the rails of a DAG that holds rail 0 alone)."""
         if self._schedule is None:
-            rails = range(self._topo.num_rails) if self.twins is None else (0,)
             # At full connectivity every rank has joined by the start.
-            self._schedule = profile_iteration(self.dag, self.start, self.end, rails)
+            self._schedule = profile_iteration(self.dag, self.start, self.end,
+                                               range(self._topo.num_rails))
         return self._schedule
 
 
@@ -641,26 +527,27 @@ def simulate(dag: EventDag, topo: Topology, policy: Optional[ControlPolicy] = No
     ocs_active = topo.rail_switch.is_ocs and topo.rail_switch.reconfig_delay > 0
     if force_baseline or not ocs_active:
         # Full connectivity (electrical, or free switching): no circuit events.
-        timeline = Timeline(dag, prepared.order, prepared.start, prepared.end,
-                            prepared.twins)
+        timeline = Timeline(dag, prepared.order, prepared.start, prepared.end)
         return SimResult(makespan=baseline_makespan, event_times=timeline,
                          reconfig_log=[], overhead_vs_baseline=1.0)
     schedule = prepared.schedule() if policy.provisioning else None
-    twins = prepared.twins
     engine = _Engine(prepared.c, dag.groups, topo, schedule)
     engine.run()
     makespan = max(engine.end, default=0.0)
     controller = engine.controller
     controller.close(makespan)
-    log = controller.log if twins is None else twins.reconfigs(controller.log)
+    rails = dag.rails
+    log = controller.log if rails == 1 else [
+        ReconfigLogEntry(e.time, rail, twin(e.group, rail), e.speculative, e.delay,
+                         e.ports_changed) for e in controller.log for rail in range(rails)]
     return SimResult(
         makespan=makespan,
-        event_times=Timeline(dag, engine.order, engine.start, engine.end, twins),
+        event_times=Timeline(dag, engine.order, engine.start, engine.end),
         reconfig_log=log,
         overhead_vs_baseline=(makespan / baseline_makespan if baseline_makespan else 1.0),
         _circuits=controller.circuit_intervals,
         _transfers=engine.transfer_log,
-        _twins=twins,
+        _rails=rails,
     )
 
 

@@ -16,10 +16,9 @@ read yet are kept by name, until the closing pass resolves them.  Repeated
 strings (kind, stream, coll_kind, group_id) and one-rank tuples are shared
 between rows, and each distinct rank text is converted once.
 
-A collective's observed start and end are the latest over its records, so
-its start is the join of its slowest member rank whatever the record order;
-a compute event keeps its first record's times, and its duration is that
-record's end minus its start.
+An event's observed start and end are the latest over its records, so a
+collective's start is the join of its slowest member rank whatever the
+record order, and a compute event's duration is that end minus that start.
 
 A record that repeats the record before it on another rank (same event id
 and the same text after the stream, as a collective's per-rank records are
@@ -45,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import CyclicDependency, MissingDependency, ParseError
 from .model import CommGroup
-from .workload import COLLECTIVE, COMPUTE, EventDag
+from .workload import COLLECTIVE, COMPUTE, EventDag, twin
 
 HEADER = "event_id,rank,stream,kind,coll_kind,group_id,bytes,dep_ids,observed_start_s,observed_end_s"
 
@@ -73,8 +72,10 @@ class FloatText(dict):
 
 def save_trace(dag: EventDag, path: str) -> None:
     """Write `dag` as a trace, one record per (event, rank) in row order and
-    rank order.  Lines are written in chunks of `SAVE_CHUNK_LINES` as they
-    are formatted, so the file's text is never held whole."""
+    rank order; a DAG that holds one rail is written in its row-by-row order
+    (`EventDag.runs`), each twin's records formatted as they are written.
+    Lines are written in chunks of `SAVE_CHUNK_LINES` as they are
+    formatted, so the file's text is never held whole."""
     ids, kinds, ranks, streams = dag.ids, dag.kind, dag.ranks, dag.streams
     coll_kinds, groups, nbytes = dag.coll_kind, dag.group, dag.bytes
     starts, ends, text = dag.observed_start, dag.observed_end, FloatText()
@@ -85,19 +86,23 @@ def save_trace(dag: EventDag, path: str) -> None:
             members = ";".join(str(m) for m in g.members)
             rails = ";".join(str(r) for r in sorted(g.rails_touched))
             lines.append(f"#group,{gid},{g.axis},{members},{rails}")
-        for i, eid in enumerate(ids):
-            rest = (f"{kinds[i]},{coll_kinds[i] or ''},{groups[i] or ''},{nbytes[i]},"
-                    f"{';'.join(dag.dep_ids(i))},{text[starts[i]]},{text[ends[i]]}")
-            rs, s = ranks[i], streams[i]
-            if len(rs) == 1 and not isinstance(s, dict):  # most rows; no sort
-                lines.append(f"{eid},{rs[0]},{s},{rest}")
-            else:
-                for rank in sorted(rs):
-                    stream = s.get(rank, "") if isinstance(s, dict) else s
-                    lines.append(f"{eid},{rank},{stream},{rest}")
-            if len(lines) >= SAVE_CHUNK_LINES:
-                f.write("\n".join(lines) + "\n")
-                lines.clear()
+        for l, run in dag.runs():
+            for i in run:
+                eid, gid = ids[i], groups[i]
+                if l:  # the twin of a rail-0 row
+                    eid, gid = twin(eid, l), gid and twin(gid, l)
+                rest = (f"{kinds[i]},{coll_kinds[i] or ''},{gid or ''},{nbytes[i]},"
+                        f"{';'.join(dag.dep_ids(i, l))},{text[starts[i]]},{text[ends[i]]}")
+                rs, s = ranks[i], streams[i]
+                if len(rs) == 1 and not isinstance(s, dict):  # most rows; no sort
+                    lines.append(f"{eid},{rs[0] + l},{s},{rest}")
+                else:
+                    for rank in sorted(rs):
+                        stream = s.get(rank, "") if isinstance(s, dict) else s
+                        lines.append(f"{eid},{rank + l},{stream},{rest}")
+                if len(lines) >= SAVE_CHUNK_LINES:
+                    f.write("\n".join(lines) + "\n")
+                    lines.clear()
         if lines:
             f.write("\n".join(lines) + "\n")
 
@@ -222,11 +227,13 @@ def _parse(f) -> EventDag:
             elif (kind, coll_kind, group_id) != (kinds[i], coll_kinds[i], groups[i]):
                 raise ParseError(f"record of {eid} disagrees with its first record on "
                                  "kind, coll_kind or group_id", lineno)
-            elif kind == COLLECTIVE:  # keep the latest start and end over its records
+            else:  # keep the latest start and end over its records
                 if start is not None and (starts[i] is None or start > starts[i]):
                     starts[i] = start
                 if end is not None and (ends[i] is None or end > ends[i]):
                     ends[i] = end
+                if kind == COMPUTE and starts[i] is not None and ends[i] is not None:
+                    durations[i] = ends[i] - starts[i]
             rows = []
             if deps_s:
                 for d in deps_s.split(";"):

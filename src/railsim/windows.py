@@ -15,7 +15,8 @@ the latest over a collective's records).  A row whose start or end is None
 is not covered.  Negative gaps mean the phases overlap and are reported
 separately, not as windows.  A rail's collectives come from
 `EventDag.scaleout_by_rail`, which buckets them by rail once per DAG, so
-analysing one rail reads only that rail's rows.
+analysing one rail reads only that rail's rows.  A generated DAG holds rail
+0's rows alone (`EventDag.rails`); every other rail's windows are rail 0's.
 """
 
 from __future__ import annotations

@@ -24,18 +24,28 @@ the simulator and the writers all work on the columns; `Event` is the row
 record that hand-built DAGs pass to `EventDag.add` and that `dag.events`
 returns.
 
-A generated DAG is rail-symmetric, and the generator records that in
-`EventDag.rail_symmetric`: rail l runs rail 0's schedule on the twin ranks
-(the ranks of the same domains on rail l).  The k-th row whose ranks all sit
-on rail l is the twin of rail 0's k-th such row, with the same kind,
-duration, bytes and collective kind, and the k-th scale-out group of rail l
-(in `groups` order) is the twin of rail 0's k-th.  The only rows whose ranks
-span rails are the TP collectives, which take no circuit.  The simulator
-times a DAG with the record on rail 0 only and copies the timing to the
-other rails.  `EventDag.add` drops the record (so `resolve`, which only
-resolves rows `add` stored, never sees it set); the trace parser and
-hand-built DAGs never set it.  Changing the columns in place voids it too,
-so a DAG whose rows are edited that way must have `rail_symmetric` cleared.
+A generated DAG holds one rail.  Every rail runs rail 0's schedule on the
+twin ranks (the ranks of the same domains on rail l), and the only events
+whose ranks span rails are the TP AllReduces, which take no circuit.  So
+`generate_3d_schedule` emits rail 0's rows and the TP rows (`spans`), and
+sets `EventDag.rails` to the rail count: each other row stands for its twin
+on every rail.  A twin is arithmetic: on rail l, rank r becomes r + l, the
+`.l0` that ends rail 0's event and group ids becomes `.l{l}`, and a
+dependency on a rail-0 row becomes one on that row's twin on rail l.  A TP
+row stands for itself alone and covers whole domains; it depends on every
+rail's twin of each rail-0 row it names.  So a twin's per-rank joins are its
+rail-0 row's with each rank + l.  `EventDag.blocks` records how the
+row-by-row DAG interleaves the rails: each block of rows is repeated rail by
+rail, rail 0 with the TP rows and the other rails without them.  So `runs`
+lists every event in the row-by-row order, and `expanded` rebuilds the
+row-by-row DAG exactly.  Every held id but a TP row's ends in `.l0`, and no
+other held id starts with it less that `0`, so the ids of a row's twins sort
+together, in the text order of their rails (`.l10` before `.l2`).  The
+simulator, the profiler and the log copies read the held rows directly;
+`len`, `events`, `locate`, the writers and `windows` cover every rail.
+`EventDag.add` expands a DAG first, and the trace parser and hand-built DAGs
+hold every row, so they take the row-by-row path.  Changing a column in
+place of a DAG that holds one rail changes every rail.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import InvalidParams, MissingDependency
 from .model import CommGroup, Topology, make_group
@@ -55,7 +65,11 @@ ALLREDUCE = "AllReduce"
 ALLGATHER = "AllGather"
 REDUCESCATTER = "ReduceScatter"
 SENDRECV = "SendRecv"
-ALLTOALL = "AllToAll"
+
+
+def twin(name: str, rail: int) -> str:
+    """A rail-0 event or group id's twin on `rail`: its final `0` replaced."""
+    return name[:-1] + str(rail) if rail else name
 
 
 @dataclass(slots=True)
@@ -86,11 +100,14 @@ class EventDag:
     `ids`, `kind`, `ranks`, `streams`, `group`, `coll_kind`, `bytes`,
     `duration`, `observed_start`, `observed_end` and `deps` are lists indexed
     by row; `index` maps an event id to its row and `groups` holds the
-    communication groups.  `deps[i]` is a tuple of the rows event i depends
-    on.  `streams[i]` is one stream name when all of the event's ranks issue
-    it on the same stream, else a dict of them by rank.  `rail_symmetric`
-    is the generator's record that every rail runs rail 0's schedule (see
-    the module docstring); `add` drops it.
+    communication groups of every rail.  `deps[i]` is a tuple of the rows
+    event i depends on.  `streams[i]` is one stream name when all of the
+    event's ranks issue it on the same stream, else a dict of them by rank.
+    With `rails` above 1 the DAG holds one rail (see the module docstring):
+    each row not in `spans` stands for its twin on every rail, and `blocks`
+    records how the rails interleave.  `len`, `events`, `locate`, `runs` and
+    `event_ids` cover every rail's events without expanding; `expanded`
+    builds the row-by-row DAG, and `add` expands the DAG in place first.
     """
 
     def __init__(self) -> None:
@@ -111,21 +128,28 @@ class EventDag:
         # dependency names, until `resolve` turns them into rows.
         self._unresolved: Dict[int, tuple] = {}
         self._by_rail: Optional[Dict[int, List[int]]] = None
-        self.rail_symmetric = False
+        self.rails = 1  # the rails each row not in `spans` stands for
+        self.spans: Set[int] = set()  # rows whose ranks span rails
+        self.blocks: List[int] = []  # the end of each block (see `runs`)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        n = len(self.ids)
+        return n + (self.rails - 1) * (n - len(self.spans))
 
     @property
     def events(self) -> "_Rows":
-        """The rows as `Event` records by id, in insertion order; each lookup
-        builds a new record, so changing it changes no column."""
+        """Every rail's events as `Event` records by id, in the row-by-row
+        order; each lookup builds a new record, so changing it changes no
+        column."""
         return _Rows(self)
 
     def add(self, event: Event) -> int:
         """Store `event` as a new row, or in place of the row with its id;
-        returns the row.  A dependency on an id not (yet) in the DAG is kept
-        by name until `resolve`."""
+        returns the row.  A DAG that holds one rail is expanded first.  A
+        dependency on an id not (yet) in the DAG is kept by name until
+        `resolve`."""
+        if self.rails > 1:
+            vars(self).update(vars(self.expanded()))
         row = {name: getattr(event, name) for name in _FIELDS}
         row.update(ranks=tuple(event.rank_set), streams=dict(event.streams), deps=())
         i = self.index.get(event.id)
@@ -144,7 +168,6 @@ class EventDag:
         else:
             self._unresolved[i] = tuple(event.deps)
         self._by_rail = None
-        self.rail_symmetric = False
         return i
 
     def resolve(self) -> None:
@@ -159,13 +182,86 @@ class EventDag:
             self.deps[i] = tuple(index[d] for d in self._unresolved[i])
         self._unresolved.clear()
 
-    def dep_ids(self, i: int) -> tuple:
-        """Row i's dependencies by event id, sorted."""
+    def twin_ranks(self, i: int, rail: int) -> tuple:
+        """The ranks of row i's twin on `rail`."""
+        return tuple(r + rail for r in self.ranks[i]) if rail else self.ranks[i]
+
+    def twin_deps(self, i: int, rail: int) -> List[Tuple[int, int]]:
+        """The dependencies of row i's twin on `rail`, as (row, rail) pairs."""
+        spans, ds = self.spans, self.deps[i]
+        if i not in spans:
+            return [(d, 0 if d in spans else rail) for d in ds]
+        return [(d, 0) for d in ds] + [(d, l) for l in range(1, self.rails)
+                                       for d in ds if d not in spans]
+
+    def dep_ids(self, i: int, rail: int = 0) -> tuple:
+        """The dependencies of row i's twin on `rail` by event id, sorted."""
         names = self._unresolved.get(i)
         if names is None:
-            ids = self.ids
-            names = [ids[d] for d in self.deps[i]]
+            ids, spans = self.ids, self.spans
+            if i in spans:
+                names = [twin(ids[d], l) for d, l in self.twin_deps(i, rail)]
+            elif rail:
+                tail = str(rail)
+                names = [ids[d] if d in spans else ids[d][:-1] + tail for d in self.deps[i]]
+            else:
+                names = [ids[d] for d in self.deps[i]]
         return tuple(sorted(names))
+
+    def locate(self, eid: str) -> Tuple[int, int]:
+        """The row of event `eid`, or of its rail-0 twin, and its rail;
+        KeyError when no event has that id."""
+        i = self.index.get(eid)
+        if i is not None:
+            return i, 0
+        head, sep, tail = eid.rpartition(".l")
+        rail = int(tail) if sep and tail.isdecimal() and str(int(tail)) == tail else 0
+        i = self.index.get(head + ".l0") if 0 < rail < self.rails else None
+        if i is None or i in self.spans:
+            raise KeyError(eid)
+        return i, rail
+
+    def runs(self) -> List[Tuple[int, Sequence[int]]]:
+        """The row-by-row DAG's order as (rail, rows) runs: each block of
+        rows on rail 0, then without `spans` on each other rail."""
+        if self.rails == 1:
+            return [(0, range(len(self.ids)))]
+        out: List[Tuple[int, Sequence[int]]] = []
+        a = 0
+        for b in self.blocks:
+            kept = [i for i in range(a, b) if i not in self.spans]
+            out += [(0, range(a, b))] + [(l, kept) for l in range(1, self.rails)]
+            a = b
+        return out
+
+    def event_ids(self) -> List[str]:
+        """Every event's id, in `runs` order."""
+        ids = self.ids
+        return [twin(ids[i], l) for l, run in self.runs() for i in run]
+
+    def expanded(self) -> "EventDag":
+        """The row-by-row DAG: every event a row of its own, in `runs`
+        order, sharing `groups`.  A DAG that holds every row is returned as
+        it is."""
+        if self.rails == 1:
+            return self
+        rows = [(i, l) for l, run in self.runs() for i in run]
+        at = {twin_row: k for k, twin_row in enumerate(rows)}
+        full = EventDag()
+        full.groups, full.ids = self.groups, self.event_ids()
+        full.index = {eid: k for k, eid in enumerate(full.ids)}
+        for name in ("kind", "coll_kind", "bytes", "duration", "observed_start",
+                     "observed_end"):
+            column = getattr(self, name)
+            setattr(full, name, [column[i] for i, _ in rows])
+        for i, l in rows:
+            streams, group = self.streams[i], self.group[i]
+            full.ranks.append(self.twin_ranks(i, l))
+            full.streams.append({r + l: s for r, s in streams.items()}
+                                if isinstance(streams, dict) else streams)
+            full.group.append(group and twin(group, l))
+            full.deps.append(tuple(at[d] for d in self.twin_deps(i, l)))
+        return full
 
     def scaleout_by_rail(self) -> Dict[int, List[int]]:
         """Rows of the collectives of scale-out groups, by each rail their
@@ -184,7 +280,7 @@ class EventDag:
 
 
 class _Rows(Mapping):
-    """`EventDag.events`: the rows as `Event` records, keyed by id."""
+    """`EventDag.events`: every rail's events as `Event` records, keyed by id."""
 
     __slots__ = ("_dag",)
 
@@ -193,23 +289,20 @@ class _Rows(Mapping):
 
     def __getitem__(self, eid: str) -> Event:
         dag = self._dag
-        i = dag.index[eid]
-        ranks, streams = dag.ranks[i], dag.streams[i]
+        i, rail = dag.locate(eid)
+        ranks, streams, group = dag.twin_ranks(i, rail), dag.streams[i], dag.group[i]
         return Event(id=eid, kind=dag.kind[i], rank_set=ranks,
-                     streams=(dict(streams) if isinstance(streams, dict)
-                              else dict.fromkeys(ranks, streams)),
-                     group=dag.group[i], coll_kind=dag.coll_kind[i], bytes=dag.bytes[i],
-                     deps=dag.dep_ids(i), duration=dag.duration[i],
+                     streams=({r + rail: s for r, s in streams.items()}
+                              if isinstance(streams, dict) else dict.fromkeys(ranks, streams)),
+                     group=group and twin(group, rail), coll_kind=dag.coll_kind[i],
+                     bytes=dag.bytes[i], deps=dag.dep_ids(i, rail), duration=dag.duration[i],
                      observed_start=dag.observed_start[i], observed_end=dag.observed_end[i])
 
-    def __contains__(self, eid) -> bool:
-        return eid in self._dag.index
-
     def __iter__(self) -> Iterator[str]:
-        return iter(self._dag.ids)
+        return iter(self._dag.event_ids())
 
     def __len__(self) -> int:
-        return len(self._dag.ids)
+        return len(self._dag)
 
 
 @dataclass(frozen=True)
@@ -271,15 +364,19 @@ def one_f_one_b(pp: int, stage: int, n_microbatch: int) -> List[Tuple[str, int]]
 
 
 def generate_3d_schedule(params: WorkloadParams, topo: Topology) -> EventDag:
-    """Build the event DAG of one training iteration.
+    """Build the event DAG of one training iteration, one rail of it held.
 
-    Rows are filled in issue order.  Each event depends on the previous event
-    of every (rank, stream) it is issued on; the generator knows which event
-    that is, because each stream carries one kind of traffic: a rank's
-    compute, the AllGathers and ReduceScatters of its DP group, the SendRecvs
-    of one pipeline pair and direction, the TP AllReduces of its domain, or
-    the sync AllReduces of its rail.  A dependency on an event added further
-    on is resolved once every row exists.
+    The rows are rail 0's events and the TP AllReduces, which span rails,
+    in issue order; `rails` is the scale-up size and `blocks` ends each run
+    of rows that the row-by-row DAG repeats rail by rail (see the module
+    docstring).  Each event depends on the previous event of every
+    (rank, stream) it is issued on; the generator knows which event that
+    is, because each stream carries one kind of traffic: a rank's compute,
+    the AllGathers and ReduceScatters of its DP group, the SendRecvs of one
+    pipeline pair and direction, the TP AllReduces of its domain, or the
+    sync AllReduces of its rail.  A TP AllReduce's dependency on a rail-0
+    row stands for that row's twin on every rail.  A dependency on an event
+    added further on is resolved once every row exists.
     """
     params.validate(topo)
     pp, dp, tp = params.pp, params.dp, params.tp
@@ -293,13 +390,13 @@ def generate_3d_schedule(params: WorkloadParams, topo: Topology) -> EventDag:
     act_bytes = params.bytes_activation
     rs_bytes = int(round(params.bytes_per_layer_param * params.grad_bytes_multiplier))
 
-    def rank(p, q, l):
+    def rank(p, q, l=0):
         return topo.rank_id(p * dp + q, l)
 
     dag = EventDag()
     groups = dag.groups
 
-    # Communication groups.
+    # Communication groups, every rail's.
     for p in range(pp):
         for l in range(G):
             gid = f"dp.p{p}.l{l}"
@@ -319,7 +416,7 @@ def generate_3d_schedule(params: WorkloadParams, topo: Topology) -> EventDag:
                 gid = f"tp.d{p * dp + q}"
                 groups[gid] = make_group(gid, "TP", sorted(rank(p, q, l) for l in range(G)), topo)
 
-    ids, deps = dag.ids, dag.deps
+    ids, deps, blocks = dag.ids, dag.deps, dag.blocks
     kind, ranks, streams = dag.kind, dag.ranks, dag.streams
     group, coll_kind, nbytes, duration = dag.group, dag.coll_kind, dag.bytes, dag.duration
     solo = [(r,) for r in range(topo.num_ranks)]
@@ -359,125 +456,110 @@ def generate_3d_schedule(params: WorkloadParams, topo: Topology) -> EventDag:
     prep = [0] * topo.num_ranks
     for p in range(pp):
         for q in range(dp):
-            for l in range(G):
-                r = rank(p, q, l)
-                prep[r] = compute(f"prep.p{p}.q{q}.l{l}", r, (), ct["pre_stage"])
-                if p > 0:
-                    later.append((prep[r], ("sra", 0, p - 1, q, l)))
+            r = rank(p, q)
+            prep[r] = compute(f"prep.p{p}.q{q}.l0", r, (), ct["pre_stage"])
+            blocks.append(len(ids))
+            if p > 0:
+                later.append((prep[r], ("sra", 0, p - 1, q)))
 
     # Per-layer parameter AllGather, one per stage (first forward only).
-    ag: Dict[Tuple[int, int], List[int]] = {}
+    ag: List[List[int]] = []
     for p in range(pp):
-        for l in range(G):
-            gid = f"dp.p{p}.l{l}"
-            members = groups[gid].members
-            preps = tuple(prep[r] for r in members)
-            ag[(p, l)] = chain = []
-            for j in range(stage_layers[p]):
-                ds = preps + (chain[-1],) if chain else preps
-                chain.append(collective(f"ag.p{p}.j{j}.l{l}", members, "dp", ds, gid,
-                                        ALLGATHER, params.bytes_per_layer_param))
+        gid = f"dp.p{p}.l0"
+        members = groups[gid].members
+        preps = tuple(prep[r] for r in members)
+        chain: List[int] = []
+        ag.append(chain)
+        for j in range(stage_layers[p]):
+            ds = preps + (chain[-1],) if chain else preps
+            chain.append(collective(f"ag.p{p}.j{j}.l0", members, "dp", ds, gid,
+                                    ALLGATHER, params.bytes_per_layer_param))
+        blocks.append(len(ids))
 
     # Compute and pipeline traffic per worker, in 1F1B order.
-    grads: Dict[Tuple[int, int, int], List[int]] = {}  # last microbatch's b per layer
-    rs: Dict[Tuple[int, int], List[int]] = {}
+    grads: Dict[Tuple[int, int], List[int]] = {}  # last microbatch's b per layer
+    rs: Dict[int, List[int]] = {}
     last_compute = [0] * topo.num_ranks
     for p in range(pp):
         L = stage_layers[p]
         order = one_f_one_b(pp, p, M)
-        layer = [str(j) for j in range(L)]
+        layer = [f"{j}.l0" for j in range(L)]
+        gid = f"dp.p{p}.l0"
         for q in range(dp):
             tp_gid = f"tp.d{p * dp + q}"
-            # A compute id is f"{step}.p{p}.q{q}.m{m}.j{j}.l{l}", built from
-            # the step's prefix, `layer[j]` and the rail suffix.
-            steps = [(step, m, f"{step}.p{p}.q{q}.m{m}.j") for step, m in order]
-            for l in range(G):
-                r = rank(p, q, l)
-                suffix = f".l{l}"
-                ags = ag[(p, l)]
-                tail = prep[r]  # the previous event on this rank's compute stream
-                dp_tail = ags[-1]
-                sra = srg = tar = None
-                with_tar = tp >= 2 and l == 0
-                for step, m, head in steps:
-                    if step == "f":
-                        for j in range(L):
-                            ds = (ags[j], tail)
-                            if j == 0 and m > 0 and p > 0:
-                                ds += (rows[("sra", m, p - 1, q, l)],)
-                            tail = compute(head + layer[j] + suffix, r, ds, fwd)
-                        if tp >= 2 and l > 0:
-                            rows[("f", p, q, m, l)] = tail
-                        if p < pp - 1:
-                            peer = rank(p + 1, q, l)
-                            sra = collective(
-                                f"sra.m{m}.p{p}.q{q}.l{l}", (r, peer),
-                                {r: "pp_send_fwd", peer: "pp_recv_fwd"},
-                                (tail,) if sra is None else (tail, sra),
-                                f"pp.p{p}-{p + 1}.q{q}.l{l}", SENDRECV, act_bytes)
-                            rows[("sra", m, p, q, l)] = sra
-                        if with_tar:
-                            tar = collective(f"tar.f.p{p}.q{q}.m{m}", groups[tp_gid].members,
-                                             "tp", (tail,) if tar is None else (tail, tar),
-                                             tp_gid, ALLREDUCE, act_bytes)
-                            later += ((tar, ("f", p, q, m, ll)) for ll in range(1, G))
-                    else:
-                        for j in reversed(range(L)):
-                            tail = compute(head + layer[j] + suffix, r, (tail,), bwd)
-                            if j == L - 1 and p < pp - 1:
-                                later.append((tail, ("srg", m, p + 1, q, l)))
-                            if m == M - 1:
-                                # Gradient ReduceScatter per layer once partial
-                                # gradients are final (last microbatch).
-                                grads.setdefault((p, l, j), []).append(tail)
-                                if q == dp - 1:
-                                    gid = f"dp.p{p}.l{l}"
-                                    dp_tail = collective(
-                                        f"rs.p{p}.j{j}.l{l}", groups[gid].members, "dp",
-                                        tuple(grads[(p, l, j)]) + (dp_tail,), gid,
-                                        REDUCESCATTER, rs_bytes)
-                                    rs.setdefault((p, l), []).append(dp_tail)
-                        if tp >= 2 and l > 0:
-                            rows[("b", p, q, m, l)] = tail
-                        if p > 0:
-                            peer = rank(p - 1, q, l)
-                            srg = collective(
-                                f"srg.m{m}.p{p}.q{q}.l{l}", (r, peer),
-                                {r: "pp_send_grad", peer: "pp_recv_grad"},
-                                (tail,) if srg is None else (tail, srg),
-                                f"pp.p{p - 1}-{p}.q{q}.l{l}", SENDRECV, act_bytes)
-                            rows[("srg", m, p, q, l)] = srg
-                        if with_tar:
-                            tar = collective(f"tar.b.p{p}.q{q}.m{m}", groups[tp_gid].members,
-                                             "tp", (tail,) if tar is None else (tail, tar),
-                                             tp_gid, ALLREDUCE, act_bytes)
-                            later += ((tar, ("b", p, q, m, ll)) for ll in range(1, G))
-                last_compute[r] = tail
+            r = rank(p, q)
+            ags = ag[p]
+            tail = prep[r]  # the previous event on this rank's compute stream
+            dp_tail = ags[-1]
+            sra = srg = tar = None
+            for step, m in order:
+                # A compute id is f"{step}.p{p}.q{q}.m{m}.j{j}.l0".
+                head = f"{step}.p{p}.q{q}.m{m}.j"
+                if step == "f":
+                    for j in range(L):
+                        ds = (ags[j], tail)
+                        if j == 0 and m > 0 and p > 0:
+                            ds += (rows[("sra", m, p - 1, q)],)
+                        tail = compute(head + layer[j], r, ds, fwd)
+                    if p < pp - 1:
+                        peer = rank(p + 1, q)
+                        sra = collective(
+                            f"sra.m{m}.p{p}.q{q}.l0", (r, peer),
+                            {r: "pp_send_fwd", peer: "pp_recv_fwd"},
+                            (tail,) if sra is None else (tail, sra),
+                            f"pp.p{p}-{p + 1}.q{q}.l0", SENDRECV, act_bytes)
+                        rows[("sra", m, p, q)] = sra
+                else:
+                    for j in reversed(range(L)):
+                        tail = compute(head + layer[j], r, (tail,), bwd)
+                        if j == L - 1 and p < pp - 1:
+                            later.append((tail, ("srg", m, p + 1, q)))
+                        if m == M - 1:
+                            # Gradient ReduceScatter per layer once partial
+                            # gradients are final (last microbatch).
+                            grads.setdefault((p, j), []).append(tail)
+                            if q == dp - 1:
+                                dp_tail = collective(
+                                    f"rs.p{p}.j{j}.l0", groups[gid].members, "dp",
+                                    tuple(grads[(p, j)]) + (dp_tail,), gid,
+                                    REDUCESCATTER, rs_bytes)
+                                rs.setdefault(p, []).append(dp_tail)
+                    if p > 0:
+                        peer = rank(p - 1, q)
+                        srg = collective(
+                            f"srg.m{m}.p{p}.q{q}.l0", (r, peer),
+                            {r: "pp_send_grad", peer: "pp_recv_grad"},
+                            (tail,) if srg is None else (tail, srg),
+                            f"pp.p{p - 1}-{p}.q{q}.l0", SENDRECV, act_bytes)
+                        rows[("srg", m, p, q)] = srg
+                if tp >= 2:
+                    tar = collective(f"tar.{step}.p{p}.q{q}.m{m}", groups[tp_gid].members,
+                                     "tp", (tail,) if tar is None else (tail, tar),
+                                     tp_gid, ALLREDUCE, act_bytes)
+                    dag.spans.add(tar)
+            last_compute[r] = tail
+            blocks.append(len(ids))
 
     # Optimizer step, then short synchronization AllReduce calls.
     opt = [0] * topo.num_ranks
     for p in range(pp):
         for q in range(dp):
-            for l in range(G):
-                r = rank(p, q, l)
-                opt[r] = compute(f"opt.p{p}.q{q}.l{l}", r,
-                                 tuple(rs[(p, l)]) + (last_compute[r],), ct["optim"])
-    for l in range(G):
-        gid = f"sync.l{l}"
-        members = groups[gid].members
-        prev = None
-        for k in range(params.n_sync_allreduce):
-            if k == 0:
-                ds = tuple(opt[rank(p, q, l)] for p in range(pp) for q in range(dp))
-            else:
-                ds = (prev,)
-            prev = collective(f"ar.k{k}.l{l}", members, "sync", ds, gid, ALLREDUCE,
-                              params.bytes_sync_allreduce)
+            r = rank(p, q)
+            opt[r] = compute(f"opt.p{p}.q{q}.l0", r, tuple(rs[p]) + (last_compute[r],),
+                             ct["optim"])
+            blocks.append(len(ids))
+    members = groups["sync.l0"].members
+    prev = None
+    for k in range(params.n_sync_allreduce):
+        ds = tuple(opt[r] for r in members) if k == 0 else (prev,)
+        prev = collective(f"ar.k{k}.l0", members, "sync", ds, "sync.l0", ALLREDUCE,
+                          params.bytes_sync_allreduce)
+    blocks.append(len(ids))
 
     for i, key in later:
         deps[i] += (rows[key],)
     dag.index = {eid: i for i, eid in enumerate(ids)}
     dag.observed_start = [None] * len(ids)
     dag.observed_end = [None] * len(ids)
-    dag.rail_symmetric = True
+    dag.rails = G
     return dag

@@ -496,6 +496,32 @@ class TestShippedOutputs:
         "provisioned/reconfig.csv": "0d059003dd10afaadaa3c6f10386bf50ddf732fdc0f73624d237f4cc83214cae",
     }
 
+    # `sim` on 4 domains x 12 GPUs: rail 10's event and group ids (.l10)
+    # sort before rail 2's (.l2).
+    MANY_RAILS = {
+        "reactive/timeline.csv": "42a17da11799185a8d30853a969cf9a7fdc12221bb6726e340b57aab7bdd4be6",
+        "reactive/reconfig.csv": "ec986c19d8d143f07f475ae21d688edcf5dd009733f3c1b5c8ccf591af30ff4d",
+        "provisioned/timeline.csv": "7e74f705674a0642d7a36a3b43da26c1b58f40814b6da25d96d56333c7e34c85",
+        "provisioned/reconfig.csv": "b36099939bead9a737925552a0879c1f4409e74f05ecaed6df292b715434ea2e",
+    }
+    # `gen` on 6 domains x 2 GPUs (pp=2, dp=3) and on 4 domains x 4 GPUs
+    # (pp=4, dp=1), three microbatches each: a trace lists its records in
+    # the generator's row order, which interleaves the rails.
+    GEN_TRACES = {
+        "g2.csv": "d9b71e75677762bed5ebfc0c8895b248a73062f8b5d23bed3c9cce73d15424f1",
+        "g4.csv": "55f8a57d3c3c0d1427fb9bbb1e397d11134fa11f821780cfc0ff85cb97729370",
+    }
+
+    @staticmethod
+    def shape(tmp_path, name, **keys):
+        """SCENARIO with the given [topology] and [workload] keys replaced."""
+        text = SCENARIO
+        for key, value in keys.items():
+            text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        ini = tmp_path / name
+        ini.write_text(text)
+        return str(ini)
+
     @staticmethod
     def digests(root, names):
         return {name: hashlib.sha256((root / name).read_bytes()).hexdigest()
@@ -519,3 +545,18 @@ class TestShippedOutputs:
             assert main(["sim", "--scenario", str(ini), flag,
                          "--out-dir", str(tmp_path / out)]) == 0
         assert self.digests(tmp_path, self.WIDE_DP) == self.WIDE_DP
+
+    def test_many_rails_outputs_pinned(self, tmp_path, capsys):
+        ini = self.shape(tmp_path, "rails.ini", gpus_per_domain=12, tp=12, n_layer=4)
+        for out, flag in (("reactive", "--no-provisioning"),
+                          ("provisioned", "--provisioning")):
+            assert main(["sim", "--scenario", ini, flag,
+                         "--out-dir", str(tmp_path / out)]) == 0
+        assert self.digests(tmp_path, self.MANY_RAILS) == self.MANY_RAILS
+
+    def test_generated_traces_pinned(self, tmp_path, capsys):
+        for name, keys in (("g2.csv", dict(num_domains=6, gpus_per_domain=2, tp=2, dp=3)),
+                           ("g4.csv", dict(pp=4, dp=1))):
+            ini = self.shape(tmp_path, name + ".ini", n_microbatch=3, **keys)
+            assert main(["gen", "--scenario", ini, "--out", str(tmp_path / name)]) == 0
+        assert self.digests(tmp_path, self.GEN_TRACES) == self.GEN_TRACES

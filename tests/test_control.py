@@ -394,22 +394,19 @@ class TestBarrier:
 
     def check(self, dag, topo, policy):
         prepared = Prepared(dag, topo, policy.alpha)
-        # The compiled DAG's row of each DAG row: its rail-0 twin's when the
-        # DAG is timed on rail 0 only.
-        twins = prepared.twins
-        row = range(len(dag)) if twins is None else twins.twin
-        circuit = [prepared.c.circuit[k] for k in row]
         times = simulate(dag, topo, policy, prepared=prepared).event_times
         seen = {False: 0, True: 0}
-        for i, ranks in enumerate(times.ranks):
-            if len(ranks) < 2:
+        for eid, t in times.items():  # every rail's events
+            if len(t.starts) < 2:
                 continue
-            joined = max(times.starts(i).values())
-            if circuit[i]:
-                assert times.start[i] >= joined
+            # Compiled by the row of the event or of its rail-0 twin.
+            circuit = prepared.c.circuit[dag.locate(eid)[0]]
+            joined = max(t.starts.values())
+            if circuit:
+                assert t.start >= joined
             else:
-                assert times.start[i] == joined
-            seen[circuit[i]] += 1
+                assert t.start == joined
+            seen[circuit] += 1
         return seen
 
     @pytest.mark.parametrize("policy", [REACTIVE, PROVISIONED])

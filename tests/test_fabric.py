@@ -366,7 +366,7 @@ class TestBaseline:
         topo = make_topo(delay=0.02)
         dag = generate_3d_schedule(make_params(), topo)
         for eid, t in simulate(dag, topo, force_baseline=True).event_times.items():
-            i = dag.index[eid]
+            i = dag.locate(eid)[0]
             dag.observed_start[i], dag.observed_end[i] = t.start, t.end
         path = str(tmp_path / "t.csv")
         save_trace(dag, path)
@@ -405,19 +405,16 @@ class TestRejectedInputs:
 
 
 def outcome(dag, topo, policy, prepared):
-    """Everything a run shows, with its logs as multisets, or its error."""
+    """Everything a run shows, with every event's timing by id and its logs
+    as multisets, or its error."""
     try:
         res = simulate(dag, topo, policy, prepared=prepared)
     except RailsimError as e:
         return type(e), str(e)
-    times = res.event_times
     return {
         "makespan": res.makespan,
         "overhead": res.overhead_vs_baseline,
-        "start": times.start,
-        "end": times.end,
-        "starts": [times.starts(i) for i in range(len(dag))],
-        "events": sorted(times),
+        "times": dict(res.event_times.items()),  # start, end and per-rank joins
         "reconfig_log": sorted(astuple(e) for e in res.reconfig_log),
         "circuit_log": sorted(res.circuit_log),
         "transfer_log": sorted(res.transfer_log),
@@ -425,22 +422,21 @@ def outcome(dag, topo, policy, prepared):
 
 
 class TestRailTwins:
-    """A generated DAG is timed on rail 0 only and its timing copied to the
-    other rails.  Each run must equal the same DAG's run row by row, after
-    re-adding one unchanged row dropped its rail record: the times, per-rank
-    joins and logs, or the error.  Every point of a delay sweep runs through
-    one shared `Prepared` on each side."""
+    """A generated DAG holds rail 0's rows and the TP rows, and is timed as
+    held, its timing copied to the other rails.  Each run must equal the run
+    of its expansion, which holds every row and is timed row by row: every
+    event's times and per-rank joins, the logs, or the error.  Every point
+    of a delay sweep runs through one shared `Prepared` on each side."""
 
     def check(self, pp, dp, gpus, nic_ports, n_layer, m, delays, calibration):
         topo = make_topo(num_domains=pp * dp, gpus_per_domain=gpus, nic_ports=nic_ports)
         params = make_params(pp=pp, dp=dp, tp=gpus, n_layer=n_layer, n_microbatch=m,
                              **calibration)
         dag = generate_3d_schedule(params, topo)
-        ref = generate_3d_schedule(params, topo)
-        ref.add(ref.events[ref.ids[0]])
-        assert dag.rail_symmetric and not ref.rail_symmetric
+        ref = dag.expanded()
+        assert (dag.rails, ref.rails) == (gpus, 1)
+        assert len(dag.ids) < len(ref.ids) == len(ref) == len(dag)
         prep, ref_prep = Prepared(dag, topo, REACTIVE.alpha), Prepared(ref, topo, REACTIVE.alpha)
-        assert ref_prep.twins is None and len(prep.c.rows) < len(dag)
         errors = set()
         for d in delays:
             t = replace(topo, rail_switch=replace(topo.rail_switch, reconfig_delay=d))

@@ -1,5 +1,5 @@
-"""Peak memory per event of the trace loader, the trace writer and `sim`
-plus its writer.
+"""Peak memory per event of the generator, the trace loader, the trace
+writer and `sim` plus its writer.
 
 tracemalloc counts the bytes Python allocates, so the bounds do not depend
 on the allocator or on what the process held before.  Each bound sits about
@@ -8,10 +8,14 @@ every event and that of the design that holds each event once.  Measured on
 Python 3.10, 3.11 and 3.12 at these tests' shapes: the loader 580-616
 B/event with a dependents list per event for its cycle check (594 on 3.11),
 441-474 with the depth-first check over `deps` (452 on 3.11); the trace
-writer 428-438 with the whole file's text, 132-135 writing it in chunks.
-`sim` plus writer, on Python 3.11: 413 B/event compiling and timing every
-rail of the G=4 shape (409-424 on 3.10-3.12), 247 compiling and timing
-rail 0 and copying its times to the other rails.
+writer 428-438 with the whole file's text, 132-135 writing it in chunks
+(148 on 3.11 writing a DAG that holds one rail, each twin formatted as it
+is written).  `sim` plus writer, on Python 3.11: 413 B/event compiling and
+timing every rail of the G=4 shape (409-424 on 3.10-3.12), 247 compiling
+and timing rail 0 and copying its times to the other rails, 160 when the
+DAG holds rail 0 alone and the writer formats the twins as it writes.  The
+generator on the 16x8 shape, on Python 3.11: 371 B/event building every
+rail's rows, 51 building rail 0's and the TP rows.
 """
 
 import gc
@@ -22,9 +26,10 @@ from railsim.cli import _write_sim_outputs
 
 from conftest import CALIBRATION, PROVISIONED, make_params, make_topo
 
+GENERATE_BYTES_PER_EVENT = 211
 LOAD_TRACE_BYTES_PER_EVENT = 523
 SAVE_TRACE_BYTES_PER_EVENT = 285
-SIM_WRITE_BYTES_PER_EVENT = 330
+SIM_WRITE_BYTES_PER_EVENT = 203
 
 
 def peak_bytes(fn) -> int:
@@ -43,6 +48,14 @@ def dag_on(pp, dp, gpus, n_layer, n_microbatch):
     params = make_params(pp=pp, dp=dp, tp=gpus, n_layer=n_layer,
                          n_microbatch=n_microbatch, **CALIBRATION)
     return generate_3d_schedule(params, topo), topo
+
+
+def test_generate():
+    topo = make_topo(num_domains=16, gpus_per_domain=8, nic_ports=2, delay=0.025)
+    params = make_params(pp=4, dp=4, tp=8, n_layer=32, n_microbatch=8, **CALIBRATION)
+    dag = generate_3d_schedule(params, topo)  # 18,960 events
+    per_event = peak_bytes(lambda: generate_3d_schedule(params, topo)) / len(dag)
+    assert per_event <= GENERATE_BYTES_PER_EVENT
 
 
 def test_load_trace(tmp_path):

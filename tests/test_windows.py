@@ -105,7 +105,7 @@ class TestRailBuckets:
 
     def test_analysis_reads_only_its_rail(self):
         topo = make_topo()
-        dag = generate_3d_schedule(make_params(), topo)
+        dag = generate_3d_schedule(make_params(), topo).expanded()
         timeline = simulate(dag, topo, force_baseline=True).event_times
         seen = set()
 
@@ -159,7 +159,8 @@ class TestOracle:
 
         rng = random.Random(20240817)
         topo = make_topo()
-        dag = generate_3d_schedule(make_params(n_layer=6), topo)
+        # Every event's own random times: the row-by-row DAG.
+        dag = generate_3d_schedule(make_params(n_layer=6), topo).expanded()
         for trial in range(50):
             times = {}
             for eid, ev in dag.events.items():

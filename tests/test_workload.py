@@ -13,6 +13,8 @@ from railsim import (CyclicDependency, Event, EventDag, InvalidParams,
                      MissingDependency, NotMember, ParseError, generate_3d_schedule,
                      load_trace, loads_trace, one_f_one_b, save_trace, simulate)
 
+from railsim.workload import twin
+
 from conftest import CALIBRATION, HEADER, REACTIVE, make_params, make_topo
 
 
@@ -211,6 +213,61 @@ class TestGenerator:
         dag, topo = small_dag(num_domains=pp * dp, pp=pp, dp=dp,
                               n_layer=n_layer, n_microbatch=m)
         assert len(simulate(dag, topo).event_times) == len(dag)
+
+
+class TestOneRailHeld:
+    """A generated DAG holds rail 0's rows and the TP rows; its expansion is
+    the row-by-row DAG, and the readers that cover every rail read the held
+    rows without expanding them."""
+
+    # sha256 of the expanded columns, pinned from the generator that built
+    # every row: (pp, dp, G, n_layer, microbatches, calibrated).
+    EXPANDED = {
+        (2, 3, 2, 6, 3, False): "5735f422ad74c5ee89b902b9021992529c3f88bf0358f0726a78f8ac4441eee7",
+        (4, 1, 4, 8, 3, True): "3c2066058cd28381a6c1d3fea357a938bf07e6cddd98ce2a22765e4f36fd46fd",
+        (2, 2, 12, 4, 2, False): "3703d493968a338a03669964111dab45674bd2f7ade19e14d2645afd05c47fd3",
+        (4, 4, 8, 32, 8, True): "3eaeced6cc1b147d3005b42cf07098eaf96ef8ed7f40d3bec7ccd1b451a9ed87",
+    }
+
+    @staticmethod
+    def generated(pp, dp, gpus, n_layer, m, calibrated):
+        topo = make_topo(num_domains=pp * dp, gpus_per_domain=gpus)
+        params = make_params(pp=pp, dp=dp, tp=gpus, n_layer=n_layer, n_microbatch=m,
+                             **(CALIBRATION if calibrated else {}))
+        return generate_3d_schedule(params, topo)
+
+    @pytest.mark.parametrize("shape", EXPANDED)
+    def test_expansion_is_the_row_by_row_dag(self, shape):
+        dag = self.generated(*shape)
+        full = dag.expanded()
+        assert columns_digest(full) == self.EXPANDED[shape]
+        assert full.expanded() is full and full.rails == 1
+        assert len(dag) == len(dag.events) == len(full) == len(full.ids) > len(dag.ids)
+        # The held rows by id, each row's twins in the text order of their
+        # rails, as `timeline.csv` lists them.
+        ids, rails = dag.ids, sorted(range(dag.rails), key=str)
+        assert [twin(ids[i], l) for i in sorted(range(len(ids)), key=ids.__getitem__)
+                for l in ((0,) if i in dag.spans else rails)] == sorted(full.ids)
+
+    def test_every_rail_read_without_expanding(self):
+        dag = self.generated(2, 2, 12, 4, 2, False)
+        full = dag.expanded()
+        assert list(dag.events) == full.ids
+        assert [(i, l) for l, rows in dag.runs() for i in rows] == \
+            [dag.locate(eid) for eid in full.ids]
+        for eid in full.ids:
+            assert dag.events[eid] == full.events[eid]
+        for eid in ("ar.k0.l12", "ar.k0.l01", "ar.k0.l", "tar.f.p0.q0.m0.l1", "nope"):
+            with pytest.raises(KeyError):
+                dag.locate(eid)
+            assert eid not in dag.events
+
+    def test_add_expands_first(self):
+        dag = self.generated(2, 3, 2, 6, 3, False)
+        full = dag.expanded()
+        dag.add(dag.events["prep.p1.q2.l1"])
+        assert dag.rails == 1 and dag.ids == full.ids
+        assert list(dag.events.items()) == list(full.events.items())
 
 
 class TestColumns:
@@ -483,6 +540,16 @@ class TestTrace:
         with pytest.raises(ParseError, match="record of c disagrees") as exc:
             loads_trace(text)
         assert exc.value.line == 5
+
+    def test_compute_records_in_any_order(self):
+        # a's observed start and end are the latest over its two records, so
+        # its duration does not depend on which record comes first.
+        first = "a,0,compute,compute,,,0,,0.0,1.0\n"
+        second = "a,1,compute,compute,,,0,,0.0,3.0\n"
+        dags = [loads_trace(HEADER + first + second), loads_trace(HEADER + second + first)]
+        assert columns(dags[0]) == columns(dags[1])
+        assert (dags[0].duration, dags[0].observed_start, dags[0].observed_end) == \
+            ([3.0], [0.0], [3.0])
 
     def test_records_may_differ_in_times_and_bytes(self):
         dag = loads_trace(HEADER + "#group,g,DP,0;2,0\n"
