@@ -408,25 +408,24 @@ def _write_sim_outputs(res: SimResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     timeline = res.event_times
     dag, start, end = timeline.dag, timeline.start, timeline.end
-    ids, ranks, spans = dag.ids, dag.ranks, dag.spans
+    ids, ranks = dag.ids, dag.ranks
     rails = sorted(range(dag.rails), key=str)
-    tails = [str(l) for l in range(dag.rails)]
     text = FloatText()
     with open(os.path.join(out_dir, "timeline.csv"), "w", encoding="utf-8",
               newline="\n") as f:
         rows = ["event_id,rank,start_s,end_s"]
-        for i in sorted(range(len(ids)), key=ids.__getitem__):
-            rs, e = ranks[i], text[end[i]]
-            if len(rs) == 1:  # one rank joins when the event starts
-                joins = ((rs[0], text[start[i]]),)
-            else:
-                starts = timeline.starts(i)
-                joins = [(rank, text[starts[rank]]) for rank in sorted(starts)]
-            eid, head = ids[i], ids[i][:-1]
-            for l in (0,) if i in spans else rails:
-                twin_id = head + tails[l] if l else eid
-                for rank, t in joins:
-                    rows.append(f"{twin_id},{rank + l},{t},{e}")
+        last = None
+        for i, _, eid, offset in dag.twin_rows(sorted(range(len(ids)), key=ids.__getitem__),
+                                               rails):
+            if i != last:  # the row's first twin: its joins on rail 0
+                last, rs, e = i, ranks[i], text[end[i]]
+                if len(rs) == 1:  # one rank joins when the event starts
+                    joins = ((rs[0], text[start[i]]),)
+                else:
+                    starts = timeline.starts(i)
+                    joins = [(rank, text[starts[rank]]) for rank in sorted(starts)]
+            for rank, t in joins:
+                rows.append(f"{eid},{rank + offset},{t},{e}")
             if len(rows) >= TIMELINE_CHUNK_ROWS:
                 f.write("\n".join(rows) + "\n")
                 rows.clear()

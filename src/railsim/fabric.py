@@ -46,6 +46,7 @@ times.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from copy import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from heapq import heappop, heappush
@@ -55,7 +56,7 @@ from .control import Controller, ReconfigLogEntry, profile_iteration
 from .errors import ConflictDeadlock, CyclicDependency, NotMember, UnsupportedKind
 from .model import CommGroup, Topology
 from .workload import (ALLGATHER, ALLREDUCE, COLLECTIVE, REDUCESCATTER, SENDRECV,
-                       EventDag, twin)
+                       EventDag, twins)
 
 
 def collective_time(kind: str, bytes_per_rank: int, n: int, bandwidth: float,
@@ -116,18 +117,18 @@ class SimResult:
         """(rail, rank, port, group, up, down) of every circuit."""
         if self._rails == 1:
             return self._circuits
-        return [(rail, rank + rail, port, twin(gid, rail), up, down)
+        return [(rail, rank + offset, port, group, up, down)
                 for _, rank, port, gid, up, down in self._circuits
-                for rail in range(self._rails)]
+                for rail, group, offset in twins(gid, range(self._rails))]
 
     @cached_property
     def transfer_log(self) -> list:
         """(event, rank, port, start, end) of every transfer."""
         if self._rails == 1:
             return self._transfers
-        return [(twin(eid, rail), rank + rail, port, start, end)
+        return [(event, rank + offset, port, start, end)
                 for eid, rank, port, start, end in self._transfers
-                for rail in range(self._rails)]
+                for _, event, offset in twins(eid, range(self._rails))]
 
 
 def _check_groups(dag: EventDag, topo: Topology) -> Dict[str, Set[int]]:
@@ -248,42 +249,37 @@ class Timeline(Mapping):
     """A run's `EventTiming` of every event by id, built on lookup from the
     run's arrays; iterates in the order the events started.
 
-    `start`, `end` and `order` are by row of `dag`.  On a DAG that holds one
-    rail, a row's times are those of each of its twins, and iteration lists
-    each row's twins together, rail by rail.  `starts(i, rail)` gives the
-    per-rank join times of row i's twin on `rail`.  A full-connectivity run
-    shares its arrays with its `Prepared` simulation, so they are read,
-    never changed.
+    `start`, `end` and `order` are by row of `dag`, a shallow copy of the
+    run's DAG: an `EventDag.add` that expands the DAG in place renumbers its
+    rows but leaves the copy's columns, so the run's lookups stay right.  On
+    a DAG that holds one rail, a row's times are those of each of its twins,
+    and iteration lists each row's twins together, rail by rail.
+    `starts(i, rail)` gives the per-rank join times of row i's twin on
+    `rail`.  A full-connectivity run shares its arrays with its `Prepared`
+    simulation, so they are read, never changed.
     """
 
     __slots__ = ("dag", "order", "start", "end")
 
     def __init__(self, dag: EventDag, order: List[int], start: List[float],
                  end: List[float]):
-        self.dag, self.order, self.start, self.end = dag, order, start, end
+        self.dag, self.order, self.start, self.end = copy(dag), order, start, end
 
     def starts(self, i: int, rail: int = 0) -> Dict[int, float]:
-        dag, end = self.dag, self.end
-        ranks = dag.ranks[i]
+        dag = self.dag
+        ranks = dag.twin_ranks(i, rail)
         if len(ranks) < 2:  # one rank joins when the event starts
-            return {ranks[0] + rail: self.start[i]} if ranks else {}
-        if i in dag.spans:
-            joins = _joins(ranks, [(dag.twin_ranks(d, l), end[d])
-                                   for d, l in dag.twin_deps(i, 0)])
-        else:  # rail 0's joins, each rank moved to `rail`
-            joins = _joins(ranks, [(dag.ranks[d], end[d]) for d in dag.deps[i]])
-        return {r + rail: t for r, t in joins.items()} if rail else joins
+            return {ranks[0]: self.start[i]} if ranks else {}
+        end = self.end
+        return _joins(ranks, [(dag.twin_ranks(d, l), end[d]) for d, l in dag.twin_deps(i, rail)])
 
     def __getitem__(self, eid: str) -> EventTiming:
         i, rail = self.dag.locate(eid)
         return EventTiming(self.start[i], self.end[i], self.starts(i, rail))
 
     def __iter__(self) -> Iterator[str]:
-        ids, spans, rails = self.dag.ids, self.dag.spans, self.dag.rails
-        for i in self.order:
-            yield ids[i]
-            if i not in spans:
-                yield from (twin(ids[i], l) for l in range(1, rails))
+        dag = self.dag
+        return (eid for _, _, eid, _ in dag.twin_rows(self.order, range(dag.rails)))
 
     def __len__(self) -> int:
         return len(self.dag)
@@ -538,8 +534,8 @@ def simulate(dag: EventDag, topo: Topology, policy: Optional[ControlPolicy] = No
     controller.close(makespan)
     rails = dag.rails
     log = controller.log if rails == 1 else [
-        ReconfigLogEntry(e.time, rail, twin(e.group, rail), e.speculative, e.delay,
-                         e.ports_changed) for e in controller.log for rail in range(rails)]
+        ReconfigLogEntry(e.time, rail, group, e.speculative, e.delay, e.ports_changed)
+        for e in controller.log for rail, group, _ in twins(e.group, range(rails))]
     return SimResult(
         makespan=makespan,
         event_times=Timeline(dag, engine.order, engine.start, engine.end),

@@ -73,10 +73,11 @@ class FloatText(dict):
 def save_trace(dag: EventDag, path: str) -> None:
     """Write `dag` as a trace, one record per (event, rank) in row order and
     rank order; a DAG that holds one rail is written in its row-by-row order
-    (`EventDag.runs`), each twin's records formatted as they are written.
+    (`EventDag.twin_rows`), each twin's records formatted as they are
+    written.
     Lines are written in chunks of `SAVE_CHUNK_LINES` as they are
     formatted, so the file's text is never held whole."""
-    ids, kinds, ranks, streams = dag.ids, dag.kind, dag.ranks, dag.streams
+    kinds, ranks, streams = dag.kind, dag.ranks, dag.streams
     coll_kinds, groups, nbytes = dag.coll_kind, dag.group, dag.bytes
     starts, ends, text = dag.observed_start, dag.observed_end, FloatText()
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -86,23 +87,20 @@ def save_trace(dag: EventDag, path: str) -> None:
             members = ";".join(str(m) for m in g.members)
             rails = ";".join(str(r) for r in sorted(g.rails_touched))
             lines.append(f"#group,{gid},{g.axis},{members},{rails}")
-        for l, run in dag.runs():
-            for i in run:
-                eid, gid = ids[i], groups[i]
-                if l:  # the twin of a rail-0 row
-                    eid, gid = twin(eid, l), gid and twin(gid, l)
-                rest = (f"{kinds[i]},{coll_kinds[i] or ''},{gid or ''},{nbytes[i]},"
-                        f"{';'.join(dag.dep_ids(i, l))},{text[starts[i]]},{text[ends[i]]}")
-                rs, s = ranks[i], streams[i]
-                if len(rs) == 1 and not isinstance(s, dict):  # most rows; no sort
-                    lines.append(f"{eid},{rs[0] + l},{s},{rest}")
-                else:
-                    for rank in sorted(rs):
-                        stream = s.get(rank, "") if isinstance(s, dict) else s
-                        lines.append(f"{eid},{rank + l},{stream},{rest}")
-                if len(lines) >= SAVE_CHUNK_LINES:
-                    f.write("\n".join(lines) + "\n")
-                    lines.clear()
+        for i, l, eid, offset in dag.twin_rows():
+            gid = groups[i] and twin(groups[i], l)
+            rest = (f"{kinds[i]},{coll_kinds[i] or ''},{gid or ''},{nbytes[i]},"
+                    f"{';'.join(dag.dep_ids(i, l))},{text[starts[i]]},{text[ends[i]]}")
+            rs, s = ranks[i], streams[i]
+            if len(rs) == 1 and not isinstance(s, dict):  # most rows; no sort
+                lines.append(f"{eid},{rs[0] + offset},{s},{rest}")
+            else:
+                for rank in sorted(rs):
+                    stream = s.get(rank, "") if isinstance(s, dict) else s
+                    lines.append(f"{eid},{rank + offset},{stream},{rest}")
+            if len(lines) >= SAVE_CHUNK_LINES:
+                f.write("\n".join(lines) + "\n")
+                lines.clear()
         if lines:
             f.write("\n".join(lines) + "\n")
 

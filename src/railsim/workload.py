@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import InvalidParams, MissingDependency
 from .model import CommGroup, Topology, make_group
@@ -70,6 +70,12 @@ SENDRECV = "SendRecv"
 def twin(name: str, rail: int) -> str:
     """A rail-0 event or group id's twin on `rail`: its final `0` replaced."""
     return name[:-1] + str(rail) if rail else name
+
+
+def twins(name: str, rails: Iterable[int]) -> List[Tuple[int, str, int]]:
+    """A rail-0 event or group id's twin on each of `rails`, as (rail, id,
+    rank offset): the twin's ranks are the rail-0 ranks plus the offset."""
+    return [(l, twin(name, l), l) for l in rails]
 
 
 @dataclass(slots=True)
@@ -105,9 +111,11 @@ class EventDag:
     event's ranks issue it on the same stream, else a dict of them by rank.
     With `rails` above 1 the DAG holds one rail (see the module docstring):
     each row not in `spans` stands for its twin on every rail, and `blocks`
-    records how the rails interleave.  `len`, `events`, `locate`, `runs` and
-    `event_ids` cover every rail's events without expanding; `expanded`
-    builds the row-by-row DAG, and `add` expands the DAG in place first.
+    records how the rails interleave.  `len`, `events`, `locate`, `runs`,
+    `twin_rows` and `event_ids` cover every rail's events without
+    expanding, and the `twin_*` methods and `twins` derive a twin's id,
+    ranks, streams and dependencies; `expanded` builds the row-by-row DAG,
+    and `add` expands the DAG in place first.
     """
 
     def __init__(self) -> None:
@@ -128,6 +136,7 @@ class EventDag:
         # dependency names, until `resolve` turns them into rows.
         self._unresolved: Dict[int, tuple] = {}
         self._by_rail: Optional[Dict[int, List[int]]] = None
+        self._twin_ids: Optional[List[List[str]]] = None
         self.rails = 1  # the rails each row not in `spans` stands for
         self.spans: Set[int] = set()  # rows whose ranks span rails
         self.blocks: List[int] = []  # the end of each block (see `runs`)
@@ -186,6 +195,12 @@ class EventDag:
         """The ranks of row i's twin on `rail`."""
         return tuple(r + rail for r in self.ranks[i]) if rail else self.ranks[i]
 
+    def twin_streams(self, i: int, rail: int) -> Union[str, Dict[int, str]]:
+        """The streams of row i's twin on `rail`, as `streams` holds them; a
+        dict is a new one."""
+        s = self.streams[i]
+        return {r + rail: name for r, name in s.items()} if isinstance(s, dict) else s
+
     def twin_deps(self, i: int, rail: int) -> List[Tuple[int, int]]:
         """The dependencies of row i's twin on `rail`, as (row, rail) pairs."""
         spans, ds = self.spans, self.deps[i]
@@ -198,15 +213,25 @@ class EventDag:
         """The dependencies of row i's twin on `rail` by event id, sorted."""
         names = self._unresolved.get(i)
         if names is None:
-            ids, spans = self.ids, self.spans
-            if i in spans:
-                names = [twin(ids[d], l) for d, l in self.twin_deps(i, rail)]
-            elif rail:
-                tail = str(rail)
-                names = [ids[d] if d in spans else ids[d][:-1] + tail for d in self.deps[i]]
-            else:
-                names = [ids[d] for d in self.deps[i]]
+            ids = self.twin_ids()
+            if i in self.spans:
+                names = [ids[l][d] for d, l in self.twin_deps(i, rail)]
+            else:  # a row in `spans` has its own id on every rail
+                names = [ids[rail][d] for d in self.deps[i]]
         return tuple(sorted(names))
+
+    def twin_ids(self) -> List[List[str]]:
+        """Every rail's event ids by row: `twin_ids()[l][i]` is the id of row
+        i's twin on rail l (of row i itself, for a row in `spans`).  On a
+        DAG that holds one rail, computed on the first call."""
+        if self.rails == 1:
+            return [self.ids]
+        if self._twin_ids is None:
+            ids, spans = self.ids, self.spans
+            self._twin_ids = [ids] + [[eid if i in spans else twin(eid, l)
+                                       for i, eid in enumerate(ids)]
+                                      for l in range(1, self.rails)]
+        return self._twin_ids
 
     def locate(self, eid: str) -> Tuple[int, int]:
         """The row of event `eid`, or of its rail-0 twin, and its rail;
@@ -234,10 +259,33 @@ class EventDag:
             a = b
         return out
 
+    def twin_rows(self, rows: Optional[Iterable[int]] = None,
+                  rails: Sequence[int] = ()) -> Iterator[Tuple[int, int, str, int]]:
+        """Events as (row, rail, event id, rank offset): row i's twin on the
+        rail, whose ranks are row i's plus the offset.  Every event in
+        `runs` order, or, with `rows`, each of those rows' twins on `rails`
+        in turn (a row in `spans` on rail 0 alone)."""
+        if rows is None:
+            ids = self.twin_ids()
+            for l, run in self.runs():
+                rail_ids = ids[l]
+                for i in run:
+                    yield i, l, rail_ids[i], l
+            return
+        ids, spans = self.ids, self.spans
+        tails = [(l, str(l)) for l in rails]
+        for i in rows:
+            eid = ids[i]
+            if i in spans:
+                yield i, 0, eid, 0
+            else:
+                head = eid[:-1]
+                for l, tail in tails:
+                    yield i, l, head + tail if l else eid, l
+
     def event_ids(self) -> List[str]:
         """Every event's id, in `runs` order."""
-        ids = self.ids
-        return [twin(ids[i], l) for l, run in self.runs() for i in run]
+        return [eid for _, _, eid, _ in self.twin_rows()]
 
     def expanded(self) -> "EventDag":
         """The row-by-row DAG: every event a row of its own, in `runs`
@@ -245,7 +293,7 @@ class EventDag:
         it is."""
         if self.rails == 1:
             return self
-        rows = [(i, l) for l, run in self.runs() for i in run]
+        rows = [(i, l) for i, l, _, _ in self.twin_rows()]
         at = {twin_row: k for k, twin_row in enumerate(rows)}
         full = EventDag()
         full.groups, full.ids = self.groups, self.event_ids()
@@ -255,10 +303,9 @@ class EventDag:
             column = getattr(self, name)
             setattr(full, name, [column[i] for i, _ in rows])
         for i, l in rows:
-            streams, group = self.streams[i], self.group[i]
+            group = self.group[i]
             full.ranks.append(self.twin_ranks(i, l))
-            full.streams.append({r + l: s for r, s in streams.items()}
-                                if isinstance(streams, dict) else streams)
+            full.streams.append(self.twin_streams(i, l))
             full.group.append(group and twin(group, l))
             full.deps.append(tuple(at[d] for d in self.twin_deps(i, l)))
         return full
@@ -290,10 +337,10 @@ class _Rows(Mapping):
     def __getitem__(self, eid: str) -> Event:
         dag = self._dag
         i, rail = dag.locate(eid)
-        ranks, streams, group = dag.twin_ranks(i, rail), dag.streams[i], dag.group[i]
+        ranks, streams, group = dag.twin_ranks(i, rail), dag.twin_streams(i, rail), dag.group[i]
         return Event(id=eid, kind=dag.kind[i], rank_set=ranks,
-                     streams=({r + rail: s for r, s in streams.items()}
-                              if isinstance(streams, dict) else dict.fromkeys(ranks, streams)),
+                     streams=(streams if isinstance(streams, dict)
+                              else dict.fromkeys(ranks, streams)),
                      group=group and twin(group, rail), coll_kind=dag.coll_kind[i],
                      bytes=dag.bytes[i], deps=dag.dep_ids(i, rail), duration=dag.duration[i],
                      observed_start=dag.observed_start[i], observed_end=dag.observed_end[i])

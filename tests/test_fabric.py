@@ -415,6 +415,7 @@ def outcome(dag, topo, policy, prepared):
         "makespan": res.makespan,
         "overhead": res.overhead_vs_baseline,
         "times": dict(res.event_times.items()),  # start, end and per-rank joins
+        "events": sorted(res.event_times),  # each event once
         "reconfig_log": sorted(astuple(e) for e in res.reconfig_log),
         "circuit_log": sorted(res.circuit_log),
         "transfer_log": sorted(res.transfer_log),
@@ -459,6 +460,19 @@ class TestRailTwins:
         pp, dp = shape
         self.check(pp, dp, gpus, nic_ports, pp + extra_layers, m, (0.0, small, large),
                    CALIBRATION if calibrated else {})
+
+    def test_result_outlives_add(self):
+        # `EventDag.add` expands a held DAG in place, renumbering its rows; a
+        # run from before still reads the rows it was timed on, and equals a
+        # run of the expanded DAG.
+        topo = make_topo(delay=0.02)
+        dag = generate_3d_schedule(make_params(), topo)
+        res = simulate(dag, topo, REACTIVE)
+        events, times = list(res.event_times), dict(res.event_times.items())
+        dag.add(dag.events[dag.ids[0]])
+        assert dag.rails == 1 and len(dag.ids) == len(events)
+        assert (list(res.event_times), dict(res.event_times.items())) == (events, times)
+        assert dict(simulate(dag, topo, REACTIVE).event_times.items()) == times
 
     def test_deadlock_counts_every_rail(self):
         # A shape whose provisioned run deadlocks at 0.5 s switching (a known
