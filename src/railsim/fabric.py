@@ -25,14 +25,12 @@ rejects a dependency cycle.
 A generated DAG holds rail 0's rows and the TP rows that span rails, each
 other row standing for its twin on every rail (`EventDag.rails`).  Rails
 share no port, group or controller queue, so every rail sees rail 0's
-grants and times: the DAG is compiled and timed as it is held, and each row's
-start and end are those of its twins.  A run's result copies each log
-entry to every rail, with group and event ids, ranks and rails mapped to
-the twins (the circuit and transfer logs on first access).  Such a run's
-start order and logs list twins together, rail by rail, where a run of
-every row would interleave them; as multisets they are the same.  Traces,
-hand-built DAGs and DAGs after `EventDag.add` hold every row and are timed
-row by row.
+grants and times: the DAG is compiled and timed as it is held, and a run's
+result copies each log entry to its twins (the circuit and transfer logs on
+first access).  Its start order and logs list twins together, rail by rail,
+where a run of every row would interleave them; as multisets they are the
+same.  Traces, hand-built DAGs and DAGs after `EventDag.add` hold every row
+and are timed row by row.
 
 An event starts once its last dependency has finished.  Per-rank join times
 (`_joins`: a rank joins at the latest end among the dependencies that
@@ -250,13 +248,11 @@ class Timeline(Mapping):
     run's arrays; iterates in the order the events started.
 
     `start`, `end` and `order` are by row of `dag`, a shallow copy of the
-    run's DAG: an `EventDag.add` that expands the DAG in place renumbers its
-    rows but leaves the copy's columns, so the run's lookups stay right.  On
-    a DAG that holds one rail, a row's times are those of each of its twins,
-    and iteration lists each row's twins together, rail by rail.
-    `starts(i, rail)` gives the per-rank join times of row i's twin on
-    `rail`.  A full-connectivity run shares its arrays with its `Prepared`
-    simulation, so they are read, never changed.
+    run's DAG, which an `EventDag.add` that expands the DAG in place leaves
+    as it was.  A row's times are its twins', and iteration lists each row's
+    twins together; `starts(i, rail)` gives the per-rank join times of row
+    i's twin on `rail`.  A full-connectivity run shares its arrays with its
+    `Prepared` simulation, so they are read, never changed.
     """
 
     __slots__ = ("dag", "order", "start", "end")
@@ -278,8 +274,7 @@ class Timeline(Mapping):
         return EventTiming(self.start[i], self.end[i], self.starts(i, rail))
 
     def __iter__(self) -> Iterator[str]:
-        dag = self.dag
-        return (eid for _, _, eid, _ in dag.twin_rows(self.order, range(dag.rails)))
+        return (eid for _, _, eid, _ in self.dag.twin_rows(self.order, range(self.dag.rails)))
 
     def __len__(self) -> int:
         return len(self.dag)

@@ -74,8 +74,7 @@ def save_trace(dag: EventDag, path: str) -> None:
     """Write `dag` as a trace, one record per (event, rank) in row order and
     rank order; a DAG that holds one rail is written in its row-by-row order
     (`EventDag.twin_rows`), each twin's records formatted as they are
-    written.
-    Lines are written in chunks of `SAVE_CHUNK_LINES` as they are
+    written.  Lines are written in chunks of `SAVE_CHUNK_LINES` as they are
     formatted, so the file's text is never held whole."""
     kinds, ranks, streams = dag.kind, dag.ranks, dag.streams
     coll_kinds, groups, nbytes = dag.coll_kind, dag.group, dag.bytes

@@ -25,27 +25,25 @@ record that hand-built DAGs pass to `EventDag.add` and that `dag.events`
 returns.
 
 A generated DAG holds one rail.  Every rail runs rail 0's schedule on the
-twin ranks (the ranks of the same domains on rail l), and the only events
-whose ranks span rails are the TP AllReduces, which take no circuit.  So
-`generate_3d_schedule` emits rail 0's rows and the TP rows (`spans`), and
-sets `EventDag.rails` to the rail count: each other row stands for its twin
-on every rail.  A twin is arithmetic: on rail l, rank r becomes r + l, the
-`.l0` that ends rail 0's event and group ids becomes `.l{l}`, and a
-dependency on a rail-0 row becomes one on that row's twin on rail l.  A TP
-row stands for itself alone and covers whole domains; it depends on every
-rail's twin of each rail-0 row it names.  So a twin's per-rank joins are its
-rail-0 row's with each rank + l.  `EventDag.blocks` records how the
-row-by-row DAG interleaves the rails: each block of rows is repeated rail by
-rail, rail 0 with the TP rows and the other rails without them.  So `runs`
-lists every event in the row-by-row order, and `expanded` rebuilds the
-row-by-row DAG exactly.  Every held id but a TP row's ends in `.l0`, and no
-other held id starts with it less that `0`, so the ids of a row's twins sort
-together, in the text order of their rails (`.l10` before `.l2`).  The
-simulator, the profiler and the log copies read the held rows directly;
-`len`, `events`, `locate`, the writers and `windows` cover every rail.
-`EventDag.add` expands a DAG first, and the trace parser and hand-built DAGs
+twin ranks (the ranks of the same domains on rail l), and only the TP
+AllReduces, which take no circuit, span rails.  So `generate_3d_schedule`
+emits rail 0's rows and the TP rows (`spans`), and sets `EventDag.rails` to
+the rail count: each other row stands for its twin on every rail.  A twin is
+arithmetic, and the `twin*` functions and methods are the one place that
+derives it: on rail l, rank r becomes r + l, the `.l0` that ends rail 0's
+event and group ids becomes `.l{l}`, and a dependency on a rail-0 row becomes
+one on that row's twin.  A TP row stands for itself and depends on every
+rail's twin of each rail-0 row it names, so a twin's per-rank joins are its
+row's with each rank + l.  `EventDag.blocks` records how the row-by-row DAG
+interleaves the rails (each block repeated rail by rail, the TP rows on rail
+0 only), so `twin_rows` lists every event in that order and `expanded`
+rebuilds that DAG exactly.  Every held id but a TP row's ends in `.l0`, and
+no other held id starts with one less its final `0`, so a row's twins' ids
+sort together, in the text order of their rails (`.l10` before `.l2`).  The
+simulator, the profiler and the log copies read the held rows directly.
+`EventDag.add` expands a DAG first, and parsed traces and hand-built DAGs
 hold every row, so they take the row-by-row path.  Changing a column in
-place of a DAG that holds one rail changes every rail.
+place of a held DAG changes every rail.
 """
 
 from __future__ import annotations
@@ -73,8 +71,7 @@ def twin(name: str, rail: int) -> str:
 
 
 def twins(name: str, rails: Iterable[int]) -> List[Tuple[int, str, int]]:
-    """A rail-0 event or group id's twin on each of `rails`, as (rail, id,
-    rank offset): the twin's ranks are the rail-0 ranks plus the offset."""
+    """(rail, id, rank offset) of a rail-0 event or group id's twin on each of `rails`."""
     return [(l, twin(name, l), l) for l in rails]
 
 
@@ -111,11 +108,9 @@ class EventDag:
     event's ranks issue it on the same stream, else a dict of them by rank.
     With `rails` above 1 the DAG holds one rail (see the module docstring):
     each row not in `spans` stands for its twin on every rail, and `blocks`
-    records how the rails interleave.  `len`, `events`, `locate`, `runs`,
-    `twin_rows` and `event_ids` cover every rail's events without
-    expanding, and the `twin_*` methods and `twins` derive a twin's id,
-    ranks, streams and dependencies; `expanded` builds the row-by-row DAG,
-    and `add` expands the DAG in place first.
+    records how the rails interleave.  `len`, `events`, `locate` and
+    `twin_rows` cover every rail's events without expanding; `expanded`
+    builds the row-by-row DAG, and `add` expands the DAG in place first.
     """
 
     def __init__(self) -> None:
@@ -139,7 +134,7 @@ class EventDag:
         self._twin_ids: Optional[List[List[str]]] = None
         self.rails = 1  # the rails each row not in `spans` stands for
         self.spans: Set[int] = set()  # rows whose ranks span rails
-        self.blocks: List[int] = []  # the end of each block (see `runs`)
+        self.blocks: List[int] = []  # the end of each block (see `twin_rows`)
 
     def __len__(self) -> int:
         n = len(self.ids)
@@ -228,9 +223,8 @@ class EventDag:
             return [self.ids]
         if self._twin_ids is None:
             ids, spans = self.ids, self.spans
-            self._twin_ids = [ids] + [[eid if i in spans else twin(eid, l)
-                                       for i, eid in enumerate(ids)]
-                                      for l in range(1, self.rails)]
+            self._twin_ids = [[eid if i in spans else twin(eid, l) for i, eid in enumerate(ids)]
+                              for l in range(self.rails)]
         return self._twin_ids
 
     def locate(self, eid: str) -> Tuple[int, int]:
@@ -246,31 +240,21 @@ class EventDag:
             raise KeyError(eid)
         return i, rail
 
-    def runs(self) -> List[Tuple[int, Sequence[int]]]:
-        """The row-by-row DAG's order as (rail, rows) runs: each block of
-        rows on rail 0, then without `spans` on each other rail."""
-        if self.rails == 1:
-            return [(0, range(len(self.ids)))]
-        out: List[Tuple[int, Sequence[int]]] = []
-        a = 0
-        for b in self.blocks:
-            kept = [i for i in range(a, b) if i not in self.spans]
-            out += [(0, range(a, b))] + [(l, kept) for l in range(1, self.rails)]
-            a = b
-        return out
-
     def twin_rows(self, rows: Optional[Iterable[int]] = None,
                   rails: Sequence[int] = ()) -> Iterator[Tuple[int, int, str, int]]:
-        """Events as (row, rail, event id, rank offset): row i's twin on the
-        rail, whose ranks are row i's plus the offset.  Every event in
-        `runs` order, or, with `rows`, each of those rows' twins on `rails`
-        in turn (a row in `spans` on rail 0 alone)."""
+        """Events as (row, rail, event id, rank offset), each row i's twin on
+        the rail: with `rows`, those rows' twins on `rails` in turn (a row in
+        `spans` on rail 0 alone); else every event in the row-by-row order,
+        each block of rows on rail 0, then without `spans` on each rail."""
         if rows is None:
-            ids = self.twin_ids()
-            for l, run in self.runs():
-                rail_ids = ids[l]
-                for i in run:
-                    yield i, l, rail_ids[i], l
+            ids, a = self.twin_ids(), 0
+            for b in self.blocks if self.rails > 1 else [len(self.ids)]:
+                kept = [i for i in range(a, b) if i not in self.spans]
+                for l in range(self.rails):
+                    rail_ids = ids[l]
+                    for i in kept if l else range(a, b):
+                        yield i, l, rail_ids[i], l
+                a = b
             return
         ids, spans = self.ids, self.spans
         tails = [(l, str(l)) for l in rails]
@@ -283,26 +267,22 @@ class EventDag:
                 for l, tail in tails:
                     yield i, l, head + tail if l else eid, l
 
-    def event_ids(self) -> List[str]:
-        """Every event's id, in `runs` order."""
-        return [eid for _, _, eid, _ in self.twin_rows()]
-
     def expanded(self) -> "EventDag":
-        """The row-by-row DAG: every event a row of its own, in `runs`
+        """The row-by-row DAG: every event a row of its own, in `twin_rows`
         order, sharing `groups`.  A DAG that holds every row is returned as
         it is."""
         if self.rails == 1:
             return self
-        rows = [(i, l) for i, l, _, _ in self.twin_rows()]
-        at = {twin_row: k for k, twin_row in enumerate(rows)}
+        rows = list(self.twin_rows())
+        at = {(i, l): k for k, (i, l, _, _) in enumerate(rows)}
         full = EventDag()
-        full.groups, full.ids = self.groups, self.event_ids()
+        full.groups, full.ids = self.groups, [eid for _, _, eid, _ in rows]
         full.index = {eid: k for k, eid in enumerate(full.ids)}
         for name in ("kind", "coll_kind", "bytes", "duration", "observed_start",
                      "observed_end"):
             column = getattr(self, name)
-            setattr(full, name, [column[i] for i, _ in rows])
-        for i, l in rows:
+            setattr(full, name, [column[i] for i, *_ in rows])
+        for i, l, _, _ in rows:
             group = self.group[i]
             full.ranks.append(self.twin_ranks(i, l))
             full.streams.append(self.twin_streams(i, l))
@@ -346,7 +326,7 @@ class _Rows(Mapping):
                      observed_start=dag.observed_start[i], observed_end=dag.observed_end[i])
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._dag.event_ids())
+        return (eid for _, _, eid, _ in self._dag.twin_rows())
 
     def __len__(self) -> int:
         return len(self._dag)
@@ -413,17 +393,14 @@ def one_f_one_b(pp: int, stage: int, n_microbatch: int) -> List[Tuple[str, int]]
 def generate_3d_schedule(params: WorkloadParams, topo: Topology) -> EventDag:
     """Build the event DAG of one training iteration, one rail of it held.
 
-    The rows are rail 0's events and the TP AllReduces, which span rails,
-    in issue order; `rails` is the scale-up size and `blocks` ends each run
-    of rows that the row-by-row DAG repeats rail by rail (see the module
-    docstring).  Each event depends on the previous event of every
-    (rank, stream) it is issued on; the generator knows which event that
-    is, because each stream carries one kind of traffic: a rank's compute,
-    the AllGathers and ReduceScatters of its DP group, the SendRecvs of one
-    pipeline pair and direction, the TP AllReduces of its domain, or the
-    sync AllReduces of its rail.  A TP AllReduce's dependency on a rail-0
-    row stands for that row's twin on every rail.  A dependency on an event
-    added further on is resolved once every row exists.
+    The rows are rail 0's events and the TP AllReduces in issue order (see
+    the module docstring).  Each event depends on the previous event of
+    every (rank, stream) it is issued on; the generator knows which event
+    that is, because each stream carries one kind of traffic: a rank's
+    compute, the AllGathers and ReduceScatters of its DP group, the SendRecvs
+    of one pipeline pair and direction, the TP AllReduces of its domain, or
+    the sync AllReduces of its rail.  A dependency on an event added further
+    on is resolved once every row exists.
     """
     params.validate(topo)
     pp, dp, tp = params.pp, params.dp, params.tp

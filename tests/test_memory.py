@@ -9,7 +9,7 @@ Python 3.10, 3.11 and 3.12 at these tests' shapes: the loader 580-616
 B/event with a dependents list per event for its cycle check (594 on 3.11),
 441-474 with the depth-first check over `deps` (452 on 3.11); the trace
 writer 428-438 with the whole file's text, 132-135 writing it in chunks
-(202 on 3.11 writing a DAG that holds one rail, each twin formatted as it
+(192 on 3.11 writing a DAG that holds one rail, each twin formatted as it
 is written, with every rail's event ids kept for naming dependencies).  `sim` plus writer, on Python 3.11: 413 B/event compiling and
 timing every rail of the G=4 shape (409-424 on 3.10-3.12), 247 compiling
 and timing rail 0 and copying its times to the other rails, 160 when the

@@ -253,7 +253,7 @@ class TestOneRailHeld:
         dag = self.generated(2, 2, 12, 4, 2, False)
         full = dag.expanded()
         assert list(dag.events) == full.ids
-        assert [(i, l) for l, rows in dag.runs() for i in rows] == \
+        assert [(i, l) for i, l, _, _ in dag.twin_rows()] == \
             [dag.locate(eid) for eid in full.ids]
         for eid in full.ids:
             assert dag.events[eid] == full.events[eid]
