@@ -34,7 +34,7 @@ from .errors import (ConfigError, ConflictDeadlock, CyclicDependency,
                      RadixExceeded, UnsupportedKind)
 from .fabric import ControlPolicy, SimResult, simulate, sweep_delay
 from .model import Topology, TopologySpec, build_topology
-from .trace import FloatText, load_trace, save_trace
+from .trace import WRITE_CHUNK_LINES, FloatText, load_trace, save_trace
 from .windows import Window, analyze_rail, classify_by_volume, window_cdf
 from .workload import EventDag, WorkloadParams, generate_3d_schedule
 
@@ -72,8 +72,6 @@ _ECON_KEYS = {
 _COMMENT = re.compile(r"(?:^|\s)[#;]")
 # A key line: the key runs to the first `=` or `:`.
 _KEY_VALUE = re.compile(r"([^=:]+)[=:](.*)")
-# timeline.csv rows formatted before they are written out together.
-TIMELINE_CHUNK_ROWS = 2048
 
 
 @dataclass
@@ -400,7 +398,7 @@ def cmd_windows(args: argparse.Namespace) -> int:
 def _write_sim_outputs(res: SimResult, out_dir: str) -> None:
     """Write timeline.csv (one row per event and rank, by event id) and
     reconfig.csv.  Timeline rows are written in chunks of
-    `TIMELINE_CHUNK_ROWS` as they are formatted, so the file's text is never
+    `WRITE_CHUNK_LINES` as they are formatted, so the file's text is never
     held whole.  The DAG's rows go by id, each row's twins together in the
     text order of their rails, which orders every rail's ids (see the
     `workload` module); a twin's per-rank joins are its row's, each rank
@@ -415,8 +413,7 @@ def _write_sim_outputs(res: SimResult, out_dir: str) -> None:
               newline="\n") as f:
         rows = ["event_id,rank,start_s,end_s"]
         last = None
-        for i, _, eid, offset in dag.twin_rows(sorted(range(len(ids)), key=ids.__getitem__),
-                                               rails):
+        for i, l, eid in dag.twin_rows(sorted(range(len(ids)), key=ids.__getitem__), rails):
             if i != last:  # the row's first twin: its joins on rail 0
                 last, rs, e = i, ranks[i], text[end[i]]
                 if len(rs) == 1:  # one rank joins when the event starts
@@ -425,8 +422,8 @@ def _write_sim_outputs(res: SimResult, out_dir: str) -> None:
                     starts = timeline.starts(i)
                     joins = [(rank, text[starts[rank]]) for rank in sorted(starts)]
             for rank, t in joins:
-                rows.append(f"{eid},{rank + offset},{t},{e}")
-            if len(rows) >= TIMELINE_CHUNK_ROWS:
+                rows.append(f"{eid},{rank + l},{t},{e}")
+            if len(rows) >= WRITE_CHUNK_LINES:
                 f.write("\n".join(rows) + "\n")
                 rows.clear()
         if rows:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from .errors import DegreeInfeasible
 from .model import CommGroup, Topology, ports_needed
@@ -48,10 +48,10 @@ class ControlPhase:
     events: tuple  # DAG rows, in start order
 
 
-def profile_iteration(dag: EventDag, start: Times, end: Times,
-                      rails: Sequence[int]) -> Dict[int, List[ControlPhase]]:
-    """Per-rail ordered phase schedule from a first-iteration timeline:
-    `start` and `end` by DAG row, as `windows.rail_collectives` reads them.
+def profile_iteration(dag: EventDag, start: Times, end: Times) -> Dict[int, List[ControlPhase]]:
+    """Ordered phase schedule of each rail that `dag.scaleout_by_rail()`
+    names, from a first-iteration timeline: `start` and `end` by DAG row, as
+    `windows.rail_collectives` reads them.
 
     Consecutive collectives join the current phase when their group is already
     part of it or when they overlap the phase in time; otherwise a new phase
@@ -59,7 +59,7 @@ def profile_iteration(dag: EventDag, start: Times, end: Times,
     """
     schedule: Dict[int, List[ControlPhase]] = {}
     group = dag.group
-    for rail in rails:
+    for rail in sorted(dag.scaleout_by_rail()):
         phases: List[ControlPhase] = []
         cur_events: List[int] = []
         cur_groups: Set[str] = set()
@@ -82,23 +82,21 @@ def profile_iteration(dag: EventDag, start: Times, end: Times,
 class _Port:
     group: Optional[str] = None
     busy_until: float = 0.0
-    reconfig_until: float = 0.0
-    last_release: float = 0.0
+    reconfig_until: float = 0.0  # when its current circuit is (or came) up
 
 
 @dataclass
 class _Pending:
     times: Dict[int, float]  # per-rank request time
-    group: str
+    group: CommGroup  # each of its members must request
     speculative: bool
-    members: tuple  # the group's ranks, each of which must request
 
     def __post_init__(self) -> None:
         times = self.times
         self.order_time = min(times.values())  # FC-FS position: earliest request
         # The barrier opens once every member rank has requested.
-        self.barrier_time = (max(times.values()) if all(m in times for m in self.members)
-                             else math.inf)
+        self.barrier_time = (max(times.values())
+                             if all(m in times for m in self.group.members) else math.inf)
 
     def merge(self, times: Mapping[int, float], speculative: bool) -> None:
         """Fold a later request of the same group into this one."""
@@ -122,7 +120,6 @@ class Controller:
         self.ready_at: Dict[str, float] = {}
         self.log: List[ReconfigLogEntry] = []
         self.circuit_intervals: List[tuple] = []  # (rail, rank, port, group, up, down)
-        self._up_since: Dict[Tuple[int, int], float] = {}  # (rank, port) -> up time
         # group -> its configured (rank, port index, port), by member, then index
         self.circuits: Dict[str, List[Tuple[int, int, _Port]]] = {}
         for g in groups.values():
@@ -148,7 +145,7 @@ class Controller:
             return
         g = self.groups[gid]
         rail = next(iter(g.rails_touched))
-        p = self.pending[gid] = _Pending(dict(times), gid, speculative, g.members)
+        p = self.pending[gid] = _Pending(dict(times), g, speculative)
         self.queue.setdefault(rail, []).append(p)
 
     def scan(self, now: float, protected: Set[str]) -> List[Tuple[str, float]]:
@@ -163,29 +160,30 @@ class Controller:
             if not q:
                 continue
             if len(q) > 1:
-                q.sort(key=lambda p: (p.order_time, p.group))
+                q.sort(key=lambda p: (p.order_time, p.group.id))
             blocked_ranks: Set[int] = set()
             remaining = []
             for p in q:
-                g = self.groups[p.group]
-                if p.barrier_time > now or not blocked_ranks.isdisjoint(g.members):
-                    blocked_ranks.update(g.members)
+                members = p.group.members
+                if p.barrier_time > now or not blocked_ranks.isdisjoint(members):
+                    blocked_ranks.update(members)
                     remaining.append(p)
                     continue
                 ready = self._try_apply(p, now, protected)
                 if ready is None:
-                    blocked_ranks.update(g.members)
+                    blocked_ranks.update(members)
                     remaining.append(p)
                 else:
-                    del self.pending[p.group]
-                    grants.append((p.group, ready))
+                    gid = p.group.id
+                    del self.pending[gid]
+                    grants.append((gid, ready))
             self.queue[rail] = remaining
         return grants
 
     def _try_apply(self, p: _Pending, now: float, protected: Set[str]) -> Optional[float]:
         """Configure the group's ring if every touched port is idle."""
-        gid = p.group
-        g = self.groups[gid]
+        g = p.group
+        gid = g.id
         rail = next(iter(g.rails_touched))
         ready = self.ready_at.get(gid)
         if ready is not None:  # up, or a reconfiguration already in flight
@@ -208,7 +206,7 @@ class Controller:
                     return None
                 if len(candidates) > 1:  # free ports first, then least recently used
                     candidates.sort(key=lambda i: (ports[i].group is not None,
-                                                   ports[i].last_release, i))
+                                                   ports[i].busy_until, i))
                 have += candidates[:missing]
             chosen[rank] = have[:need]
         changed = 0
@@ -224,7 +222,6 @@ class Controller:
                     self._tear(rank, i, now)
                 port.group = gid
                 port.reconfig_until = now + self.delay
-                self._up_since[(rank, i)] = now + self.delay
                 changed += 1
         self.circuits[gid] = circuits
         ready = now + self.delay if changed else now
@@ -239,7 +236,7 @@ class Controller:
         old = port.group
         rail = self.topo.rail_of(rank)
         self.circuit_intervals.append(
-            (rail, rank, idx, old, self._up_since.get((rank, idx), 0.0), now))
+            (rail, rank, idx, old, port.reconfig_until, now))
         # The evicted group's ring is no longer complete.
         self.ready_at.pop(old, None)
         self.circuits[old] = [(r, i, p) for r, i, p in self.circuits[old] if p is not port]
@@ -252,8 +249,6 @@ class Controller:
         for rank, i, port in self.circuits.get(gid, ()):
             if end > port.busy_until:
                 port.busy_until = end
-            if end > port.last_release:
-                port.last_release = end
             used.append((rank, i))
         return used
 
@@ -264,4 +259,4 @@ class Controller:
                 if port.group is not None:
                     self.circuit_intervals.append(
                         (self.topo.rail_of(rank), rank, i, port.group,
-                         self._up_since.get((rank, i), 0.0), t))
+                         port.reconfig_until, t))

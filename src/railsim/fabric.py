@@ -17,10 +17,10 @@ profiler's input and the circuit engine all run from it, and a delay sweep
 reuses it at every point.  Start and end times are kept in arrays by row; a
 run's `SimResult.event_times` builds each `EventTiming` from them on lookup.
 Compiling is the gate for every DAG, generated, hand-built or parsed: it
-rejects a dependency naming no event, a collective naming no group or whose
-ranks differ from its group's members, and a scale-out group that does not
-sit on exactly its one declared rail.  Timing the electrical longest path
-rejects a dependency cycle.
+rejects a rank the topology does not have, a dependency naming no event, a
+collective naming no group or whose ranks differ from its group's members,
+and a scale-out group that does not sit on exactly its one declared rail.
+Timing the electrical longest path rejects a dependency cycle.
 
 A generated DAG holds rail 0's rows and the TP rows that span rails, each
 other row standing for its twin on every rail (`EventDag.rails`).  Rails
@@ -29,8 +29,9 @@ grants and times: the DAG is compiled and timed as it is held, and a run's
 result copies each log entry to its twins (the circuit and transfer logs on
 first access).  Its start order and logs list twins together, rail by rail,
 where a run of every row would interleave them; as multisets they are the
-same.  Traces, hand-built DAGs and DAGs after `EventDag.add` hold every row
-and are timed row by row.
+same.  A held DAG's rows never renumber (`EventDag.add` refuses it), so a
+result reads the run's DAG itself.  Traces and hand-built DAGs hold every
+row and are timed row by row.
 
 An event starts once its last dependency has finished.  Per-rank join times
 (`_joins`: a rank joins at the latest end among the dependencies that
@@ -44,7 +45,6 @@ times.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from copy import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from heapq import heappop, heappush
@@ -52,9 +52,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from .control import Controller, ReconfigLogEntry, profile_iteration
 from .errors import ConflictDeadlock, CyclicDependency, NotMember, UnsupportedKind
-from .model import CommGroup, Topology
+from .model import Topology
 from .workload import (ALLGATHER, ALLREDUCE, COLLECTIVE, REDUCESCATTER, SENDRECV,
-                       EventDag, twins)
+                       EventDag, twin)
 
 
 def collective_time(kind: str, bytes_per_rank: int, n: int, bandwidth: float,
@@ -99,7 +99,7 @@ class SimResult:
 
     `circuit_log` and `transfer_log` are built on first access: a run of a
     DAG that holds one rail keeps rail 0's logs and copies them to the
-    other `_rails` then.
+    DAG's other rails then.
     """
 
     makespan: float
@@ -108,25 +108,36 @@ class SimResult:
     overhead_vs_baseline: Optional[float] = None
     _circuits: list = field(default_factory=list, repr=False)  # as the engine logged them
     _transfers: list = field(default_factory=list, repr=False)
-    _rails: int = field(default=1, repr=False)
 
     @cached_property
     def circuit_log(self) -> list:
         """(rail, rank, port, group, up, down) of every circuit."""
-        if self._rails == 1:
+        rails = self.event_times.dag.rails
+        if rails == 1:
             return self._circuits
-        return [(rail, rank + offset, port, group, up, down)
-                for _, rank, port, gid, up, down in self._circuits
-                for rail, group, offset in twins(gid, range(self._rails))]
+        return [(l, rank + l, port, twin(gid, l), up, down)
+                for _, rank, port, gid, up, down in self._circuits for l in range(rails)]
 
     @cached_property
     def transfer_log(self) -> list:
         """(event, rank, port, start, end) of every transfer."""
-        if self._rails == 1:
+        rails = self.event_times.dag.rails
+        if rails == 1:
             return self._transfers
-        return [(event, rank + offset, port, start, end)
-                for eid, rank, port, start, end in self._transfers
-                for _, event, offset in twins(eid, range(self._rails))]
+        return [(twin(eid, l), rank + l, port, start, end)
+                for eid, rank, port, start, end in self._transfers for l in range(rails)]
+
+
+def _check_ranks(dag: EventDag, topo: Topology) -> None:
+    """Reject a row naming a rank the topology does not have.  Only the
+    held rows are read: a twin's ranks, r + l on rail l, are the topology's
+    when its rail-0 row's are."""
+    used = set().union(*dag.ranks)
+    n = topo.num_ranks
+    if used and not (min(used) >= 0 and max(used) < n):
+        i = next(i for i, rs in enumerate(dag.ranks) if not all(0 <= r < n for r in rs))
+        raise NotMember(f"event {dag.ids[i]} names ranks {sorted(dag.ranks[i])}; "
+                        f"the topology has ranks 0-{n - 1}")
 
 
 def _check_groups(dag: EventDag, topo: Topology) -> Dict[str, Set[int]]:
@@ -150,8 +161,8 @@ class _CompiledDag:
     `ranks`, `deps` and the durations of compute events come from the DAG.
     `dependents` lists are in row order: the engine's push order, and with
     it every controller decision, depends on it.  A dependency naming no
-    event raises MissingDependency, and a collective naming no group raises
-    NotMember.
+    event raises MissingDependency; a rank outside the topology and a
+    collective naming no group raise NotMember.
     """
 
     __slots__ = ("dag", "ids", "ranks", "deps", "dependents", "indeg",
@@ -159,6 +170,7 @@ class _CompiledDag:
 
     def __init__(self, dag: EventDag, topo: Topology, alpha: float):
         members = _check_groups(dag, topo)
+        _check_ranks(dag, topo)
         dag.resolve()
         groups, deps = dag.groups, dag.deps
         n = len(deps)
@@ -247,19 +259,18 @@ class Timeline(Mapping):
     """A run's `EventTiming` of every event by id, built on lookup from the
     run's arrays; iterates in the order the events started.
 
-    `start`, `end` and `order` are by row of `dag`, a shallow copy of the
-    run's DAG, which an `EventDag.add` that expands the DAG in place leaves
-    as it was.  A row's times are its twins', and iteration lists each row's
-    twins together; `starts(i, rail)` gives the per-rank join times of row
-    i's twin on `rail`.  A full-connectivity run shares its arrays with its
-    `Prepared` simulation, so they are read, never changed.
+    `start`, `end` and `order` are by row of `dag`, the run's DAG, whose
+    rows never renumber.  A row's times are its twins', and iteration lists
+    each row's twins together; `starts(i, rail)` gives the per-rank join
+    times of row i's twin on `rail`.  A full-connectivity run shares its
+    arrays with its `Prepared` simulation, so they are read, never changed.
     """
 
     __slots__ = ("dag", "order", "start", "end")
 
     def __init__(self, dag: EventDag, order: List[int], start: List[float],
                  end: List[float]):
-        self.dag, self.order, self.start, self.end = copy(dag), order, start, end
+        self.dag, self.order, self.start, self.end = dag, order, start, end
 
     def starts(self, i: int, rail: int = 0) -> Dict[int, float]:
         dag = self.dag
@@ -274,7 +285,7 @@ class Timeline(Mapping):
         return EventTiming(self.start[i], self.end[i], self.starts(i, rail))
 
     def __iter__(self) -> Iterator[str]:
-        return (eid for _, _, eid, _ in self.dag.twin_rows(self.order, range(self.dag.rails)))
+        return (eid for _, _, eid in self.dag.twin_rows(self.order, range(self.dag.rails)))
 
     def __len__(self) -> int:
         return len(self.dag)
@@ -301,10 +312,9 @@ class _Engine:
     A deadlock counts the stuck events of every rail a row stands for.
     """
 
-    def __init__(self, c: _CompiledDag, groups: Dict[str, CommGroup], topo: Topology,
-                 schedule: Optional[dict]):
+    def __init__(self, c: _CompiledDag, topo: Topology, schedule: Optional[dict]):
         self.c = c
-        self.controller = Controller(topo, groups)
+        self.controller = Controller(topo, c.dag.groups)
         n = len(c.ids)
         self.start = [0.0] * n
         self.end = [0.0] * n
@@ -357,9 +367,9 @@ class _Engine:
         if k + 1 >= len(phases):
             return
         controller = self.controller
-        for gid in sorted(phases[k + 1].groups):
+        for gid in sorted(phases[k + 1].groups):  # scale-out groups only
             g = controller.groups[gid]
-            if not g.is_scaleout or g.size < 2:
+            if g.size < 2:
                 continue
             # Up, being reconfigured, or requested already.
             if gid in controller.ready_at or gid in controller.pending:
@@ -422,8 +432,7 @@ class _Engine:
                         self._start_circuit(i, ready)
             # Circuits that just came up release their waiting events.
             if waiting:
-                for gid in [g for g, evs in waiting.items()
-                            if evs and controller.group_up(g, now)]:
+                for gid in [g for g in waiting if controller.group_up(g, now)]:
                     for i in waiting.pop(gid):
                         self._start_circuit(i, now)
             del calendar[now]
@@ -481,12 +490,11 @@ class Prepared:
                              "the reconfiguration delay")
 
     def schedule(self) -> dict:
-        """The provisioning profiler's per-rail phase schedule (empty on
-        the rails of a DAG that holds rail 0 alone)."""
+        """The provisioning profiler's per-rail phase schedule (rail 0's
+        alone for a DAG that holds one rail)."""
         if self._schedule is None:
             # At full connectivity every rank has joined by the start.
-            self._schedule = profile_iteration(self.dag, self.start, self.end,
-                                               range(self._topo.num_rails))
+            self._schedule = profile_iteration(self.dag, self.start, self.end)
         return self._schedule
 
 
@@ -505,9 +513,10 @@ def simulate(dag: EventDag, topo: Topology, policy: Optional[ControlPolicy] = No
     `Prepared(dag, topo, policy.alpha)`; ValueError if it was built for
     another DAG, alpha or topology.
     Raises MissingDependency for a dependency naming no event, NotMember for
-    a collective naming no group or whose ranks differ from its group's
-    members, or a scale-out group not on exactly its one declared rail, and
-    CyclicDependency for a dependency cycle.
+    a rank the topology does not have, a collective naming no group or whose
+    ranks differ from its group's members, or a scale-out group not on
+    exactly its one declared rail, and CyclicDependency for a dependency
+    cycle.
     """
     policy = policy or ControlPolicy()
     if prepared is None:
@@ -522,15 +531,15 @@ def simulate(dag: EventDag, topo: Topology, policy: Optional[ControlPolicy] = No
         return SimResult(makespan=baseline_makespan, event_times=timeline,
                          reconfig_log=[], overhead_vs_baseline=1.0)
     schedule = prepared.schedule() if policy.provisioning else None
-    engine = _Engine(prepared.c, dag.groups, topo, schedule)
+    engine = _Engine(prepared.c, topo, schedule)
     engine.run()
     makespan = max(engine.end, default=0.0)
     controller = engine.controller
     controller.close(makespan)
     rails = dag.rails
     log = controller.log if rails == 1 else [
-        ReconfigLogEntry(e.time, rail, group, e.speculative, e.delay, e.ports_changed)
-        for e in controller.log for rail, group, _ in twins(e.group, range(rails))]
+        ReconfigLogEntry(e.time, l, twin(e.group, l), e.speculative, e.delay, e.ports_changed)
+        for e in controller.log for l in range(rails)]
     return SimResult(
         makespan=makespan,
         event_times=Timeline(dag, engine.order, engine.start, engine.end),
@@ -538,7 +547,6 @@ def simulate(dag: EventDag, topo: Topology, policy: Optional[ControlPolicy] = No
         overhead_vs_baseline=(makespan / baseline_makespan if baseline_makespan else 1.0),
         _circuits=controller.circuit_intervals,
         _transfers=engine.transfer_log,
-        _rails=rails,
     )
 
 

@@ -9,6 +9,7 @@ bounded radix and a technology-dependent reconfiguration delay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -34,8 +35,9 @@ class NicPortConfig:
     def __post_init__(self):
         if self.ports not in VALID_NIC_PORTS:
             raise InvalidNicConfig(f"NIC port count must be one of {VALID_NIC_PORTS}, got {self.ports}")
-        if self.per_port_bandwidth <= 0:
-            raise InvalidNicConfig("per-port bandwidth must be positive")
+        if not 0 < self.per_port_bandwidth < math.inf:
+            raise InvalidNicConfig(f"per-port bandwidth must be finite and positive, "
+                                   f"got {self.per_port_bandwidth}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,9 @@ class RailSwitch:
         if self.kind == OCS:
             if self.radix < 2:
                 raise RadixExceeded(f"OCS radix must be >= 2, got {self.radix}")
-            if self.reconfig_delay < 0:
-                raise InvalidNicConfig("reconfiguration delay must be >= 0")
+            if not 0 <= self.reconfig_delay < math.inf:
+                raise InvalidNicConfig(f"reconfiguration delay must be finite and >= 0, "
+                                       f"got {self.reconfig_delay}")
 
     @property
     def is_ocs(self) -> bool:
@@ -69,10 +72,6 @@ class Topology:
     @property
     def num_ranks(self) -> int:
         return self.num_domains * self.gpus_per_domain
-
-    @property
-    def num_rails(self) -> int:
-        return self.gpus_per_domain
 
     def rank_id(self, domain: int, local_rank: int) -> int:
         return domain * self.gpus_per_domain + local_rank
@@ -134,6 +133,9 @@ def build_topology(spec: TopologySpec) -> Topology:
         raise InvalidNicConfig(f"need at least 2 scale-up domains, got {spec.num_domains}")
     if spec.gpus_per_domain < 1:
         raise InvalidNicConfig("need at least 1 GPU per domain")
+    if not 0 < spec.scaleup_bandwidth < math.inf:
+        raise InvalidNicConfig(f"scale-up bandwidth must be finite and positive, "
+                               f"got {spec.scaleup_bandwidth}")
     nic = NicPortConfig(ports=spec.nic_ports, per_port_bandwidth=spec.nic_port_bandwidth)
     switch = RailSwitch(kind=spec.rail_switch_kind, reconfig_delay=spec.reconfig_delay, radix=spec.radix)
     topo = Topology(

@@ -49,8 +49,9 @@ from .workload import COLLECTIVE, COMPUTE, EventDag, twin
 HEADER = "event_id,rank,stream,kind,coll_kind,group_id,bytes,dep_ids,observed_start_s,observed_end_s"
 
 
-# Trace lines formatted before they are written out together.
-SAVE_CHUNK_LINES = 2048
+# Lines formatted before they are written out together, by `save_trace` and
+# the `timeline.csv` writer.
+WRITE_CHUNK_LINES = 2048
 # Distinct times a `FloatText` holds before it starts over, so that times
 # which never repeat cost no more memory than one chunk of lines.
 TIMES_KEPT = 4096
@@ -74,7 +75,7 @@ def save_trace(dag: EventDag, path: str) -> None:
     """Write `dag` as a trace, one record per (event, rank) in row order and
     rank order; a DAG that holds one rail is written in its row-by-row order
     (`EventDag.twin_rows`), each twin's records formatted as they are
-    written.  Lines are written in chunks of `SAVE_CHUNK_LINES` as they are
+    written.  Lines are written in chunks of `WRITE_CHUNK_LINES` as they are
     formatted, so the file's text is never held whole."""
     kinds, ranks, streams = dag.kind, dag.ranks, dag.streams
     coll_kinds, groups, nbytes = dag.coll_kind, dag.group, dag.bytes
@@ -86,18 +87,18 @@ def save_trace(dag: EventDag, path: str) -> None:
             members = ";".join(str(m) for m in g.members)
             rails = ";".join(str(r) for r in sorted(g.rails_touched))
             lines.append(f"#group,{gid},{g.axis},{members},{rails}")
-        for i, l, eid, offset in dag.twin_rows():
+        for i, l, eid in dag.twin_rows():
             gid = groups[i] and twin(groups[i], l)
             rest = (f"{kinds[i]},{coll_kinds[i] or ''},{gid or ''},{nbytes[i]},"
                     f"{';'.join(dag.dep_ids(i, l))},{text[starts[i]]},{text[ends[i]]}")
             rs, s = ranks[i], streams[i]
             if len(rs) == 1 and not isinstance(s, dict):  # most rows; no sort
-                lines.append(f"{eid},{rs[0] + offset},{s},{rest}")
+                lines.append(f"{eid},{rs[0] + l},{s},{rest}")
             else:
                 for rank in sorted(rs):
                     stream = s.get(rank, "") if isinstance(s, dict) else s
-                    lines.append(f"{eid},{rank + offset},{stream},{rest}")
-            if len(lines) >= SAVE_CHUNK_LINES:
+                    lines.append(f"{eid},{rank + l},{stream},{rest}")
+            if len(lines) >= WRITE_CHUNK_LINES:
                 f.write("\n".join(lines) + "\n")
                 lines.clear()
         if lines:

@@ -21,6 +21,7 @@ analysing one rail reads only that rail's rows.  A generated DAG holds rail
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -142,10 +143,12 @@ class VolumeClassStats:
 def classify_by_volume(windows: Sequence[Window], class_edges: Sequence[float]) -> List[VolumeClassStats]:
     """Per-volume-class statistics of window sizes.
 
-    ``class_edges`` are strictly increasing byte thresholds defining
+    ``class_edges`` are finite, strictly increasing byte thresholds defining
     len(edges)+1 classes; a volume exactly on an edge goes to the upper class.
     """
     edges = list(class_edges)
+    if not all(math.isfinite(e) for e in edges):
+        raise InvalidParams(f"class edges must be finite, got {edges}")
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise InvalidParams("class edges must be strictly increasing")
     bounds = [float("-inf")] + edges + [float("inf")]

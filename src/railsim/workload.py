@@ -41,9 +41,10 @@ rebuilds that DAG exactly.  Every held id but a TP row's ends in `.l0`, and
 no other held id starts with one less its final `0`, so a row's twins' ids
 sort together, in the text order of their rails (`.l10` before `.l2`).  The
 simulator, the profiler and the log copies read the held rows directly.
-`EventDag.add` expands a DAG first, and parsed traces and hand-built DAGs
-hold every row, so they take the row-by-row path.  Changing a column in
-place of a held DAG changes every rail.
+A held DAG's rows never renumber: `EventDag.add` refuses it, so edit
+`dag.expanded()` instead.  Parsed traces and hand-built DAGs hold every
+row, so they take the row-by-row path.  Changing a column in place of a
+held DAG changes every rail.
 """
 
 from __future__ import annotations
@@ -64,15 +65,16 @@ ALLGATHER = "AllGather"
 REDUCESCATTER = "ReduceScatter"
 SENDRECV = "SendRecv"
 
+# Gradient ReduceScatter payload relative to the parameter AllGather payload
+# (reduced in wider precision than the gathered weights).
+GRAD_BYTES_MULTIPLIER = 4.0
+# Short synchronization AllReduce calls that close an iteration.
+N_SYNC_ALLREDUCE = 2
+
 
 def twin(name: str, rail: int) -> str:
     """A rail-0 event or group id's twin on `rail`: its final `0` replaced."""
     return name[:-1] + str(rail) if rail else name
-
-
-def twins(name: str, rails: Iterable[int]) -> List[Tuple[int, str, int]]:
-    """(rail, id, rank offset) of a rail-0 event or group id's twin on each of `rails`."""
-    return [(l, twin(name, l), l) for l in rails]
 
 
 @dataclass(slots=True)
@@ -110,7 +112,7 @@ class EventDag:
     each row not in `spans` stands for its twin on every rail, and `blocks`
     records how the rails interleave.  `len`, `events`, `locate` and
     `twin_rows` cover every rail's events without expanding; `expanded`
-    builds the row-by-row DAG, and `add` expands the DAG in place first.
+    builds the row-by-row DAG, the one that `add` can change.
     """
 
     def __init__(self) -> None:
@@ -149,11 +151,12 @@ class EventDag:
 
     def add(self, event: Event) -> int:
         """Store `event` as a new row, or in place of the row with its id;
-        returns the row.  A DAG that holds one rail is expanded first.  A
-        dependency on an id not (yet) in the DAG is kept by name until
-        `resolve`."""
+        returns the row.  A dependency on an id not (yet) in the DAG is kept
+        by name until `resolve`.  A DAG that holds one rail raises
+        ValueError, so its rows never renumber: add to `dag.expanded()`."""
         if self.rails > 1:
-            vars(self).update(vars(self.expanded()))
+            raise ValueError(f"this DAG holds one of its {self.rails} rails; "
+                             "add to dag.expanded(), which holds every row")
         row = {name: getattr(event, name) for name in _FIELDS}
         row.update(ranks=tuple(event.rank_set), streams=dict(event.streams), deps=())
         i = self.index.get(event.id)
@@ -241,11 +244,12 @@ class EventDag:
         return i, rail
 
     def twin_rows(self, rows: Optional[Iterable[int]] = None,
-                  rails: Sequence[int] = ()) -> Iterator[Tuple[int, int, str, int]]:
-        """Events as (row, rail, event id, rank offset), each row i's twin on
-        the rail: with `rows`, those rows' twins on `rails` in turn (a row in
-        `spans` on rail 0 alone); else every event in the row-by-row order,
-        each block of rows on rail 0, then without `spans` on each rail."""
+                  rails: Sequence[int] = ()) -> Iterator[Tuple[int, int, str]]:
+        """Events as (row, rail, event id): row i's twin on the rail, whose
+        ranks are row i's, each + rail.  With `rows`, those rows' twins on
+        `rails` in turn (a row in `spans` on rail 0 alone); else every event
+        in the row-by-row order, each block of rows on rail 0, then without
+        `spans` on each rail."""
         if rows is None:
             ids, a = self.twin_ids(), 0
             for b in self.blocks if self.rails > 1 else [len(self.ids)]:
@@ -253,7 +257,7 @@ class EventDag:
                 for l in range(self.rails):
                     rail_ids = ids[l]
                     for i in kept if l else range(a, b):
-                        yield i, l, rail_ids[i], l
+                        yield i, l, rail_ids[i]
                 a = b
             return
         ids, spans = self.ids, self.spans
@@ -261,11 +265,11 @@ class EventDag:
         for i in rows:
             eid = ids[i]
             if i in spans:
-                yield i, 0, eid, 0
+                yield i, 0, eid
             else:
                 head = eid[:-1]
                 for l, tail in tails:
-                    yield i, l, head + tail if l else eid, l
+                    yield i, l, head + tail if l else eid
 
     def expanded(self) -> "EventDag":
         """The row-by-row DAG: every event a row of its own, in `twin_rows`
@@ -274,15 +278,15 @@ class EventDag:
         if self.rails == 1:
             return self
         rows = list(self.twin_rows())
-        at = {(i, l): k for k, (i, l, _, _) in enumerate(rows)}
+        at = {(i, l): k for k, (i, l, _) in enumerate(rows)}
         full = EventDag()
-        full.groups, full.ids = self.groups, [eid for _, _, eid, _ in rows]
+        full.groups, full.ids = self.groups, [eid for _, _, eid in rows]
         full.index = {eid: k for k, eid in enumerate(full.ids)}
         for name in ("kind", "coll_kind", "bytes", "duration", "observed_start",
                      "observed_end"):
             column = getattr(self, name)
             setattr(full, name, [column[i] for i, *_ in rows])
-        for i, l, _, _ in rows:
+        for i, l, _ in rows:
             group = self.group[i]
             full.ranks.append(self.twin_ranks(i, l))
             full.streams.append(self.twin_streams(i, l))
@@ -326,7 +330,7 @@ class _Rows(Mapping):
                      observed_start=dag.observed_start[i], observed_end=dag.observed_end[i])
 
     def __iter__(self) -> Iterator[str]:
-        return (eid for _, _, eid, _ in self._dag.twin_rows())
+        return (eid for _, _, eid in self._dag.twin_rows())
 
     def __len__(self) -> int:
         return len(self._dag)
@@ -343,10 +347,6 @@ class WorkloadParams:
     bytes_activation: int
     bytes_sync_allreduce: int
     compute_times: dict  # keys: fwd_layer, bwd_layer, optim, pre_stage
-    # Gradient ReduceScatter payload relative to the parameter AllGather
-    # payload (reduced in wider precision than the gathered weights).
-    grad_bytes_multiplier: float = 4.0
-    n_sync_allreduce: int = 2
 
     def validate(self, topo: Topology) -> None:
         if min(self.pp, self.dp, self.tp) < 1:
@@ -412,7 +412,7 @@ def generate_3d_schedule(params: WorkloadParams, topo: Topology) -> EventDag:
     ct = params.compute_times
     fwd, bwd = ct["fwd_layer"], ct["bwd_layer"]
     act_bytes = params.bytes_activation
-    rs_bytes = int(round(params.bytes_per_layer_param * params.grad_bytes_multiplier))
+    rs_bytes = int(round(params.bytes_per_layer_param * GRAD_BYTES_MULTIPLIER))
 
     def rank(p, q, l=0):
         return topo.rank_id(p * dp + q, l)
@@ -574,7 +574,7 @@ def generate_3d_schedule(params: WorkloadParams, topo: Topology) -> EventDag:
             blocks.append(len(ids))
     members = groups["sync.l0"].members
     prev = None
-    for k in range(params.n_sync_allreduce):
+    for k in range(N_SYNC_ALLREDUCE):
         ds = tuple(opt[r] for r in members) if k == 0 else (prev,)
         prev = collective(f"ar.k{k}.l0", members, "sync", ds, "sync.l0", ALLREDUCE,
                           params.bytes_sync_allreduce)

@@ -86,6 +86,9 @@ BAD_TRACES = {
         "#group,g,DP,0;1,0;1\n"
         "c,0,dp,collective,AllGather,g,100,,,\n"
         "c,1,dp,collective,AllGather,g,100,,,\n"),
+    "rank outside the topology": (
+        "a,0,compute,compute,,,0,,0.0,1.0\n"
+        "b,8,compute,compute,,,0,a,1.0,2.0\n"),
 }
 
 # Traces the parser rejects, each with a fragment of its error message.

@@ -142,7 +142,7 @@ def test_criterion_3_window_count_bound(capfd):
                 dag = generate_3d_schedule(params, topo)
                 res = simulate(dag, topo, REACTIVE)  # zero switching delay
                 bound = eq1_bound(pp, n_layer, m, False, False)
-                for rail in range(topo.num_rails):
+                for rail in range(topo.gpus_per_domain):
                     n = len(analyze_rail(dag, res.event_times.start,
                                          res.event_times.end, rail).windows)
                     if n / bound > worst[0] / worst[1]:
@@ -199,7 +199,7 @@ def test_criterion_6_overheads_at_100ms(capfd, scenario):
 
     windows = []
     pre_rs = []
-    for rail in range(topo.num_rails):
+    for rail in range(topo.gpus_per_domain):
         start, end = base.event_times.start, base.event_times.end
         phases = segment_phases(dag, start, end, rail)
         rep = analyze_rail(dag, start, end, rail)

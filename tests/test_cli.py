@@ -122,8 +122,15 @@ class TestExitCodes:
         ("fwd_layer = 0.01", "fwd_layer = -0.01", "compute time fwd_layer"),
         ("optim = 0.005", "optim = nan", "compute time optim"),
         ("bytes_activation = 500000", "bytes_activation = -500000", "byte sizes"),
+        ("nic_port_bandwidth = 25e9", "nic_port_bandwidth = nan",
+         "per-port bandwidth must be finite and positive"),
+        ("scaleup_bandwidth = 900e9", "scaleup_bandwidth = nan",
+         "scale-up bandwidth must be finite and positive"),
+        ("reconfig_delay = 0.01", "reconfig_delay = inf",
+         "reconfiguration delay must be finite and >= 0"),
     ], ids=["negative alpha", "negative compute time", "nan compute time",
-            "negative bytes"])
+            "negative bytes", "nan port bandwidth", "nan scale-up bandwidth",
+            "infinite delay"])
     def test_negative_or_nonfinite_input_rejected(self, old, new, message, tmp_path,
                                                   capsys):
         # Such a value would make simulated time run backwards.
@@ -137,6 +144,42 @@ class TestExitCodes:
         assert main(["windows", "--scenario", scenario, "--classes", "1e6,abc",
                      "--out-dir", str(tmp_path)]) == 2
         assert "--classes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_delay_flag(self, value, scenario, tmp_path, capsys):
+        # A nan delay used to run as the electrical baseline, an infinite
+        # one to a makespan of inf.
+        assert main(["sim", "--scenario", scenario, "--delay", value,
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert "reconfiguration delay must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_nonfinite_sweep_delay(self, tmp_path, capsys):
+        ini = tmp_path / "s.ini"
+        ini.write_text(SCENARIO.replace("delays = 0, 0.01", "delays = 0, nan"))
+        assert main(["sweep", "--scenario", str(ini), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "reconfiguration delay must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("classes", ["nan", "1e6,inf"])
+    def test_nonfinite_class_edges(self, classes, scenario, tmp_path, capsys):
+        assert main(["windows", "--scenario", scenario, "--classes", classes,
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert "class edges must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "windows.csv").exists()
+
+    def test_trace_of_a_larger_topology(self, scenario, tmp_path, capsys):
+        # `gen`'s trace of 4 domains x 4 GPUs names ranks 0-15; a scenario
+        # of 2 domains has ranks 0-7 only.
+        trace = tmp_path / "t.csv"
+        assert main(["gen", "--scenario", scenario, "--out", str(trace)]) == 0
+        topology = SCENARIO[SCENARIO.index("[topology]"):SCENARIO.index("[workload]")]
+        ini = tmp_path / "half.ini"
+        ini.write_text(topology.replace("num_domains = 4", "num_domains = 2")
+                       + f"[workload]\ntrace = {trace}\n")
+        assert main(["sim", "--scenario", str(ini), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "the topology has ranks 0-7" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 # Flags a subcommand does not accept, because they would change none of its

@@ -86,14 +86,14 @@ class TestProfiler:
     def test_idempotent(self):
         topo = make_topo()
         dag, start, end = self.make_timeline(topo)
-        s1 = profile_iteration(dag, start, end, range(topo.num_rails))
-        s2 = profile_iteration(dag, start, end, range(topo.num_rails))
+        s1 = profile_iteration(dag, start, end)
+        s2 = profile_iteration(dag, start, end)
         assert s1 == s2
 
     def test_phases_cover_all_rail_collectives(self):
         topo = make_topo()
         dag, start, end = self.make_timeline(topo)
-        sched = profile_iteration(dag, start, end, [0])
+        sched = profile_iteration(dag, start, end)
         seen = [dag.ids[i] for ph in sched[0] for i in ph.events]
         expected = [eid for eid, ev in dag.events.items()
                     if ev.kind == COLLECTIVE
@@ -110,7 +110,7 @@ class TestProfiler:
         dag.add(coll("e1", "a", [0, 2]))
         dag.add(coll("e2", "b", [4, 6]))  # overlaps e1 in time
         dag.add(coll("e3", "d", [0, 4]))  # later, new group: new phase
-        sched = profile_iteration(dag, [0.0, 1.0, 5.0], [2.0, 3.0, 6.0], [0])
+        sched = profile_iteration(dag, [0.0, 1.0, 5.0], [2.0, 3.0, 6.0])
         assert [ph.events for ph in sched[0]] == [(0, 1), (2,)]  # e1, e2 | e3
 
 
@@ -365,7 +365,7 @@ class TestPending:
             else:
                 for gid, ready in c.scan(t, protected=step[1]):
                     c.mark_busy(gid, ready, ready + 0.006)
-            queued = {p.group: p for q in c.queue.values() for p in q}
+            queued = {p.group.id: p for q in c.queue.values() for p in q}
             assert sum(map(len, c.queue.values())) == len(queued)  # one per group
             assert c.pending == queued
             for gid in TestMarkBusy.GROUPS:

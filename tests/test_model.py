@@ -25,6 +25,15 @@ class TestNicAndSwitch:
         with pytest.raises(InvalidNicConfig):
             NicPortConfig(ports=2, per_port_bandwidth=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_bandwidth_or_delay(self, value):
+        with pytest.raises(InvalidNicConfig, match="per-port bandwidth must be finite"):
+            NicPortConfig(ports=2, per_port_bandwidth=value)
+        with pytest.raises(InvalidNicConfig, match="reconfiguration delay must be finite"):
+            RailSwitch(kind="ocs", reconfig_delay=value, radix=64)
+        with pytest.raises(InvalidNicConfig, match="scale-up bandwidth must be finite"):
+            build_topology(TopologySpec(4, 4, value, 2, 25e9))
+
     def test_unknown_switch_kind(self):
         with pytest.raises(InvalidNicConfig):
             RailSwitch(kind="quantum")
@@ -38,7 +47,7 @@ class TestTopology:
     def test_rank_rail_mapping(self):
         topo = make_topo(num_domains=3, gpus_per_domain=4)
         assert topo.num_ranks == 12
-        assert topo.num_rails == 4
+        assert topo.gpus_per_domain == 4
         for d in range(3):
             for l in range(4):
                 rid = topo.rank_id(d, l)

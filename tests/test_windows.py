@@ -115,7 +115,7 @@ class TestRailBuckets:
                 return super().__getitem__(i)
 
         start, end = Recording(timeline.start), Recording(timeline.end)
-        for rail in range(topo.num_rails):
+        for rail in range(topo.gpus_per_domain):
             seen.clear()
             assert analyze_rail(dag, start, end, rail).windows
             rails = {r for i in seen for r in dag.groups[dag.group[i]].rails_touched}
@@ -168,7 +168,7 @@ class TestOracle:
                 starts = {r: start + rng.uniform(0, 2) for r in ev.rank_set}
                 times[eid] = EventTiming(
                     start, max(starts.values()) + rng.uniform(0.01, 10), starts)
-            rail = trial % topo.num_rails
+            rail = trial % topo.gpus_per_domain
             # The caller supplies each row's communication start: its
             # slowest rank's join.
             start = [max(times[eid].starts.values()) for eid in dag.ids]

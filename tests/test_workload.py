@@ -13,7 +13,7 @@ from railsim import (CyclicDependency, Event, EventDag, InvalidParams,
                      MissingDependency, NotMember, ParseError, generate_3d_schedule,
                      load_trace, loads_trace, one_f_one_b, save_trace, simulate)
 
-from railsim.workload import twin
+from railsim.workload import GRAD_BYTES_MULTIPLIER, twin
 
 from conftest import CALIBRATION, HEADER, REACTIVE, make_params, make_topo
 
@@ -159,7 +159,7 @@ class TestGenerator:
             dag, topo = small_dag(num_domains=pp * dp, pp=pp, dp=dp,
                                   n_layer=max(8, pp), n_microbatch=M)
             n_sr = sum(1 for e in dag.events.values() if e.coll_kind == "SendRecv")
-            assert n_sr == 2 * M * (pp - 1) * dp * topo.num_rails
+            assert n_sr == 2 * M * (pp - 1) * dp * topo.gpus_per_domain
 
     def test_allgather_gates_first_forward(self):
         dag, _ = small_dag()
@@ -174,9 +174,9 @@ class TestGenerator:
         dag, topo = small_dag(pp=2, dp=2, n_layer=8, n_microbatch=3)
         rs = [e for e in dag.events.values() if e.coll_kind == "ReduceScatter"]
         # One per (stage, layer-in-stage, rail).
-        assert len(rs) == 2 * 4 * topo.num_rails
-        mult = make_params().grad_bytes_multiplier
-        assert all(e.bytes == int(round(make_params().bytes_per_layer_param * mult))
+        assert len(rs) == 2 * 4 * topo.gpus_per_domain
+        assert all(e.bytes == int(round(make_params().bytes_per_layer_param
+                                        * GRAD_BYTES_MULTIPLIER))
                    for e in rs)
 
     def test_pipeline_free_when_pp_is_one(self):
@@ -253,7 +253,7 @@ class TestOneRailHeld:
         dag = self.generated(2, 2, 12, 4, 2, False)
         full = dag.expanded()
         assert list(dag.events) == full.ids
-        assert [(i, l) for i, l, _, _ in dag.twin_rows()] == \
+        assert [(i, l) for i, l, _ in dag.twin_rows()] == \
             [dag.locate(eid) for eid in full.ids]
         for eid in full.ids:
             assert dag.events[eid] == full.events[eid]
@@ -262,11 +262,15 @@ class TestOneRailHeld:
                 dag.locate(eid)
             assert eid not in dag.events
 
-    def test_add_expands_first(self):
+    def test_add_refuses_a_held_dag(self):
+        # Adding would renumber the held rows; the row-by-row DAG takes it.
         dag = self.generated(2, 3, 2, 6, 3, False)
+        held = columns_digest(dag)
         full = dag.expanded()
-        dag.add(dag.events["prep.p1.q2.l1"])
-        assert dag.rails == 1 and dag.ids == full.ids
+        with pytest.raises(ValueError, match=r"dag\.expanded\(\)"):
+            dag.add(dag.events["prep.p1.q2.l1"])
+        assert columns_digest(dag) == held and dag.rails == 2
+        assert full.add(full.events["prep.p1.q2.l1"]) == full.index["prep.p1.q2.l1"]
         assert list(dag.events.items()) == list(full.events.items())
 
 
@@ -309,6 +313,7 @@ class TestValidation:
 
     def test_missing_dependency(self, tmp_path):
         dag, topo = small_dag()
+        dag = dag.expanded()  # `add` refuses a DAG that holds one rail
         ev = next(iter(dag.events.values()))
         ev.deps = ev.deps + ("nonexistent",)
         dag.add(ev)
@@ -319,6 +324,7 @@ class TestValidation:
 
     def test_cycle_detected(self, tmp_path):
         dag, topo = small_dag()
+        dag = dag.expanded()  # `add` refuses a DAG that holds one rail
         # The last event timed, and a root it transitively depends on.
         last = dag.events[list(simulate(dag, topo).event_times)[-1]]
         first = last
@@ -333,6 +339,7 @@ class TestValidation:
 
     def test_unknown_group(self, tmp_path):
         dag, topo = small_dag()
+        dag = dag.expanded()  # `add` refuses a DAG that holds one rail
         ev = next(e for e in dag.events.values() if e.kind == "collective")
         ev.group = "no-such-group"
         dag.add(ev)
@@ -343,6 +350,7 @@ class TestValidation:
 
     def test_membership_violation(self, tmp_path):
         dag, topo = small_dag()
+        dag = dag.expanded()  # `add` refuses a DAG that holds one rail
         ev = next(e for e in dag.events.values() if e.kind == "collective")
         ev.rank_set = ev.rank_set[:-1]
         dag.add(ev)
@@ -354,6 +362,7 @@ class TestValidation:
 
     def test_stream_order_violation(self, tmp_path):
         dag, _ = small_dag()
+        dag = dag.expanded()  # `add` refuses a DAG that holds one rail
         # Two compute events on the same rank and stream with inverted
         # observed starts.
         seen = {}
