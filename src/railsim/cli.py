@@ -242,6 +242,10 @@ def load_scenario(path: str, args: Optional[argparse.Namespace] = None) -> Scena
             delays = tuple(float(p) for p in listed.replace(",", " ").split())
         except ValueError:
             raise ConfigError(f"bad delay list: {listed!r}")
+        bad = next((d for d in delays if not 0 <= d < math.inf), None)
+        if bad is not None:
+            raise ConfigError(f"scenario {path}: [sweep] delays: reconfiguration delay "
+                              f"must be finite and >= 0, got {bad}")
 
     if args is not None:
         if getattr(args, "delay", None) is not None:
@@ -363,10 +367,13 @@ def cmd_windows(args: argparse.Namespace) -> int:
 
     windows: List[Window] = []
     overlaps = 0
+    reports = {}
     for rail in rails:
-        # Every rail of a DAG that holds rail 0 has rail 0's windows.
-        if dag.rails == 1 or not rail:
-            rep = analyze_rail(dag, start, end, rail)
+        # Every rail a DAG that holds rail 0 stands for has rail 0's windows.
+        held = 0 if rail < dag.rails else rail
+        rep = reports.get(held)
+        if rep is None:
+            rep = reports[held] = analyze_rail(dag, start, end, held)
         windows += [w if w.rail == rail else replace(w, rail=rail) for w in rep.windows]
         overlaps += len(rep.overlaps)
 
@@ -397,7 +404,7 @@ def cmd_windows(args: argparse.Namespace) -> int:
 
 def _write_sim_outputs(res: SimResult, out_dir: str) -> None:
     """Write timeline.csv (one row per event and rank, by event id) and
-    reconfig.csv.  Timeline rows are written in chunks of
+    reconfig.csv.  Timeline rows are written in chunks of about
     `WRITE_CHUNK_LINES` as they are formatted, so the file's text is never
     held whole.  The DAG's rows go by id, each row's twins together in the
     text order of their rails, which orders every rail's ids (see the
@@ -406,28 +413,38 @@ def _write_sim_outputs(res: SimResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     timeline = res.event_times
     dag, start, end = timeline.dag, timeline.start, timeline.end
-    ids, ranks = dag.ids, dag.ranks
-    rails = sorted(range(dag.rails), key=str)
+    ids, ranks, spans = dag.ids, dag.ranks, dag.spans
+    # (rail, its text) of a rail-0 row's twins, and of a row that stands
+    # for itself, whose id is kept whole.
+    twins = [(l, str(l)) for l in sorted(range(dag.rails), key=str)]
+    alone = [(0, "")]
     text = FloatText()
+
+    def lines(chunk) -> str:
+        return "".join([f"{head}{tail},{rank + l},{t},{e}\n" for head, tw, joins, e in chunk
+                        for l, tail in tw for rank, t in joins])
+
     with open(os.path.join(out_dir, "timeline.csv"), "w", encoding="utf-8",
               newline="\n") as f:
-        rows = ["event_id,rank,start_s,end_s"]
-        last = None
-        for i, l, eid in dag.twin_rows(sorted(range(len(ids)), key=ids.__getitem__), rails):
-            if i != last:  # the row's first twin: its joins on rail 0
-                last, rs, e = i, ranks[i], text[end[i]]
-                if len(rs) == 1:  # one rank joins when the event starts
-                    joins = ((rs[0], text[start[i]]),)
-                else:
-                    starts = timeline.starts(i)
-                    joins = [(rank, text[starts[rank]]) for rank in sorted(starts)]
-            for rank, t in joins:
-                rows.append(f"{eid},{rank + l},{t},{e}")
-            if len(rows) >= WRITE_CHUNK_LINES:
-                f.write("\n".join(rows) + "\n")
-                rows.clear()
-        if rows:
-            f.write("\n".join(rows) + "\n")
+        f.write("event_id,rank,start_s,end_s\n")
+        chunk, n = [], 0  # (id head, twins, joins, end text) by row; their lines
+        for i in sorted(range(len(ids)), key=ids.__getitem__):
+            rs = ranks[i]
+            if len(rs) == 1:  # one rank joins when the event starts
+                joins = ((rs[0], text[start[i]]),)
+            else:
+                starts = timeline.starts(i)
+                joins = [(rank, text[starts[rank]]) for rank in sorted(starts)]
+            if dag.rails > 1 and i not in spans:
+                chunk.append((ids[i][:-1], twins, joins, text[end[i]]))
+                n += len(twins) * len(joins)
+            else:
+                chunk.append((ids[i], alone, joins, text[end[i]]))
+                n += len(joins)
+            if n >= WRITE_CHUNK_LINES:
+                f.write(lines(chunk))
+                chunk, n = [], 0
+        f.write(lines(chunk))
     rrows = []
     for e in sorted(res.reconfig_log, key=lambda e: (e.time, e.rail, e.group)):
         rrows.append(f"{_fmt(e.time)},{e.rail},{e.group},"

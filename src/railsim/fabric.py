@@ -22,16 +22,17 @@ collective naming no group or whose ranks differ from its group's members,
 and a scale-out group that does not sit on exactly its one declared rail.
 Timing the electrical longest path rejects a dependency cycle.
 
-A generated DAG holds rail 0's rows and the TP rows that span rails, each
-other row standing for its twin on every rail (`EventDag.rails`).  Rails
+A generated DAG, or a rail-symmetric trace the parser held, holds rail 0's
+rows and the TP rows that span rails, each other row standing for its twin
+on every rail (`EventDag.rails`).  Rails
 share no port, group or controller queue, so every rail sees rail 0's
 grants and times: the DAG is compiled and timed as it is held, and a run's
 result copies each log entry to its twins (the circuit and transfer logs on
 first access).  Its start order and logs list twins together, rail by rail,
 where a run of every row would interleave them; as multisets they are the
 same.  A held DAG's rows never renumber (`EventDag.add` refuses it), so a
-result reads the run's DAG itself.  Traces and hand-built DAGs hold every
-row and are timed row by row.
+result reads the run's DAG itself.  Other traces and hand-built DAGs hold
+every row and are timed row by row.
 
 An event starts once its last dependency has finished.  Per-rank join times
 (`_joins`: a rank joins at the latest end among the dependencies that
@@ -129,15 +130,19 @@ class SimResult:
 
 
 def _check_ranks(dag: EventDag, topo: Topology) -> None:
-    """Reject a row naming a rank the topology does not have.  Only the
-    held rows are read: a twin's ranks, r + l on rail l, are the topology's
-    when its rail-0 row's are."""
+    """Reject an event naming a rank the topology does not have, the first
+    in the row-by-row order.  Only the held rows are read when the rail
+    count divides the rank count: a twin's ranks are its row's, each + l on
+    rail l, and a held rail-0 row's ranks are multiples of the rail count."""
+    n, rails = topo.num_ranks, dag.rails
     used = set().union(*dag.ranks)
-    n = topo.num_ranks
-    if used and not (min(used) >= 0 and max(used) < n):
-        i = next(i for i, rs in enumerate(dag.ranks) if not all(0 <= r < n for r in rs))
-        raise NotMember(f"event {dag.ids[i]} names ranks {sorted(dag.ranks[i])}; "
-                        f"the topology has ranks 0-{n - 1}")
+    top = max(used, default=0) + (rails - 1 if n % rails else 0)
+    if used and not (min(used) >= 0 and top < n):
+        for i, l, eid in dag.twin_rows():
+            ranks = dag.twin_ranks(i, l)
+            if not all(0 <= r < n for r in ranks):
+                raise NotMember(f"event {eid} names ranks {sorted(ranks)}; "
+                                f"the topology has ranks 0-{n - 1}")
 
 
 def _check_groups(dag: EventDag, topo: Topology) -> Dict[str, Set[int]]:
@@ -273,11 +278,14 @@ class Timeline(Mapping):
         self.dag, self.order, self.start, self.end = dag, order, start, end
 
     def starts(self, i: int, rail: int = 0) -> Dict[int, float]:
-        dag = self.dag
+        dag, end = self.dag, self.end
+        if not rail and i not in dag.spans:  # on rail 0 it depends on the held rows
+            ranks = dag.ranks
+            if len(ranks[i]) > 1:
+                return _joins(ranks[i], [(ranks[d], end[d]) for d in dag.deps[i]])
         ranks = dag.twin_ranks(i, rail)
         if len(ranks) < 2:  # one rank joins when the event starts
             return {ranks[0]: self.start[i]} if ranks else {}
-        end = self.end
         return _joins(ranks, [(dag.twin_ranks(d, l), end[d]) for d, l in dag.twin_deps(i, rail)])
 
     def __getitem__(self, eid: str) -> EventTiming:

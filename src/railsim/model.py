@@ -43,18 +43,17 @@ class NicPortConfig:
 @dataclass(frozen=True)
 class RailSwitch:
     kind: str  # ELECTRICAL or OCS
-    reconfig_delay: float = 0.0  # seconds, OCS only
+    reconfig_delay: float = 0.0  # seconds, used by OCS only, checked for every kind
     radix: int = 0  # ports, OCS only
 
     def __post_init__(self):
         if self.kind not in (ELECTRICAL, OCS):
             raise InvalidNicConfig(f"unknown rail switch kind {self.kind!r}")
-        if self.kind == OCS:
-            if self.radix < 2:
-                raise RadixExceeded(f"OCS radix must be >= 2, got {self.radix}")
-            if not 0 <= self.reconfig_delay < math.inf:
-                raise InvalidNicConfig(f"reconfiguration delay must be finite and >= 0, "
-                                       f"got {self.reconfig_delay}")
+        if not 0 <= self.reconfig_delay < math.inf:
+            raise InvalidNicConfig(f"reconfiguration delay must be finite and >= 0, "
+                                   f"got {self.reconfig_delay}")
+        if self.kind == OCS and self.radix < 2:
+            raise RadixExceeded(f"OCS radix must be >= 2, got {self.radix}")
 
     @property
     def is_ocs(self) -> bool:

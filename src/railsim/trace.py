@@ -26,6 +26,38 @@ written) passed every check of that text already: the parser reads only its
 rank and stream, and applies the per-(rank, stream) order to it.  Any other
 record is parsed in full.
 
+A rail-symmetric trace in `save_trace`'s layout is held as the generator
+holds a DAG (see the `workload` module): rail 0's rows and the rows that span
+rails, with `EventDag.rails`, `spans` and `blocks` set.  `save_trace` writes
+each block's rows on rail 0, then the twins of the rows whose ids end in
+`.l0` rail by rail.  The parser reads the rail-0 records as any others.  A
+record whose id is the `.l1` twin of a row of the open block starts the
+block's twin records: the parser formats them with `_format_records`, the
+function `save_trace` writes them with, and each line that follows must equal
+its formatted line byte for byte; a line that does is not split or parsed.
+The trace is held when, besides that:
+
+  * every block has twin records for the same rails 1..R-1;
+  * each group a rail-0 row names ends in `.l0`, is declared on rail 0, and
+    has a twin on each rail l declared as it moved to rail l (each member
+    + l, the same axis, rails {l}) before its twin records;
+  * a row that spans rails names every rail's twin of each rail-0 row it
+    depends on, as `EventDag.dep_ids` does, and is no scale-out collective;
+  * record order adds no edge the held rows lack: the record before a twin
+    record on its (rank, stream) is one of the twin's dependencies, and a
+    row that spans rails names each twin record that comes before one of
+    its records on a (rank, stream);
+  * a rail-0 row depends on rail-0 rows only, has all its records in its
+    block, ranks that are multiples of R and a duration that is its end
+    minus its start (a collective keeps its first record's), and no other
+    held id starts with its id less its final `0`;
+  * the last block has twin records, and the rows a spanning row depends
+    on keep their order when expanded.
+
+When any of these fails the parser starts over and reads the file row by
+row, every record parsed and a row per event; so does any trace that raises
+an error, so every error comes from the row-by-row parse.
+
 The parser is the gate for traces: besides malformed records it rejects a
 negative rank, negative bytes, an infinite or nan observed time, a group
 declared twice, a record that ends before it starts, a later record of an
@@ -39,8 +71,10 @@ cycle passes through one of them.
 
 from __future__ import annotations
 
+import bisect
 import io
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CyclicDependency, MissingDependency, ParseError
 from .model import CommGroup
@@ -52,6 +86,8 @@ HEADER = "event_id,rank,stream,kind,coll_kind,group_id,bytes,dep_ids,observed_st
 # Lines formatted before they are written out together, by `save_trace` and
 # the `timeline.csv` writer.
 WRITE_CHUNK_LINES = 2048
+# Rows `save_trace` formats at a time, under `WRITE_CHUNK_LINES`.
+SAVE_CHUNK_ROWS = 64
 # Distinct times a `FloatText` holds before it starts over, so that times
 # which never repeat cost no more memory than one chunk of lines.
 TIMES_KEPT = 4096
@@ -71,42 +107,61 @@ class FloatText(dict):
         return text
 
 
-def save_trace(dag: EventDag, path: str) -> None:
-    """Write `dag` as a trace, one record per (event, rank) in row order and
-    rank order; a DAG that holds one rail is written in its row-by-row order
-    (`EventDag.twin_rows`), each twin's records formatted as they are
-    written.  Lines are written in chunks of `WRITE_CHUNK_LINES` as they are
-    formatted, so the file's text is never held whole."""
-    kinds, ranks, streams = dag.kind, dag.ranks, dag.streams
+def _format_records(dag: EventDag, rows: Sequence[int], rail: int,
+                    deps_text: Sequence[str], text: FloatText, lines: List[str]) -> None:
+    """Append the records of `rows`' twins on `rail` to `lines`, each ending
+    in a newline: a row's records in rank order, rows in the order given.
+    `deps_text[k]` is the dependency field of the twin of `rows[k]`.  On
+    rail l a rail-0 id or group id ends in `l` for its final `0` (`twin`)."""
+    ids, kinds, ranks, streams = dag.ids, dag.kind, dag.ranks, dag.streams
     coll_kinds, groups, nbytes = dag.coll_kind, dag.group, dag.bytes
-    starts, ends, text = dag.observed_start, dag.observed_end, FloatText()
+    starts, ends = dag.observed_start, dag.observed_end
+    tail = str(rail)
+    for i, deps in zip(rows, deps_text):
+        eid, gid = ids[i], groups[i]
+        if rail:
+            eid = eid[:-1] + tail
+            gid = gid and gid[:-1] + tail
+        rest = (f"{kinds[i]},{coll_kinds[i] or ''},{gid or ''},{nbytes[i]},{deps},"
+                f"{text[starts[i]]},{text[ends[i]]}\n")
+        rs, s = ranks[i], streams[i]
+        if len(rs) == 1 and not isinstance(s, dict):  # most rows; no sort
+            lines.append(f"{eid},{rs[0] + rail},{s},{rest}")
+        else:
+            for rank in sorted(rs):
+                stream = s.get(rank, "") if isinstance(s, dict) else s
+                lines.append(f"{eid},{rank + rail},{stream},{rest}")
+
+
+def save_trace(dag: EventDag, path: str) -> None:
+    """Write `dag` as a trace, one record per (event, rank), in the
+    row-by-row order (`EventDag.passes`) and rank order; a DAG that holds
+    one rail has each twin's records formatted as they are written.  Lines
+    are written in chunks of about `WRITE_CHUNK_LINES` as they are
+    formatted, so the file's text is never held whole."""
+    text, dep_ids = FloatText(), dag.dep_ids
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        lines = [HEADER]
+        lines = [HEADER + "\n"]
         for gid in sorted(dag.groups):
             g = dag.groups[gid]
             members = ";".join(str(m) for m in g.members)
             rails = ";".join(str(r) for r in sorted(g.rails_touched))
-            lines.append(f"#group,{gid},{g.axis},{members},{rails}")
-        for i, l, eid in dag.twin_rows():
-            gid = groups[i] and twin(groups[i], l)
-            rest = (f"{kinds[i]},{coll_kinds[i] or ''},{gid or ''},{nbytes[i]},"
-                    f"{';'.join(dag.dep_ids(i, l))},{text[starts[i]]},{text[ends[i]]}")
-            rs, s = ranks[i], streams[i]
-            if len(rs) == 1 and not isinstance(s, dict):  # most rows; no sort
-                lines.append(f"{eid},{rs[0] + l},{s},{rest}")
-            else:
-                for rank in sorted(rs):
-                    stream = s.get(rank, "") if isinstance(s, dict) else s
-                    lines.append(f"{eid},{rank + l},{stream},{rest}")
-            if len(lines) >= WRITE_CHUNK_LINES:
-                f.write("\n".join(lines) + "\n")
-                lines.clear()
+            lines.append(f"#group,{gid},{g.axis},{members},{rails}\n")
+        for rows, l in dag.passes():
+            for k in range(0, len(rows), SAVE_CHUNK_ROWS):
+                part = rows[k:k + SAVE_CHUNK_ROWS]
+                _format_records(dag, part, l, [";".join(dep_ids(i, l)) for i in part],
+                                text, lines)
+                if len(lines) >= WRITE_CHUNK_LINES:
+                    f.write("".join(lines))
+                    lines.clear()
         if lines:
-            f.write("\n".join(lines) + "\n")
+            f.write("".join(lines))
 
 
 def load_trace(path: str) -> EventDag:
-    """Parse a trace file into an EventDag.
+    """Parse a trace file into an EventDag, held as one rail when the trace
+    is rail-symmetric in `save_trace`'s layout (see the module docstring).
 
     Raises ParseError with a line number on malformed or disagreeing records,
     a negative rank or bytes, a non-finite observed time, a group declared
@@ -127,7 +182,26 @@ def loads_trace(text: str) -> EventDag:
     return _parse(io.StringIO(text))
 
 
+class _NotHeld(Exception):
+    """The trace breaks a condition of the held parse after it skipped lines."""
+
+
 def _parse(f) -> EventDag:
+    """`_read` the trace held as one rail; where that fails, or raises,
+    read it again from the start row by row."""
+    try:
+        return _read(f, hold=True)
+    except (_NotHeld, ParseError, MissingDependency, CyclicDependency, UnicodeDecodeError):
+        pass  # out of the handler, so the first attempt's rows are freed
+    f.seek(0)
+    return _read(f, hold=False)
+
+
+def _read(f, hold: bool) -> EventDag:
+    """Parse the lines of `f`; with `hold`, hold a rail-symmetric trace as
+    one rail, raising _NotHeld once it skipped lines and a condition fails.
+    Until it skips a line it parses as it does row by row, so a condition
+    that fails then only ends the attempt to hold the trace."""
     dag = EventDag()
     ids, index = dag.ids, dag.index
     kinds, ranks, streams, groups = dag.kind, dag.ranks, dag.streams, dag.group
@@ -140,8 +214,9 @@ def _parse(f) -> EventDag:
     ahead: Dict[int, List[str]] = {}
     multi: List[int] = []
     # stream -> rank -> row of the last record on the (rank, stream), and the
-    # latest observed start on it so far.
-    stream_tail: Dict[str, Dict[int, Tuple[int, Optional[float]]]] = {}
+    # latest observed start on it so far.  A twin record of a held trace is
+    # kept as (row, rail).
+    stream_tail: Dict[str, Dict[int, Tuple[object, Optional[float]]]] = {}
     shared: Dict[str, str] = {}  # one copy of each stream, coll_kind and group_id
     solo: Dict[str, tuple] = {}  # rank text -> (rank,), the ranks of a one-record row
     # The last record's event id, its text after the stream, row and
@@ -149,7 +224,28 @@ def _parse(f) -> EventDag:
     last_eid = last_rest = None
     last_row, last_start = -1, None
     header_seen = False
-    for lineno, raw in enumerate(f, start=1):
+    # The held parse: the first row of the open block; the rail count once
+    # the first block's twin records ended (0 before); whether lines were
+    # skipped; and (rail, block, lines) of a twin pass the first block may
+    # still have.  Checked at the end: a spanning row's records whose stream
+    # predecessor is a twin record, as (row, (row, rail)), and the ranks of
+    # rail-0 rows.
+    block_start, rails, skipped, trial = 0, 0, False, None
+    twin_preds: List[Tuple[int, Tuple[int, int]]] = []
+    kept_ranks: set = set()
+    checked: set = set()  # (group, rail) of the twin groups checked
+    text = FloatText()
+    numbered = enumerate(f, start=1)
+    for lineno, raw in numbered:
+        if trial is not None:  # after a twin pass of the first block
+            l, block, want = trial
+            if raw == want[0]:
+                if not (_check_rail(dag, block, l, stream_tail, checked)
+                        and _take(numbered, want, raw)):
+                    raise _NotHeld
+                trial = (l + 1, block, _pass_lines(dag, block, l + 1, text))
+                continue
+            rails, trial = l, None
         line = raw.rstrip("\n")
         parts = line.split(",", 3)
         if len(parts) < 4 or not header_seen or line[:1] == "#":
@@ -175,6 +271,31 @@ def _parse(f) -> EventDag:
             rank = (solo.get(rank_s) or _rank(solo, rank_s, lineno))[0]
             i, start, first, rows = last_row, last_start, False, []
         else:
+            if (hold and eid[-3:] == ".l1" and eid not in index
+                    and index.get(eid[:-1] + "0", -1) >= block_start):
+                # The first twin record of the open block's rows.
+                block = _twin_block(dag, block_start, ahead)
+                want = block and _pass_lines(dag, block, 1, text)
+                if want and raw == want[0] and _check_rail(dag, block, 1, stream_tail, checked):
+                    skipped = True
+                    if not _take(numbered, want, raw):
+                        raise _NotHeld
+                    for l in range(2, rails):
+                        want = _pass_lines(dag, block, l, text)
+                        if not (_check_rail(dag, block, l, stream_tail, checked)
+                                and _take(numbered, want)):
+                            raise _NotHeld
+                    if not rails:
+                        trial = (2, block, _pass_lines(dag, block, 2, text))
+                    block_start = len(ids)
+                    dag.blocks.append(block_start)
+                    dag.spans.update(block.spans)
+                    kept_ranks.update(rank for _, rank in block.first)
+                    last_eid = last_rest = None
+                    continue
+                if skipped:
+                    raise _NotHeld
+                hold = False  # parse on row by row
             fields = rest.split(",")
             if len(fields) != 7:
                 raise ParseError(f"expected 10 fields, got {len(fields) + 3}", lineno)
@@ -226,6 +347,10 @@ def _parse(f) -> EventDag:
                 raise ParseError(f"record of {eid} disagrees with its first record on "
                                  "kind, coll_kind or group_id", lineno)
             else:  # keep the latest start and end over its records
+                if hold and i < block_start:  # a row of a block whose twins were read
+                    if skipped:
+                        raise _NotHeld
+                    hold = False
                 if start is not None and (starts[i] is None or start > starts[i]):
                     starts[i] = start
                 if end is not None and (ends[i] is None or end > ends[i]):
@@ -256,7 +381,10 @@ def _parse(f) -> EventDag:
         if tail is not None:
             tail_row, tail_start = tail
             if tail_row != i and tail_row not in rows:
-                rows.append(tail_row)
+                if type(tail_row) is tuple:  # a twin record, which the row must name
+                    twin_preds.append((i, tail_row))
+                else:
+                    rows.append(tail_row)
             if start is None:
                 start = tail_start  # a record without a start keeps the stream's
             elif tail_start is not None and start < tail_start:
@@ -272,6 +400,11 @@ def _parse(f) -> EventDag:
         else:  # the row's second record
             deps[i] = [*deps[i], *rows]
             multi.append(i)
+    if trial is not None:
+        rails = trial[0]
+    if skipped and (any(rank % rails for rank in kept_ranks)
+                    or not _hold(dag, block_start, rails, ahead, twin_preds)):
+        raise _NotHeld
     for i in sorted(ahead):
         names = sorted(set(ahead[i]))
         for d in names:
@@ -289,6 +422,171 @@ def _parse(f) -> EventDag:
             forward.append(i)
     _check_acyclic(deps, forward)
     return dag
+
+
+class _Block:
+    """The rows of a block whose twin records follow: the rail-0 rows
+    (`kept`), the heads of each one's dependency ids (`heads`, each id less
+    its final `0`), the rows that span rails, the groups the rail-0 rows
+    name, the first and the last rail-0 row on each (stream, rank), and the
+    first and the last observed start among those rows on it."""
+
+    __slots__ = ("kept", "heads", "spans", "groups", "first", "last", "span")
+
+
+def _twin_block(dag: EventDag, a: int, ahead: Dict[int, List[str]]) -> Optional[_Block]:
+    """Rows a.. of `dag` as a block whose twin records follow, or None when
+    they cannot have twins: a spanning scale-out collective, a rail-0 row
+    that depends on a row spanning rails or whose duration is not its end
+    minus its start, a group off rail 0 or not named `.l0`, or two rows on
+    one (rank, stream) whose twins would be ordered by an edge no dependency
+    names, or out of start order.  Sorts each row's ranks."""
+    ids, ranks, streams, deps = dag.ids, dag.ranks, dag.streams, dag.deps
+    starts, ends, durations = dag.observed_start, dag.observed_end, dag.duration
+    groups, group, kinds = dag.groups, dag.group, dag.kind
+    b = _Block()
+    b.kept, b.heads, b.spans = [], [], []
+    first: Dict[Tuple[str, int], int] = {}
+    last: Dict[Tuple[str, int], int] = {}
+    span: Dict[Tuple[str, int], Tuple[float, float]] = {}
+    for i in range(a, len(ids)):
+        if ids[i][-3:] != ".l0":
+            if kinds[i] == COLLECTIVE and groups[group[i]].is_scaleout:
+                return None
+            b.spans.append(i)
+            continue
+        rs, s, ds, start, end = ranks[i], streams[i], deps[i], starts[i], ends[i]
+        # A twin's records all carry the row's latest start and end, so its
+        # duration is their difference; a collective's row keeps its first
+        # record's.
+        if durations[i] != (end - start if start is not None and end is not None else 0.0):
+            return None
+        b.kept.append(i)
+        if len(rs) > 1:
+            rs = ranks[i] = tuple(sorted(set(rs)))
+        for r in rs:
+            key = (s.get(r, "") if isinstance(s, dict) else s, r)
+            prev = last.get(key)
+            if prev is None:
+                first[key] = i
+            elif prev not in ds:
+                return None
+            last[key] = i
+            if start is not None:  # a record without a start keeps the stream's
+                known = span.get(key)
+                if known is None:
+                    span[key] = (start, start)
+                elif start < known[1]:
+                    return None
+                else:
+                    span[key] = (known[0], start)
+        names = {ids[d] for d in ds}
+        names.update(ahead.get(i, ()))
+        if not all(n[-3:] == ".l0" for n in names):
+            return None
+        b.heads.append([n[:-1] for n in sorted(names)])
+    b.groups = {group[i] for i in b.kept} - {None}
+    for gid in b.groups:
+        if gid[-3:] != ".l0" or groups[gid].rails_touched != {0}:
+            return None
+    b.first, b.last, b.span = first, last, span
+    return b
+
+
+def _pass_lines(dag: EventDag, block: _Block, rail: int, text: FloatText) -> List[str]:
+    """The twin records of `block` on `rail`, as `save_trace` writes them."""
+    tail = str(rail)
+    sep = tail + ";"
+    deps_text = [sep.join(heads) + tail if heads else "" for heads in block.heads]
+    lines: List[str] = []
+    _format_records(dag, block.kept, rail, deps_text, text, lines)
+    return lines
+
+
+def _take(numbered, want: List[str], first: Optional[str] = None) -> bool:
+    """Whether the next lines of `numbered` equal `want`; `first` is the
+    first of them when it was read already."""
+    if first is None:
+        return [raw for _, raw in islice(numbered, len(want))] == want
+    return first == want[0] and [raw for _, raw in islice(numbered, len(want) - 1)] == want[1:]
+
+
+def _check_rail(dag: EventDag, block: _Block, rail: int, stream_tail: dict,
+                checked: set) -> bool:
+    """Check what the twin records of `block` on `rail` need beyond their
+    text, then record them as the last records on their (rank, stream).
+    Each group's twin on `rail` is declared as the group moved to `rail`
+    (kept in `checked` once checked); the record before each (rank,
+    stream)'s first twin record is a twin on `rail` of one of its
+    dependencies and starts no later than the twins' first start."""
+    groups, deps = dag.groups, dag.deps
+    for gid in block.groups:
+        if (gid, rail) not in checked:
+            g, t = groups[gid], groups.get(twin(gid, rail))
+            if (t is None or t.axis != g.axis or t.rails_touched != {rail}
+                    or t.members != tuple(m + rail for m in g.members)):
+                return False
+            checked.add((gid, rail))
+    tails = []
+    for key, j in block.first.items():
+        stream, rank = key
+        tail = stream_tail.get(stream, {}).get(rank + rail)
+        p_start = None
+        if tail is not None:  # a twin record, (row, rail), or a parsed one
+            p, p_start = tail
+            if type(p) is not tuple or p[1] != rail or p[0] not in deps[j]:
+                return False
+        known = block.span.get(key)
+        if known is not None and p_start is not None and known[0] < p_start:
+            return False
+        tails.append((stream, rank + rail, (block.last[key], rail),
+                      p_start if known is None else known[1]))
+    for stream, rank, pair, start in tails:
+        stream_tail.setdefault(stream, {})[rank] = (pair, start)
+    return True
+
+
+def _hold(dag: EventDag, end: int, rails: int, ahead: Dict[int, List[str]],
+          twin_preds: List[Tuple[int, Tuple[int, int]]]) -> bool:
+    """Finish a held parse whose last block ends at row `end`, which must
+    be the last row: set `rails`; resolve each spanning row's dependency
+    ids to (row, rail) and check that they name every rail's twin of each
+    rail-0 row (as `EventDag.twin_deps`) in an order that expands in order,
+    and each stream predecessor that is a twin record; check the ids."""
+    ids, deps, spans, blocks = dag.ids, dag.deps, dag.spans, dag.blocks
+    if end != len(ids):
+        return False
+    dag.rails = rails
+    preds: Dict[int, List[Tuple[int, int]]] = {}
+    for i, pair in twin_preds:
+        preds.setdefault(i, []).append(pair)
+    for i in spans:
+        pairs = {(d, 0) for d in deps[i]}
+        for name in ahead.get(i, ()):
+            try:
+                pairs.add(dag.locate(name))
+            except KeyError:
+                return False
+        rows = sorted(d for d, l in pairs if not l)
+        if pairs != {(d, l) for d in rows for l in (range(rails) if d not in spans else (0,))}:
+            return False
+        if not pairs.issuperset(preds.pop(i, ())):
+            return False
+        if i in ahead:
+            ahead[i], deps[i] = [], rows
+        # The held order maps to the expanded one when the rail-0 rows it
+        # names sit in one block and no row it names in a later block.
+        kept = [d for d in rows if d not in spans]
+        if kept and not (bisect.bisect(blocks, kept[0]) == bisect.bisect(blocks, kept[-1])
+                         >= bisect.bisect(blocks, rows[-1])):
+            return False
+    if preds:  # a rail-0 row whose stream predecessor is a twin record
+        return False
+    order = sorted(ids)
+    for x, y in zip(order, order[1:]):
+        if x[-3:] == ".l0" and y.startswith(x[:-1]) or y[-3:] == ".l0" and x.startswith(y[:-1]):
+            return False
+    return True
 
 
 def _declare_group(dag: EventDag, line: str, lineno: int) -> None:

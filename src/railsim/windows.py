@@ -15,8 +15,9 @@ the latest over a collective's records).  A row whose start or end is None
 is not covered.  Negative gaps mean the phases overlap and are reported
 separately, not as windows.  A rail's collectives come from
 `EventDag.scaleout_by_rail`, which buckets them by rail once per DAG, so
-analysing one rail reads only that rail's rows.  A generated DAG holds rail
-0's rows alone (`EventDag.rails`); every other rail's windows are rail 0's.
+analysing one rail reads only that rail's rows.  A generated DAG or a held
+trace holds rail 0's rows alone (`EventDag.rails`); every other rail it
+stands for has rail 0's windows.
 """
 
 from __future__ import annotations
@@ -143,12 +144,15 @@ class VolumeClassStats:
 def classify_by_volume(windows: Sequence[Window], class_edges: Sequence[float]) -> List[VolumeClassStats]:
     """Per-volume-class statistics of window sizes.
 
-    ``class_edges`` are finite, strictly increasing byte thresholds defining
-    len(edges)+1 classes; a volume exactly on an edge goes to the upper class.
+    ``class_edges`` are finite, non-negative, strictly increasing byte
+    thresholds defining len(edges)+1 classes; a volume exactly on an edge
+    goes to the upper class.
     """
     edges = list(class_edges)
     if not all(math.isfinite(e) for e in edges):
         raise InvalidParams(f"class edges must be finite, got {edges}")
+    if any(e < 0 for e in edges):
+        raise InvalidParams(f"class edges must be >= 0 bytes, got {edges}")
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise InvalidParams("class edges must be strictly increasing")
     bounds = [float("-inf")] + edges + [float("inf")]

@@ -24,17 +24,20 @@ the simulator and the writers all work on the columns; `Event` is the row
 record that hand-built DAGs pass to `EventDag.add` and that `dag.events`
 returns.
 
-A generated DAG holds one rail.  Every rail runs rail 0's schedule on the
-twin ranks (the ranks of the same domains on rail l), and only the TP
-AllReduces, which take no circuit, span rails.  So `generate_3d_schedule`
-emits rail 0's rows and the TP rows (`spans`), and sets `EventDag.rails` to
-the rail count: each other row stands for its twin on every rail.  A twin is
-arithmetic, and the `twin*` functions and methods are the one place that
-derives it: on rail l, rank r becomes r + l, the `.l0` that ends rail 0's
-event and group ids becomes `.l{l}`, and a dependency on a rail-0 row becomes
-one on that row's twin.  A TP row stands for itself and depends on every
-rail's twin of each rail-0 row it names, so a twin's per-rank joins are its
-row's with each rank + l.  `EventDag.blocks` records how the row-by-row DAG
+A generated DAG holds one rail, and so does a rail-symmetric trace that
+`save_trace` wrote; the parser reads any other trace row by row, and so it
+does one that fails a check of the held form (see the `trace` module).
+Every rail runs rail 0's schedule on the twin ranks (the ranks of the same
+domains on rail l), and only the TP AllReduces, which take no circuit, span
+rails.  So `generate_3d_schedule` emits rail 0's rows and the TP rows
+(`spans`), and sets `EventDag.rails` to the rail count: each other row stands for its twin
+on every rail, and its ranks are rail 0's, multiples of the rail count.  A
+twin is arithmetic, and the `twin*` functions and methods are the one place
+that derives it: on rail l, rank r becomes r + l, the `.l0` that ends rail
+0's event and group ids becomes `.l{l}`, and a dependency on a rail-0 row
+becomes one on that row's twin.  A TP row stands for itself and depends on
+every rail's twin of each rail-0 row it names, so a twin's per-rank joins
+are its row's with each rank + l.  `EventDag.blocks` records how the row-by-row DAG
 interleaves the rails (each block repeated rail by rail, the TP rows on rail
 0 only), so `twin_rows` lists every event in that order and `expanded`
 rebuilds that DAG exactly.  Every held id but a TP row's ends in `.l0`, and
@@ -42,7 +45,7 @@ no other held id starts with one less its final `0`, so a row's twins' ids
 sort together, in the text order of their rails (`.l10` before `.l2`).  The
 simulator, the profiler and the log copies read the held rows directly.
 A held DAG's rows never renumber: `EventDag.add` refuses it, so edit
-`dag.expanded()` instead.  Parsed traces and hand-built DAGs hold every
+`dag.expanded()` instead.  Other traces and hand-built DAGs hold every
 row, so they take the row-by-row path.  Changing a column in place of a
 held DAG changes every rail.
 """
@@ -243,6 +246,18 @@ class EventDag:
             raise KeyError(eid)
         return i, rail
 
+    def passes(self) -> Iterator[Tuple[Sequence[int], int]]:
+        """The row-by-row order as (rows, rail) passes: each block's rows on
+        rail 0, then its rows not in `spans` on each other rail in turn."""
+        a = 0
+        for b in self.blocks if self.rails > 1 else [len(self.ids)]:
+            yield range(a, b), 0
+            if self.rails > 1:
+                kept = [i for i in range(a, b) if i not in self.spans]
+                for l in range(1, self.rails):
+                    yield kept, l
+            a = b
+
     def twin_rows(self, rows: Optional[Iterable[int]] = None,
                   rails: Sequence[int] = ()) -> Iterator[Tuple[int, int, str]]:
         """Events as (row, rail, event id): row i's twin on the rail, whose
@@ -251,14 +266,11 @@ class EventDag:
         in the row-by-row order, each block of rows on rail 0, then without
         `spans` on each rail."""
         if rows is None:
-            ids, a = self.twin_ids(), 0
-            for b in self.blocks if self.rails > 1 else [len(self.ids)]:
-                kept = [i for i in range(a, b) if i not in self.spans]
-                for l in range(self.rails):
-                    rail_ids = ids[l]
-                    for i in kept if l else range(a, b):
-                        yield i, l, rail_ids[i]
-                a = b
+            ids = self.twin_ids()
+            for part, l in self.passes():
+                rail_ids = ids[l]
+                for i in part:
+                    yield i, l, rail_ids[i]
             return
         ids, spans = self.ids, self.spans
         tails = [(l, str(l)) for l in rails]

@@ -1,5 +1,9 @@
 """Shared builders for the test suite."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from railsim import ControlPolicy, TopologySpec, WorkloadParams, build_topology
@@ -89,6 +93,13 @@ BAD_TRACES = {
     "rank outside the topology": (
         "a,0,compute,compute,,,0,,0.0,1.0\n"
         "b,8,compute,compute,,,0,a,1.0,2.0\n"),
+    "a twin's rank outside the topology": (
+        "a.l0,0,compute,compute,,,0,,0.0,1.0\n"
+        "a.l1,1,compute,compute,,,0,,0.0,1.0\n"
+        "a.l2,2,compute,compute,,,0,,0.0,1.0\n"
+        "b.l0,6,compute,compute,,,0,a.l0,1.0,2.0\n"
+        "b.l1,7,compute,compute,,,0,a.l1,1.0,2.0\n"
+        "b.l2,8,compute,compute,,,0,a.l2,1.0,2.0\n"),
 }
 
 # Traces the parser rejects, each with a fragment of its error message.
@@ -148,3 +159,12 @@ def shipped_scenario_path():
 def shipped_econ_path():
     import railsim.cli
     return railsim.cli.DEFAULT_ECON_CONFIG
+
+
+def perfbench_inputs():
+    """The benchmark's input module, `perfbench/inputs.py`."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs

@@ -2,20 +2,19 @@
 
 import configparser
 import hashlib
-import importlib.util
 import os
 import re
-import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from railsim import loads_trace
 from railsim.cli import (DEFAULT_CLASS_EDGES, DEFAULT_ECON_CONFIG, DEFAULT_SCENARIO,
                          _read_ini, load_econ_config, load_scenario, main)
 
-from conftest import BAD_TRACES, HEADER, REJECTED_TRACES
+from conftest import BAD_TRACES, HEADER, REJECTED_TRACES, perfbench_inputs
 
 SCENARIO = """\
 [topology]
@@ -161,11 +160,40 @@ class TestExitCodes:
         assert "reconfiguration delay must be finite and >= 0" in capsys.readouterr().err
         assert not (tmp_path / "o" / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "-5"])
+    def test_delay_checked_for_every_switch(self, value, scenario, tmp_path, capsys):
+        # An electrical rail ignores the delay, but one that no OCS run
+        # accepts is an error, not a value to ignore.
+        assert main(["sim", "--scenario", scenario, "--switch", "electrical",
+                     "--delay", value, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "reconfiguration delay must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("delays", ["0, nan", "0.01, -0.5"])
+    def test_sweep_delays_checked_as_read(self, delays, tmp_path, capsys, monkeypatch):
+        # Before anything is generated, compiled or simulated.
+        ini = tmp_path / "s.ini"
+        ini.write_text(SCENARIO.replace("delays = 0, 0.01", f"delays = {delays}"))
+        generate = mock.Mock(side_effect=AssertionError("generated"))
+        monkeypatch.setattr("railsim.cli.generate_3d_schedule", generate)
+        assert main(["sweep", "--scenario", str(ini), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "[sweep] delays: reconfiguration delay must be finite and >= 0" \
+            in capsys.readouterr().err
+        assert not generate.called and not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("classes", ["nan", "1e6,inf"])
     def test_nonfinite_class_edges(self, classes, scenario, tmp_path, capsys):
         assert main(["windows", "--scenario", scenario, "--classes", classes,
                      "--out-dir", str(tmp_path / "o")]) == 2
         assert "class edges must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "windows.csv").exists()
+
+    @pytest.mark.parametrize("classes", ["-1e9", "-1,1e6"])
+    def test_negative_class_edges(self, classes, scenario, tmp_path, capsys):
+        # No volume falls below a negative byte edge.
+        assert main(["windows", "--scenario", scenario, f"--classes={classes}",
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert "class edges must be >= 0 bytes" in capsys.readouterr().err
         assert not (tmp_path / "o" / "windows.csv").exists()
 
     def test_trace_of_a_larger_topology(self, scenario, tmp_path, capsys):
@@ -281,10 +309,7 @@ def oracle_scenario(path):
 def benchmark_inis():
     """(name, text) of every scenario the benchmark writes: both workloads,
     seeds 1-5."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
-    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs = perfbench_inputs()
     for seed in range(1, 6):
         cal = inputs.calibration(seed)
         yield f"cli-mix {seed} sim", inputs.scenario_ini(inputs.SIM_19K, cal)
@@ -435,6 +460,24 @@ class TestWindows:
             assert len((d1 / "windows.csv").read_text().splitlines()) > 1, ini
             for name in ("windows.csv", "cdf.csv"):
                 assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), (ini, name)
+
+    def test_rail_a_held_trace_does_not_stand_for(self, scenario, tmp_path, capsys):
+        # gen's trace of 4 rails, with a scale-out group declared on rail 4
+        # that no event names: rail 4 counts, and has no windows.
+        trace = tmp_path / "t.csv"
+        assert main(["gen", "--scenario", scenario, "--out", str(trace)]) == 0
+        text = trace.read_text()
+        spare = tmp_path / "spare.csv"
+        spare.write_text(text.replace("\n#group,", "\n#group,spare,DP,4;20,4\n#group,", 1))
+        assert loads_trace(spare.read_text()).rails == 4
+        outputs = []
+        for path in (trace, spare):
+            capsys.readouterr()
+            assert main(["windows", "--trace", str(path), "--out-dir", str(tmp_path / path.stem)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert (tmp_path / "t" / "windows.csv").read_bytes() == \
+            (tmp_path / "spare" / "windows.csv").read_bytes()
+        assert " windows on 4 rails " in outputs[0] and " windows on 5 rails " in outputs[1]
 
     def test_no_windows_message(self, tmp_path, capsys):
         trace = tmp_path / "one.csv"

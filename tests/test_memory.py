@@ -7,7 +7,9 @@ halfway between the per-event peak of a design that kept extra copies of
 every event and that of the design that holds each event once.  Measured on
 Python 3.10, 3.11 and 3.12 at these tests' shapes: the loader 580-616
 B/event with a dependents list per event for its cycle check (594 on 3.11),
-441-474 with the depth-first check over `deps` (452 on 3.11); the trace
+441-474 with the depth-first check over `deps` (452 on 3.11), and on 3.11
+190 holding one rail of a rail-symmetric trace (453 for a trace that is
+not, parsed row by row after the held parse gave up); the trace
 writer 428-438 with the whole file's text, 132-135 writing it in chunks
 (192 on 3.11 writing a DAG that holds one rail, each twin formatted as it
 is written, with every rail's event ids kept for naming dependencies).  `sim` plus writer, on Python 3.11: 413 B/event compiling and
@@ -28,6 +30,7 @@ from conftest import CALIBRATION, PROVISIONED, make_params, make_topo
 
 GENERATE_BYTES_PER_EVENT = 211
 LOAD_TRACE_BYTES_PER_EVENT = 523
+LOAD_HELD_TRACE_BYTES_PER_EVENT = 320
 SAVE_TRACE_BYTES_PER_EVENT = 285
 SIM_WRITE_BYTES_PER_EVENT = 203
 
@@ -62,7 +65,24 @@ def test_load_trace(tmp_path):
     dag, _ = dag_on(4, 2, 4, 16, 4)  # 1,480 events
     path = str(tmp_path / "trace.csv")
     save_trace(dag, path)
+    assert load_trace(path).rails == 4
     per_event = peak_bytes(lambda: load_trace(path)) / len(dag)
+    assert per_event <= LOAD_HELD_TRACE_BYTES_PER_EVENT
+
+
+def test_load_asymmetric_trace(tmp_path):
+    # The same trace with one rail-1 record's bytes changed: its rails
+    # differ, so the held parse gives up and the trace is parsed row by row.
+    dag, _ = dag_on(4, 2, 4, 16, 4)
+    path = tmp_path / "trace.csv"
+    save_trace(dag, str(path))
+    text = path.read_text()
+    twin = next(line for line in text.splitlines() if line.startswith("f.p0.q0.m0.j0.l1,"))
+    rec = twin.split(",")
+    rec[6] = "1"
+    path.write_text(text.replace(twin, ",".join(rec)))
+    assert load_trace(str(path)).rails == 1
+    per_event = peak_bytes(lambda: load_trace(str(path))) / len(dag)
     assert per_event <= LOAD_TRACE_BYTES_PER_EVENT
 
 

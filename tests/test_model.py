@@ -34,6 +34,11 @@ class TestNicAndSwitch:
         with pytest.raises(InvalidNicConfig, match="scale-up bandwidth must be finite"):
             build_topology(TopologySpec(4, 4, value, 2, 25e9))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -5.0])
+    def test_delay_checked_for_an_electrical_rail(self, value):
+        with pytest.raises(InvalidNicConfig, match="reconfiguration delay must be finite"):
+            RailSwitch(kind="electrical", reconfig_delay=value)
+
     def test_unknown_switch_kind(self):
         with pytest.raises(InvalidNicConfig):
             RailSwitch(kind="quantum")

@@ -3,8 +3,12 @@ traces by the trace parser and by `simulate`."""
 
 import functools
 import hashlib
+import io
 import os
+import random
+import re
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -13,9 +17,12 @@ from railsim import (CyclicDependency, Event, EventDag, InvalidParams,
                      MissingDependency, NotMember, ParseError, generate_3d_schedule,
                      load_trace, loads_trace, one_f_one_b, save_trace, simulate)
 
+from railsim import trace
+from railsim.cli import DEFAULT_SCENARIO, _write_sim_outputs, load_scenario, main
 from railsim.workload import GRAD_BYTES_MULTIPLIER, twin
 
-from conftest import CALIBRATION, HEADER, REACTIVE, make_params, make_topo
+from conftest import (BAD_TRACES, CALIBRATION, HEADER, PROVISIONED, REACTIVE, make_params,
+                      make_topo, perfbench_inputs)
 
 
 def small_dag(**kw):
@@ -64,6 +71,103 @@ def generated_trace(pp, dp, m):
                     make_params(pp=pp, dp=dp, n_layer=4, n_microbatch=m), path)
         with open(path, encoding="utf-8") as f:
             return f.read()
+
+
+def rows_parse(text):
+    """`text` parsed row by row: every record parsed, a row per event."""
+    return trace._read(io.StringIO(text), hold=False)
+
+
+# A twin record's event id: a `.l{rail}` ending, rail 1 or above.
+TWIN_ID = re.compile(r"\.l[1-9][0-9]*$")
+
+
+def twin_records(lines, kind=None):
+    """Indices of the twin records in `lines` (of `kind`, if given)."""
+    return [k for k, line in enumerate(lines) if not line.startswith("#")
+            and TWIN_ID.search(line.split(",")[0]) and kind in (None, line.split(",")[3])]
+
+
+def edit_field(lines, rnd, candidates, field, change):
+    k = rnd.choice(candidates)
+    rec = lines[k].split(",")
+    rec[field] = change(rec[field])
+    lines[k] = ",".join(rec)
+
+
+def edit_dependency(lines, rnd):
+    # A twin's dependency on its rail's twin moved to the rail-0 row.
+    k = rnd.choice([k for k in twin_records(lines)
+                    if any(TWIN_ID.search(d) for d in lines[k].split(",")[7].split(";"))])
+    rec = lines[k].split(",")
+    names = rec[7].split(";")
+    j = rnd.choice([j for j, d in enumerate(names) if TWIN_ID.search(d)])
+    names[j] = TWIN_ID.sub(".l0", names[j])
+    rec[7] = ";".join(names)
+    lines[k] = ",".join(rec)
+
+
+def edit_group(lines, rnd):
+    # A twin group's members in another order.
+    k = rnd.choice([k for k, line in enumerate(lines) if line.startswith("#group,")
+                    and TWIN_ID.search(line.split(",")[1]) and ";" in line.split(",")[3]])
+    rec = lines[k].split(",")
+    rec[3] = ";".join(reversed(rec[3].split(";")))
+    lines[k] = ",".join(rec)
+
+
+def edit_order(lines, rnd):
+    # Two twin records of other events and (rank, stream)s swap places.
+    twins = set(twin_records(lines))
+    k = rnd.choice([k for k in twins if k + 1 in twins
+                    and lines[k].split(",", 1)[0] != lines[k + 1].split(",", 1)[0]
+                    and lines[k].split(",")[1:3] != lines[k + 1].split(",")[1:3]])
+    lines[k], lines[k + 1] = lines[k + 1], lines[k]
+
+
+def edit_drop(lines, rnd):
+    # One record of a twin collective, which keeps its other records.
+    records = {}
+    for k in twin_records(lines, "collective"):
+        records.setdefault(lines[k].split(",", 1)[0], []).append(k)
+    del lines[rnd.choice(rnd.choice([ks for ks in records.values() if len(ks) > 1]))]
+
+
+def edit_tp_name(lines, rnd):
+    # One twin drops out of the dependencies of every record of a TP event.
+    k = rnd.choice([k for k, line in enumerate(lines) if not line.startswith("#")
+                    and line.split(",")[5].startswith("tp.")
+                    and any(TWIN_ID.search(d) for d in line.split(",")[7].split(";"))])
+    eid, names = lines[k].split(",")[0], lines[k].split(",")[7].split(";")
+    dropped = rnd.choice([d for d in names if TWIN_ID.search(d)])
+    for k, line in enumerate(lines):
+        rec = line.split(",")
+        if rec[0] == eid:
+            rec[7] = ";".join(d for d in rec[7].split(";") if d != dropped)
+            lines[k] = ",".join(rec)
+
+
+# Edits of a generated trace after which it is no longer rail-symmetric in
+# `save_trace`'s layout, and still a valid trace.
+EDITS = {
+    "twin time": lambda lines, rnd: edit_field(
+        lines, rnd, twin_records(lines, "compute"), 9, lambda t: repr(float(t) + 0.5)),
+    "twin rank": lambda lines, rnd: edit_field(
+        lines, rnd, twin_records(lines, "compute"), 1, lambda r: "10000"),
+    "twin dependency": edit_dependency,
+    "twin group member": edit_group,
+    "twin records reordered": edit_order,
+    "twin record dropped": edit_drop,
+    "twin name of a TP record dropped": edit_tp_name,
+}
+
+
+def edited(text, edit, rnd):
+    header, *lines = text.splitlines()
+    EDITS[edit](lines, rnd)
+    out = "\n".join([header, *lines]) + "\n"
+    assert out != text
+    return out
 
 
 def unusual_shape(text, rnd):
@@ -443,15 +547,24 @@ class TestTrace:
     # minutes.
     @settings(max_examples=40, deadline=None,
               phases=[Phase.explicit, Phase.reuse, Phase.generate])
-    @given(shape=st.sampled_from(SHUFFLED_SHAPES), rnd=st.randoms(use_true_random=False))
-    def test_unusual_shapes_parse_as_row_order(self, shape, rnd):
-        text, row_text = unusual_shape(generated_trace(*shape), rnd)
-        assert columns(loads_trace(text)) == columns(loads_trace(row_text))
+    @given(shape=st.sampled_from(SHUFFLED_SHAPES), edit=st.sampled_from([None, *EDITS]),
+           rnd=st.randoms(use_true_random=False))
+    def test_unusual_shapes_parse_as_row_order(self, shape, edit, rnd):
+        # A generated trace, or one edited out of rail symmetry, loads as
+        # its row-by-row parse, shuffled or not.
+        base = generated_trace(*shape)
+        if edit is not None:
+            base = edited(base, edit, rnd)
+        dag = loads_trace(base)
+        assert dag.rails == (4 if edit is None else 1)
+        assert columns(dag.expanded()) == columns(rows_parse(base))
+        text, row_text = unusual_shape(base, rnd)
+        assert columns(loads_trace(text).expanded()) == columns(loads_trace(row_text).expanded())
 
     @pytest.mark.parametrize("shape", SHUFFLED_SHAPES)
     def test_shuffled_shapes_name_dependencies_before_their_event(self, shape):
         # The generator's forward references, which the shuffle keeps.
-        dag = loads_trace(generated_trace(*shape))
+        dag = rows_parse(generated_trace(*shape))
         assert any(d > i for i, ds in enumerate(dag.deps) for d in ds)
 
     def test_generated_trace_columns_pinned(self, tmp_path):
@@ -465,9 +578,12 @@ class TestTrace:
             assert hashlib.sha256(f.read()).hexdigest() == (
                 "109faec1ab279d6f5242a386113c1f0b0c40fe84fc018e4893d612a13134fa7d")
         dag = load_trace(path)
-        assert len(dag) == 18_960
-        assert columns_digest(dag) == (
-            "3da63b52a2789b087ec37321e782f68a6bac34eae0834a17495031183ea666b4")
+        assert len(dag) == 18_960 and dag.rails == 8 and len(dag.ids) == 2_594
+        with open(path, encoding="utf-8") as f:
+            rows = rows_parse(f.read())
+        for full in (rows, dag.expanded()):
+            assert columns_digest(full) == (
+                "3da63b52a2789b087ec37321e782f68a6bac34eae0834a17495031183ea666b4")
 
     @pytest.mark.parametrize("rank,message", [
         ("x", "malformed numeric field"),
@@ -579,3 +695,94 @@ class TestTrace:
             loads_trace(text)
         assert exc.value.line == 4
         assert loads_trace(text.replace("0.5,3.0", "2.5,3.0")).events["c"].deps == ("b",)
+
+
+class TestHeldTrace:
+    """A trace that `save_trace` wrote of a held DAG loads held, as rail 0's
+    rows and the TP rows, and its expansion is the row-by-row parse; a trace
+    that is not rail-symmetric in that layout loads row by row."""
+
+    @staticmethod
+    def held(text, rails):
+        dag = loads_trace(text)
+        assert dag.rails == rails
+        assert len(dag.ids) == len(rows_parse(text).ids) if rails == 1 else len(dag.ids) < len(dag)
+        assert columns(dag.expanded()) == columns(rows_parse(text))
+        return dag
+
+    def test_shipped_scenario(self, tmp_path):
+        path = tmp_path / "t.csv"
+        assert main(["gen", "--out", str(path)]) == 0
+        text = path.read_text()
+        dag = self.held(text, load_scenario(DEFAULT_SCENARIO).topology.gpus_per_domain)
+        assert trace_text(dag, tmp_path) == text
+
+    # (pp, dp, G, n_layer, microbatches); with G=12, `.l10` sorts before `.l2`.
+    @pytest.mark.parametrize("shape", [(2, 2, 12, 4, 2), (2, 2, 1, 4, 2), (2, 3, 2, 6, 3),
+                                       (4, 1, 4, 8, 3)])
+    def test_generated_shapes(self, shape, tmp_path):
+        pp, dp, gpus, n_layer, m = shape
+        path = str(tmp_path / "t.csv")
+        timed_trace(make_topo(num_domains=pp * dp, gpus_per_domain=gpus),
+                    make_params(pp=pp, dp=dp, tp=gpus, n_layer=n_layer, n_microbatch=m), path)
+        text = Path(path).read_text()
+        dag = self.held(text, gpus)
+        assert trace_text(dag, tmp_path) == text
+
+    def test_shape_space_sample(self, tmp_path):
+        # Every 400th shape of the benchmark's shape space, untimed traces
+        # included.
+        for k, shape in enumerate(perfbench_inputs().shape_space()[::400]):
+            topo = make_topo(num_domains=shape.pp * shape.dp, gpus_per_domain=shape.gpus,
+                             nic_ports=shape.nic_ports)
+            dag = generate_3d_schedule(make_params(
+                pp=shape.pp, dp=shape.dp, tp=shape.gpus, n_layer=shape.n_layer,
+                n_microbatch=shape.n_microbatch, **CALIBRATION), topo)
+            if k % 2:
+                res = simulate(dag, topo, REACTIVE, force_baseline=True)
+                dag.observed_start = list(res.event_times.start)
+                dag.observed_end = list(res.event_times.end)
+            self.held(trace_text(dag, tmp_path), shape.gpus)
+
+    @pytest.mark.parametrize("policy", [REACTIVE, PROVISIONED])
+    def test_simulated_as_its_row_by_row_parse(self, policy, tmp_path):
+        text = generated_trace(2, 2, 2)
+        topo = make_topo(delay=0.02)
+        for name, dag in (("held", loads_trace(text)), ("rows", rows_parse(text))):
+            _write_sim_outputs(simulate(dag, topo, policy), str(tmp_path / name))
+        for name in ("timeline.csv", "reconfig.csv"):
+            assert (tmp_path / "held" / name).read_bytes() == \
+                (tmp_path / "rows" / name).read_bytes()
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_edit_loads_row_by_row(self, edit):
+        for seed in range(3):
+            text = edited(generated_trace(2, 2, 2), edit, random.Random(seed))
+            assert columns(loads_trace(text)) == columns(rows_parse(text))
+            assert loads_trace(text).rails == 1
+
+    def test_errors_come_from_the_row_by_row_parse(self):
+        # A twin record that starts before the record before it on its
+        # (rank, stream): the message and line are the row-by-row parse's.
+        header, *lines = generated_trace(2, 2, 2).splitlines()
+        k = next(k for k in twin_records(lines, "compute")
+                 if lines[k].startswith("f.") and ".m1." in lines[k])
+        rec = lines[k].split(",")
+        rec[8] = "0.0"
+        lines[k] = ",".join(rec)
+        text = "\n".join([header, *lines]) + "\n"
+        with pytest.raises(ParseError, match=f"{rec[0]} starts at 0.0") as held:
+            loads_trace(text)
+        with pytest.raises(ParseError) as rows:
+            rows_parse(text)
+        assert (str(held.value), held.value.line) == (str(rows.value), rows.value.line)
+        assert held.value.line == k + 2
+
+    def test_twin_outside_the_topology(self):
+        # Three rails held; the rank count 8 is no multiple of 3, so the
+        # compile gate reads the twins of a row whose ranks are near the top.
+        dag = self.held(HEADER + BAD_TRACES["a twin's rank outside the topology"], 3)
+        topo = make_topo(num_domains=4, gpus_per_domain=2)
+        for got in (dag, dag.expanded()):
+            with pytest.raises(NotMember, match=r"event b\.l2 names ranks \[8\]"):
+                simulate(got, topo)
