@@ -18,7 +18,7 @@ between rows, and each distinct rank text is converted once.
 
 An event's observed start and end are the latest over its records, so a
 collective's start is the join of its slowest member rank whatever the
-record order, and a compute event's duration is that end minus that start.
+record order, and an event's duration is that end minus that start.
 
 A record that repeats the record before it on another rank (same event id
 and the same text after the stream, as a collective's per-rank records are
@@ -30,12 +30,17 @@ A rail-symmetric trace in `save_trace`'s layout is held as the generator
 holds a DAG (see the `workload` module): rail 0's rows and the rows that span
 rails, with `EventDag.rails`, `spans` and `blocks` set.  `save_trace` writes
 each block's rows on rail 0, then the twins of the rows whose ids end in
-`.l0` rail by rail.  The parser reads the rail-0 records as any others.  A
-record whose id is the `.l1` twin of a row of the open block starts the
-block's twin records: the parser formats them with `_format_records`, the
-function `save_trace` writes them with, and each line that follows must equal
-its formatted line byte for byte; a line that does is not split or parsed.
-The trace is held when, besides that:
+`.l0` rail by rail.  A block's twin records differ between rails only in
+the ranks, each + l, and in the tail of the event id, the group id and each
+dependency id (`.l0` on rail 0), so `_twin_template` turns them into text
+pieces between the tails, with `%d` at each rank and a name's `%` escaped,
+once per block; a rail's records are then one join and one format.
+`save_trace` writes each twin pass so.  The parser reads the rail-0 records
+as any others.  A record whose id is the `.l1` twin of a row of the open
+block starts the block's twin records: the parser builds the block's
+template from its rows, and the text of each twin pass must equal the
+template's as one string; that text is not split or parsed.  The trace is
+held when, besides that:
 
   * every block has twin records for the same rails 1..R-1;
   * each group a rail-0 row names ends in `.l0`, is declared on rail 0, and
@@ -48,9 +53,8 @@ The trace is held when, besides that:
     row that spans rails names each twin record that comes before one of
     its records on a (rank, stream);
   * a rail-0 row depends on rail-0 rows only, has all its records in its
-    block, ranks that are multiples of R and a duration that is its end
-    minus its start (a collective keeps its first record's), and no other
-    held id starts with its id less its final `0`;
+    block and ranks that are multiples of R, and no other held id starts
+    with its id less its final `0`;
   * the last block has twin records, and the rows a spanning row depends
     on keep their order when expanded.
 
@@ -73,7 +77,6 @@ from __future__ import annotations
 
 import bisect
 import io
-from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CyclicDependency, MissingDependency, ParseError
@@ -86,8 +89,6 @@ HEADER = "event_id,rank,stream,kind,coll_kind,group_id,bytes,dep_ids,observed_st
 # Lines formatted before they are written out together, by `save_trace` and
 # the `timeline.csv` writer.
 WRITE_CHUNK_LINES = 2048
-# Rows `save_trace` formats at a time, under `WRITE_CHUNK_LINES`.
-SAVE_CHUNK_ROWS = 64
 # Distinct times a `FloatText` holds before it starts over, so that times
 # which never repeat cost no more memory than one chunk of lines.
 TIMES_KEPT = 4096
@@ -107,39 +108,75 @@ class FloatText(dict):
         return text
 
 
-def _format_records(dag: EventDag, rows: Sequence[int], rail: int,
-                    deps_text: Sequence[str], text: FloatText, lines: List[str]) -> None:
-    """Append the records of `rows`' twins on `rail` to `lines`, each ending
-    in a newline: a row's records in rank order, rows in the order given.
-    `deps_text[k]` is the dependency field of the twin of `rows[k]`.  On
-    rail l a rail-0 id or group id ends in `l` for its final `0` (`twin`)."""
+def _format_records(dag: EventDag, rows: Sequence[int], text: FloatText, lines: List[str],
+                    f) -> None:
+    """Append the rail-0 records of `rows` to `lines`, each ending in a
+    newline: a row's records in rank order, rows in the order given.  Write
+    `lines` to `f` whenever they reach `WRITE_CHUNK_LINES`."""
     ids, kinds, ranks, streams = dag.ids, dag.kind, dag.ranks, dag.streams
     coll_kinds, groups, nbytes = dag.coll_kind, dag.group, dag.bytes
-    starts, ends = dag.observed_start, dag.observed_end
-    tail = str(rail)
-    for i, deps in zip(rows, deps_text):
-        eid, gid = ids[i], groups[i]
-        if rail:
-            eid = eid[:-1] + tail
-            gid = gid and gid[:-1] + tail
-        rest = (f"{kinds[i]},{coll_kinds[i] or ''},{gid or ''},{nbytes[i]},{deps},"
-                f"{text[starts[i]]},{text[ends[i]]}\n")
+    starts, ends, dep_ids = dag.observed_start, dag.observed_end, dag.dep_ids
+    for i in rows:
+        eid = ids[i]
+        rest = (f"{kinds[i]},{coll_kinds[i] or ''},{groups[i] or ''},{nbytes[i]},"
+                f"{';'.join(dep_ids(i))},{text[starts[i]]},{text[ends[i]]}\n")
         rs, s = ranks[i], streams[i]
         if len(rs) == 1 and not isinstance(s, dict):  # most rows; no sort
-            lines.append(f"{eid},{rs[0] + rail},{s},{rest}")
+            lines.append(f"{eid},{rs[0]},{s},{rest}")
         else:
             for rank in sorted(rs):
                 stream = s.get(rank, "") if isinstance(s, dict) else s
-                lines.append(f"{eid},{rank + rail},{stream},{rest}")
+                lines.append(f"{eid},{rank},{stream},{rest}")
+        if len(lines) >= WRITE_CHUNK_LINES:
+            f.write("".join(lines))
+            lines.clear()
+
+
+def _twin_template(dag: EventDag, rows: Sequence[int], deps: Sequence[Sequence[Tuple[str, bool]]],
+                   text: FloatText) -> Tuple[List[str], List[int]]:
+    """The records of `rows`' twins on a rail l >= 1 as (parts, ranks) for
+    `_twin_text`: between the parts go the rail's tails (of the event id,
+    the group id and each (id, True) of `deps[k]`, the rail-0 dependency ids
+    of rows[k], sorted), and each `%d` is a rank of `ranks`, + l."""
+    ids, kinds, all_ranks, streams = dag.ids, dag.kind, dag.ranks, dag.streams
+    coll_kinds, groups, nbytes = dag.coll_kind, dag.group, dag.bytes
+    starts, ends = dag.observed_start, dag.observed_end
+    parts, ranks, carry = [], [], ""  # carry: the text after the last tail
+    for i, names in zip(rows, deps):
+        gid = groups[i]
+        segs = [f",{kinds[i]},{(coll_kinds[i] or '').replace('%', '%%')},", f",{nbytes[i]},"]
+        for k, (name, slot) in enumerate(names):
+            segs[-1] += (";" if k else "") + (name[:-1] if slot else name).replace("%", "%%")
+            if slot:
+                segs.append("")
+        segs[-1] += f",{text[starts[i]]},{text[ends[i]]}\n"
+        if gid:
+            segs[0] += gid[:-1].replace("%", "%%")
+        else:
+            segs[:2] = [segs[0] + segs[1]]
+        head, s = ids[i][:-1].replace("%", "%%"), streams[i]
+        for r in sorted(all_ranks[i]):
+            stream = s.get(r, "") if isinstance(s, dict) else s
+            record = [carry + head, f",%d,{stream.replace('%', '%%')}{segs[0]}", *segs[1:]]
+            carry = record.pop()
+            parts += record
+            ranks.append(r)
+    parts.append(carry)
+    return parts, ranks
+
+
+def _twin_text(template: Tuple[List[str], List[int]], rail: int) -> str:
+    """The records a `_twin_template` stands for on `rail`."""
+    parts, ranks = template
+    return str(rail).join(parts) % tuple([r + rail for r in ranks])
 
 
 def save_trace(dag: EventDag, path: str) -> None:
     """Write `dag` as a trace, one record per (event, rank), in the
-    row-by-row order (`EventDag.passes`) and rank order; a DAG that holds
-    one rail has each twin's records formatted as they are written.  Lines
-    are written in chunks of about `WRITE_CHUNK_LINES` as they are
-    formatted, so the file's text is never held whole."""
-    text, dep_ids = FloatText(), dag.dep_ids
+    row-by-row order (`EventDag.passes`) and rank order: rail-0 lines in
+    chunks of about `WRITE_CHUNK_LINES`, and each twin pass of a DAG that
+    holds one rail from its block's `_twin_template`."""
+    text, ids, deps, spans = FloatText(), dag.ids, dag.deps, dag.spans
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         lines = [HEADER + "\n"]
         for gid in sorted(dag.groups):
@@ -148,15 +185,17 @@ def save_trace(dag: EventDag, path: str) -> None:
             rails = ";".join(str(r) for r in sorted(g.rails_touched))
             lines.append(f"#group,{gid},{g.axis},{members},{rails}\n")
         for rows, l in dag.passes():
-            for k in range(0, len(rows), SAVE_CHUNK_ROWS):
-                part = rows[k:k + SAVE_CHUNK_ROWS]
-                _format_records(dag, part, l, [";".join(dep_ids(i, l)) for i in part],
-                                text, lines)
-                if len(lines) >= WRITE_CHUNK_LINES:
-                    f.write("".join(lines))
-                    lines.clear()
-        if lines:
-            f.write("".join(lines))
+            if not l:
+                _format_records(dag, rows, text, lines, f)
+                continue
+            if l == 1:  # the block's first twin pass; the rail-0 order of
+                # the dependency ids is every rail's (see `workload`)
+                template = _twin_template(dag, rows, [sorted(
+                    (ids[d], d not in spans) for d in deps[i]) for i in rows], text)
+                f.write("".join(lines))
+                lines.clear()
+            f.write(_twin_text(template, l))
+        f.write("".join(lines))
 
 
 def load_trace(path: str) -> EventDag:
@@ -226,24 +265,24 @@ def _read(f, hold: bool) -> EventDag:
     header_seen = False
     # The held parse: the first row of the open block; the rail count once
     # the first block's twin records ended (0 before); whether lines were
-    # skipped; and (rail, block, lines) of a twin pass the first block may
-    # still have.  Checked at the end: a spanning row's records whose stream
-    # predecessor is a twin record, as (row, (row, rail)), and the ranks of
-    # rail-0 rows.
+    # skipped (`lineno` is off from then on); and (rail, block) of a twin
+    # pass the first block may still have.  Checked at the end: a spanning
+    # row's records whose stream predecessor is a twin record, as (row, (row,
+    # rail)), and the ranks of rail-0 rows.
     block_start, rails, skipped, trial = 0, 0, False, None
     twin_preds: List[Tuple[int, Tuple[int, int]]] = []
     kept_ranks: set = set()
     checked: set = set()  # (group, rail) of the twin groups checked
     text = FloatText()
-    numbered = enumerate(f, start=1)
-    for lineno, raw in numbered:
+    for lineno, raw in enumerate(f, start=1):
         if trial is not None:  # after a twin pass of the first block
-            l, block, want = trial
-            if raw == want[0]:
+            l, block = trial
+            want = _twin_text(block.template, l)
+            if want.startswith(raw):
                 if not (_check_rail(dag, block, l, stream_tail, checked)
-                        and _take(numbered, want, raw)):
+                        and f.read(len(want) - len(raw)) == want[len(raw):]):
                     raise _NotHeld
-                trial = (l + 1, block, _pass_lines(dag, block, l + 1, text))
+                trial = (l + 1, block)
                 continue
             rails, trial = l, None
         line = raw.rstrip("\n")
@@ -274,19 +313,18 @@ def _read(f, hold: bool) -> EventDag:
             if (hold and eid[-3:] == ".l1" and eid not in index
                     and index.get(eid[:-1] + "0", -1) >= block_start):
                 # The first twin record of the open block's rows.
-                block = _twin_block(dag, block_start, ahead)
-                want = block and _pass_lines(dag, block, 1, text)
-                if want and raw == want[0] and _check_rail(dag, block, 1, stream_tail, checked):
+                block = _twin_block(dag, block_start, ahead, text)
+                want = block and _twin_text(block.template, 1)
+                if want and want.startswith(raw):
                     skipped = True
-                    if not _take(numbered, want, raw):
-                        raise _NotHeld
-                    for l in range(2, rails):
-                        want = _pass_lines(dag, block, l, text)
+                    for l in range(1, rails or 2):
+                        if l > 1:
+                            want, raw = _twin_text(block.template, l), ""
                         if not (_check_rail(dag, block, l, stream_tail, checked)
-                                and _take(numbered, want)):
+                                and f.read(len(want) - len(raw)) == want[len(raw):]):
                             raise _NotHeld
                     if not rails:
-                        trial = (2, block, _pass_lines(dag, block, 2, text))
+                        trial = (2, block)
                     block_start = len(ids)
                     dag.blocks.append(block_start)
                     dag.spans.update(block.spans)
@@ -355,7 +393,7 @@ def _read(f, hold: bool) -> EventDag:
                     starts[i] = start
                 if end is not None and (ends[i] is None or end > ends[i]):
                     ends[i] = end
-                if kind == COMPUTE and starts[i] is not None and ends[i] is not None:
+                if starts[i] is not None and ends[i] is not None:
                     durations[i] = ends[i] - starts[i]
             rows = []
             if deps_s:
@@ -426,26 +464,26 @@ def _read(f, hold: bool) -> EventDag:
 
 class _Block:
     """The rows of a block whose twin records follow: the rail-0 rows
-    (`kept`), the heads of each one's dependency ids (`heads`, each id less
-    its final `0`), the rows that span rails, the groups the rail-0 rows
-    name, the first and the last rail-0 row on each (stream, rank), and the
-    first and the last observed start among those rows on it."""
+    (`kept`), the `_twin_template` of their twins, the rows that span
+    rails, the groups the rail-0 rows name, the first and the last rail-0
+    row on each (stream, rank), and the first and the last observed start
+    among those rows on it."""
 
-    __slots__ = ("kept", "heads", "spans", "groups", "first", "last", "span")
+    __slots__ = ("kept", "template", "spans", "groups", "first", "last", "span")
 
 
-def _twin_block(dag: EventDag, a: int, ahead: Dict[int, List[str]]) -> Optional[_Block]:
+def _twin_block(dag: EventDag, a: int, ahead: Dict[int, List[str]],
+                text: FloatText) -> Optional[_Block]:
     """Rows a.. of `dag` as a block whose twin records follow, or None when
     they cannot have twins: a spanning scale-out collective, a rail-0 row
-    that depends on a row spanning rails or whose duration is not its end
-    minus its start, a group off rail 0 or not named `.l0`, or two rows on
-    one (rank, stream) whose twins would be ordered by an edge no dependency
-    names, or out of start order.  Sorts each row's ranks."""
+    that depends on a row spanning rails, a group off rail 0 or not named
+    `.l0`, or two rows on one (rank, stream) whose twins would be ordered
+    by an edge no dependency names, or out of start order.  Sorts each
+    row's ranks."""
     ids, ranks, streams, deps = dag.ids, dag.ranks, dag.streams, dag.deps
-    starts, ends, durations = dag.observed_start, dag.observed_end, dag.duration
-    groups, group, kinds = dag.groups, dag.group, dag.kind
+    starts, groups, group, kinds = dag.observed_start, dag.groups, dag.group, dag.kind
     b = _Block()
-    b.kept, b.heads, b.spans = [], [], []
+    b.kept, b.spans, heads = [], [], []
     first: Dict[Tuple[str, int], int] = {}
     last: Dict[Tuple[str, int], int] = {}
     span: Dict[Tuple[str, int], Tuple[float, float]] = {}
@@ -455,12 +493,7 @@ def _twin_block(dag: EventDag, a: int, ahead: Dict[int, List[str]]) -> Optional[
                 return None
             b.spans.append(i)
             continue
-        rs, s, ds, start, end = ranks[i], streams[i], deps[i], starts[i], ends[i]
-        # A twin's records all carry the row's latest start and end, so its
-        # duration is their difference; a collective's row keeps its first
-        # record's.
-        if durations[i] != (end - start if start is not None and end is not None else 0.0):
-            return None
+        rs, s, ds, start = ranks[i], streams[i], deps[i], starts[i]
         b.kept.append(i)
         if len(rs) > 1:
             rs = ranks[i] = tuple(sorted(set(rs)))
@@ -484,31 +517,14 @@ def _twin_block(dag: EventDag, a: int, ahead: Dict[int, List[str]]) -> Optional[
         names.update(ahead.get(i, ()))
         if not all(n[-3:] == ".l0" for n in names):
             return None
-        b.heads.append([n[:-1] for n in sorted(names)])
+        heads.append([(n, True) for n in sorted(names)])
     b.groups = {group[i] for i in b.kept} - {None}
     for gid in b.groups:
         if gid[-3:] != ".l0" or groups[gid].rails_touched != {0}:
             return None
     b.first, b.last, b.span = first, last, span
+    b.template = _twin_template(dag, b.kept, heads, text)
     return b
-
-
-def _pass_lines(dag: EventDag, block: _Block, rail: int, text: FloatText) -> List[str]:
-    """The twin records of `block` on `rail`, as `save_trace` writes them."""
-    tail = str(rail)
-    sep = tail + ";"
-    deps_text = [sep.join(heads) + tail if heads else "" for heads in block.heads]
-    lines: List[str] = []
-    _format_records(dag, block.kept, rail, deps_text, text, lines)
-    return lines
-
-
-def _take(numbered, want: List[str], first: Optional[str] = None) -> bool:
-    """Whether the next lines of `numbered` equal `want`; `first` is the
-    first of them when it was read already."""
-    if first is None:
-        return [raw for _, raw in islice(numbered, len(want))] == want
-    return first == want[0] and [raw for _, raw in islice(numbered, len(want) - 1)] == want[1:]
 
 
 def _check_rail(dag: EventDag, block: _Block, rail: int, stream_tail: dict,

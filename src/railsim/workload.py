@@ -136,7 +136,6 @@ class EventDag:
         # dependency names, until `resolve` turns them into rows.
         self._unresolved: Dict[int, tuple] = {}
         self._by_rail: Optional[Dict[int, List[int]]] = None
-        self._twin_ids: Optional[List[List[str]]] = None
         self.rails = 1  # the rails each row not in `spans` stands for
         self.spans: Set[int] = set()  # rows whose ranks span rails
         self.blocks: List[int] = []  # the end of each block (see `twin_rows`)
@@ -214,24 +213,12 @@ class EventDag:
         """The dependencies of row i's twin on `rail` by event id, sorted."""
         names = self._unresolved.get(i)
         if names is None:
-            ids = self.twin_ids()
-            if i in self.spans:
-                names = [ids[l][d] for d, l in self.twin_deps(i, rail)]
-            else:  # a row in `spans` has its own id on every rail
-                names = [ids[rail][d] for d in self.deps[i]]
+            ids = self.ids
+            if rail or i in self.spans:
+                names = [twin(ids[d], l) for d, l in self.twin_deps(i, rail)]
+            else:
+                names = [ids[d] for d in self.deps[i]]
         return tuple(sorted(names))
-
-    def twin_ids(self) -> List[List[str]]:
-        """Every rail's event ids by row: `twin_ids()[l][i]` is the id of row
-        i's twin on rail l (of row i itself, for a row in `spans`).  On a
-        DAG that holds one rail, computed on the first call."""
-        if self.rails == 1:
-            return [self.ids]
-        if self._twin_ids is None:
-            ids, spans = self.ids, self.spans
-            self._twin_ids = [[eid if i in spans else twin(eid, l) for i, eid in enumerate(ids)]
-                              for l in range(self.rails)]
-        return self._twin_ids
 
     def locate(self, eid: str) -> Tuple[int, int]:
         """The row of event `eid`, or of its rail-0 twin, and its rail;
@@ -266,11 +253,8 @@ class EventDag:
         in the row-by-row order, each block of rows on rail 0, then without
         `spans` on each rail."""
         if rows is None:
-            ids = self.twin_ids()
             for part, l in self.passes():
-                rail_ids = ids[l]
-                for i in part:
-                    yield i, l, rail_ids[i]
+                yield from self.twin_rows(part, (l,))
             return
         ids, spans = self.ids, self.spans
         tails = [(l, str(l)) for l in rails]

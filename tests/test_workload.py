@@ -8,6 +8,7 @@ import os
 import random
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -686,6 +687,26 @@ class TestTrace:
         assert (ev.bytes, ev.observed_start, ev.observed_end, ev.rank_set) == \
             (100, 0.5, 1.5, (0, 2))
 
+    def test_collective_duration_in_any_order(self):
+        # One rail-1 AllReduce record's end moved by 0.5 s: the collective's
+        # duration is its latest end minus its latest start whichever of its
+        # records comes first, as a compute event's is.
+        header, *lines = generated_trace(2, 2, 2).splitlines()
+        ks = [k for k, line in enumerate(lines) if line.startswith("ar.k0.l1,")]
+        rec = lines[ks[-1]].split(",")
+        rec[9] = repr(float(rec[9]) + 0.5)
+        lines[ks[-1]] = ",".join(rec)
+        orders = [ks, ks[::-1], *(random.Random(seed).sample(ks, len(ks)) for seed in range(4))]
+        durations = set()
+        for order in orders:
+            moved = list(lines)
+            for k, source in zip(ks, order):
+                moved[k] = lines[source]
+            ev = loads_trace("\n".join([header, *moved]) + "\n").events["ar.k0.l1"]
+            assert ev.duration == ev.observed_end - ev.observed_start
+            durations.add(ev.duration)
+        assert len(durations) == 1 and durations.pop() > 0.5
+
     def test_stream_order_skips_records_without_a_start(self):
         # b has no observed start; c is checked against a's.
         text = (HEADER + "a,0,compute,compute,,,0,,1.0,2.0\n"
@@ -728,6 +749,9 @@ class TestHeldTrace:
         text = Path(path).read_text()
         dag = self.held(text, gpus)
         assert trace_text(dag, tmp_path) == text
+        # The twin records written from one template per block are the
+        # records of the expanded rows, each written on its own.
+        assert trace_text(dag.expanded(), tmp_path) == text
 
     def test_shape_space_sample(self, tmp_path):
         # Every 400th shape of the benchmark's shape space, untimed traces
@@ -742,7 +766,36 @@ class TestHeldTrace:
                 res = simulate(dag, topo, REACTIVE, force_baseline=True)
                 dag.observed_start = list(res.event_times.start)
                 dag.observed_end = list(res.event_times.end)
-            self.held(trace_text(dag, tmp_path), shape.gpus)
+            text = trace_text(dag, tmp_path)
+            self.held(text, shape.gpus)
+            assert trace_text(dag.expanded(), tmp_path) == text
+
+    @pytest.mark.parametrize("gpus", [4, 12])
+    def test_percent_in_names(self, gpus, tmp_path):
+        # `%`, `%d` and `%%` in event ids, streams, coll_kinds and group ids,
+        # which the twin template must keep as text; with G=12 the rail
+        # tails have one and two digits.
+        topo = make_topo(num_domains=4, gpus_per_domain=gpus)
+        dag = generate_3d_schedule(make_params(tp=gpus, n_layer=4), topo)
+        res = simulate(dag, topo, REACTIVE, force_baseline=True)
+        dag.observed_start, dag.observed_end = list(res.event_times.start), list(res.event_times.end)
+
+        def odd(name):
+            return name and f"%d%%{name[0]}%{name[1:]}"
+
+        dag.ids = [odd(eid) for eid in dag.ids]
+        dag.index = {eid: i for i, eid in enumerate(dag.ids)}
+        dag.streams = [{r: odd(n) for r, n in s.items()} if isinstance(s, dict) else odd(s)
+                       for s in dag.streams]
+        dag.coll_kind = [odd(ck) for ck in dag.coll_kind]
+        dag.group = [odd(gid) for gid in dag.group]
+        dag.groups = {odd(gid): replace(g, id=odd(gid)) for gid, g in dag.groups.items()}
+        text = trace_text(dag, tmp_path)
+        assert "\n%d%%f%.p0.q0.m0.j0.l1,1,%d%%c%ompute,compute,,,0,%d%%a%g.p0.j0.l1;" in text
+        assert ",collective,%d%%A%llGather,%d%%d%p.p0.l1," in text
+        held = self.held(text, gpus)
+        assert trace_text(held, tmp_path) == text
+        assert trace_text(dag.expanded(), tmp_path) == text
 
     @pytest.mark.parametrize("policy", [REACTIVE, PROVISIONED])
     def test_simulated_as_its_row_by_row_parse(self, policy, tmp_path):
