@@ -315,9 +315,9 @@ class _Engine:
     a ring that is not up; then it waits in `waiting`, and only a request
     builds the per-rank joins.  It requests the ring unless the ring is being
     reconfigured already: the wake-up when that ring comes up releases it.
-    A released event starts when its ring is up: at a grant's ready time or
-    at the wake-up.  `run` leaves the times in `start`, `end` and `order`.
-    A deadlock counts the stuck events of every rail a row stands for.
+    A released event starts when its ring is up, at the wake-up.  `run`
+    leaves the times in `start`, `end` and `order`.  A deadlock counts the
+    stuck events of every rail a row stands for.
     """
 
     def __init__(self, c: _CompiledDag, topo: Topology, schedule: Optional[dict]):
@@ -430,14 +430,13 @@ class _Engine:
                     heappush(times, e)
                 else:
                     entries.append(~x)
-            # With no request pending, a scan grants nothing.
+            # With no request pending, a scan grants nothing.  A ring is
+            # requested only while it is down, so each grant switches a port
+            # and the ring comes up a delay later; a wake-up then releases its
+            # events (below, in this batch, if the delay rounds away).
             if pending:
-                for gid, ready in controller.scan(now, self._protected()):
-                    if ready > now:
-                        self._push(ready, None)
-                        continue
-                    for i in waiting.pop(gid, []):
-                        self._start_circuit(i, ready)
+                for _, ready in controller.scan(now, self._protected()):
+                    self._push(ready, None)
             # Circuits that just came up release their waiting events.
             if waiting:
                 for gid in [g for g in waiting if controller.group_up(g, now)]:

@@ -48,10 +48,14 @@ held when, besides that:
     + l, the same axis, rails {l}) before its twin records;
   * a row that spans rails names every rail's twin of each rail-0 row it
     depends on, as `EventDag.dep_ids` does, and is no scale-out collective;
-  * record order adds no edge the held rows lack: the record before a twin
-    record on its (rank, stream) is one of the twin's dependencies, and a
-    row that spans rails names each twin record that comes before one of
-    its records on a (rank, stream);
+  * no stream name is used both by a rail-0 row and by a row that spans
+    rails; with rail 0's ranks multiples of R (below), a twin record then
+    shares its (rank, stream) only with its rail's twin records, which
+    follow rail 0's rows in row order;
+  * so record order is checked once, on rail 0: each rail-0 row depends on
+    the rail-0 row before it on each of its (stream, rank)s, starts no
+    earlier than any rail-0 row before it there and ends no earlier than
+    it starts;
   * a rail-0 row depends on rail-0 rows only, has all its records in its
     block and ranks that are multiples of R, and no other held id starts
     with its id less its final `0`;
@@ -77,6 +81,7 @@ from __future__ import annotations
 
 import bisect
 import io
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CyclicDependency, MissingDependency, ParseError
@@ -253,9 +258,8 @@ def _read(f, hold: bool) -> EventDag:
     ahead: Dict[int, List[str]] = {}
     multi: List[int] = []
     # stream -> rank -> row of the last record on the (rank, stream), and the
-    # latest observed start on it so far.  A twin record of a held trace is
-    # kept as (row, rail).
-    stream_tail: Dict[str, Dict[int, Tuple[object, Optional[float]]]] = {}
+    # latest observed start on it so far.
+    stream_tail: Dict[str, Dict[int, Tuple[int, Optional[float]]]] = {}
     shared: Dict[str, str] = {}  # one copy of each stream, coll_kind and group_id
     solo: Dict[str, tuple] = {}  # rank text -> (rank,), the ranks of a one-record row
     # The last record's event id, its text after the stream, row and
@@ -266,12 +270,11 @@ def _read(f, hold: bool) -> EventDag:
     # The held parse: the first row of the open block; the rail count once
     # the first block's twin records ended (0 before); whether lines were
     # skipped (`lineno` is off from then on); and (rail, block) of a twin
-    # pass the first block may still have.  Checked at the end: a spanning
-    # row's records whose stream predecessor is a twin record, as (row, (row,
-    # rail)), and the ranks of rail-0 rows.
+    # pass the first block may still have.  (stream, rank) -> the last
+    # rail-0 row on it and the latest start among the rail-0 rows on it, over
+    # the blocks so far.
     block_start, rails, skipped, trial = 0, 0, False, None
-    twin_preds: List[Tuple[int, Tuple[int, int]]] = []
-    kept_ranks: set = set()
+    kept_tail: Dict[Tuple[str, int], Tuple[int, float]] = {}
     checked: set = set()  # (group, rail) of the twin groups checked
     text = FloatText()
     for lineno, raw in enumerate(f, start=1):
@@ -279,7 +282,7 @@ def _read(f, hold: bool) -> EventDag:
             l, block = trial
             want = _twin_text(block.template, l)
             if want.startswith(raw):
-                if not (_check_rail(dag, block, l, stream_tail, checked)
+                if not (_check_twin_groups(dag, block, l, checked)
                         and f.read(len(want) - len(raw)) == want[len(raw):]):
                     raise _NotHeld
                 trial = (l + 1, block)
@@ -313,14 +316,14 @@ def _read(f, hold: bool) -> EventDag:
             if (hold and eid[-3:] == ".l1" and eid not in index
                     and index.get(eid[:-1] + "0", -1) >= block_start):
                 # The first twin record of the open block's rows.
-                block = _twin_block(dag, block_start, ahead, text)
+                block = _twin_block(dag, block_start, ahead, text, kept_tail)
                 want = block and _twin_text(block.template, 1)
                 if want and want.startswith(raw):
                     skipped = True
                     for l in range(1, rails or 2):
                         if l > 1:
                             want, raw = _twin_text(block.template, l), ""
-                        if not (_check_rail(dag, block, l, stream_tail, checked)
+                        if not (_check_twin_groups(dag, block, l, checked)
                                 and f.read(len(want) - len(raw)) == want[len(raw):]):
                             raise _NotHeld
                     if not rails:
@@ -328,7 +331,6 @@ def _read(f, hold: bool) -> EventDag:
                     block_start = len(ids)
                     dag.blocks.append(block_start)
                     dag.spans.update(block.spans)
-                    kept_ranks.update(rank for _, rank in block.first)
                     last_eid = last_rest = None
                     continue
                 if skipped:
@@ -386,9 +388,7 @@ def _read(f, hold: bool) -> EventDag:
                                  "kind, coll_kind or group_id", lineno)
             else:  # keep the latest start and end over its records
                 if hold and i < block_start:  # a row of a block whose twins were read
-                    if skipped:
-                        raise _NotHeld
-                    hold = False
+                    raise _NotHeld
                 if start is not None and (starts[i] is None or start > starts[i]):
                     starts[i] = start
                 if end is not None and (ends[i] is None or end > ends[i]):
@@ -419,10 +419,7 @@ def _read(f, hold: bool) -> EventDag:
         if tail is not None:
             tail_row, tail_start = tail
             if tail_row != i and tail_row not in rows:
-                if type(tail_row) is tuple:  # a twin record, which the row must name
-                    twin_preds.append((i, tail_row))
-                else:
-                    rows.append(tail_row)
+                rows.append(tail_row)
             if start is None:
                 start = tail_start  # a record without a start keeps the stream's
             elif tail_start is not None and start < tail_start:
@@ -440,8 +437,7 @@ def _read(f, hold: bool) -> EventDag:
             multi.append(i)
     if trial is not None:
         rails = trial[0]
-    if skipped and (any(rank % rails for rank in kept_ranks)
-                    or not _hold(dag, block_start, rails, ahead, twin_preds)):
+    if skipped and not _hold(dag, block_start, rails, ahead, kept_tail):
         raise _NotHeld
     for i in sorted(ahead):
         names = sorted(set(ahead[i]))
@@ -465,28 +461,30 @@ def _read(f, hold: bool) -> EventDag:
 class _Block:
     """The rows of a block whose twin records follow: the rail-0 rows
     (`kept`), the `_twin_template` of their twins, the rows that span
-    rails, the groups the rail-0 rows name, the first and the last rail-0
-    row on each (stream, rank), and the first and the last observed start
-    among those rows on it."""
+    rails and the groups the rail-0 rows name."""
 
-    __slots__ = ("kept", "template", "spans", "groups", "first", "last", "span")
+    __slots__ = ("kept", "template", "spans", "groups")
 
 
-def _twin_block(dag: EventDag, a: int, ahead: Dict[int, List[str]],
-                text: FloatText) -> Optional[_Block]:
+# `_twin_block`'s tail of a (stream, rank) no rail-0 row was on yet.
+_NO_TAIL = (None, -math.inf)
+
+
+def _twin_block(dag: EventDag, a: int, ahead: Dict[int, List[str]], text: FloatText,
+                tail: Dict[Tuple[str, int], Tuple[int, float]]) -> Optional[_Block]:
     """Rows a.. of `dag` as a block whose twin records follow, or None when
     they cannot have twins: a spanning scale-out collective, a rail-0 row
-    that depends on a row spanning rails, a group off rail 0 or not named
-    `.l0`, or two rows on one (rank, stream) whose twins would be ordered
-    by an edge no dependency names, or out of start order.  Sorts each
-    row's ranks."""
+    that depends on a row spanning rails, ends before it starts, or on a
+    (stream, rank) does not depend on the rail-0 row before it or starts
+    before one, or a group off rail 0 or not named `.l0`.  `tail` maps each
+    (stream, rank) to the last rail-0 row on it and the latest start among
+    the rail-0 rows on it, over the blocks so far; it is updated, and so
+    are each row's ranks, sorted."""
     ids, ranks, streams, deps = dag.ids, dag.ranks, dag.streams, dag.deps
-    starts, groups, group, kinds = dag.observed_start, dag.groups, dag.group, dag.kind
+    starts, ends = dag.observed_start, dag.observed_end
+    groups, group, kinds = dag.groups, dag.group, dag.kind
     b = _Block()
     b.kept, b.spans, heads = [], [], []
-    first: Dict[Tuple[str, int], int] = {}
-    last: Dict[Tuple[str, int], int] = {}
-    span: Dict[Tuple[str, int], Tuple[float, float]] = {}
     for i in range(a, len(ids)):
         if ids[i][-3:] != ".l0":
             if kinds[i] == COLLECTIVE and groups[group[i]].is_scaleout:
@@ -494,25 +492,18 @@ def _twin_block(dag: EventDag, a: int, ahead: Dict[int, List[str]],
             b.spans.append(i)
             continue
         rs, s, ds, start = ranks[i], streams[i], deps[i], starts[i]
+        if start is not None and ends[i] is not None and ends[i] < start:
+            return None
         b.kept.append(i)
         if len(rs) > 1:
             rs = ranks[i] = tuple(sorted(set(rs)))
         for r in rs:
             key = (s.get(r, "") if isinstance(s, dict) else s, r)
-            prev = last.get(key)
-            if prev is None:
-                first[key] = i
-            elif prev not in ds:
+            prev, latest = tail.get(key, _NO_TAIL)
+            if prev is not None and prev not in ds or start is not None and start < latest:
                 return None
-            last[key] = i
-            if start is not None:  # a record without a start keeps the stream's
-                known = span.get(key)
-                if known is None:
-                    span[key] = (start, start)
-                elif start < known[1]:
-                    return None
-                else:
-                    span[key] = (known[0], start)
+            # A record without a start keeps the stream's.
+            tail[key] = (i, latest if start is None else start)
         names = {ids[d] for d in ds}
         names.update(ahead.get(i, ()))
         if not all(n[-3:] == ".l0" for n in names):
@@ -522,20 +513,15 @@ def _twin_block(dag: EventDag, a: int, ahead: Dict[int, List[str]],
     for gid in b.groups:
         if gid[-3:] != ".l0" or groups[gid].rails_touched != {0}:
             return None
-    b.first, b.last, b.span = first, last, span
     b.template = _twin_template(dag, b.kept, heads, text)
     return b
 
 
-def _check_rail(dag: EventDag, block: _Block, rail: int, stream_tail: dict,
-                checked: set) -> bool:
-    """Check what the twin records of `block` on `rail` need beyond their
-    text, then record them as the last records on their (rank, stream).
-    Each group's twin on `rail` is declared as the group moved to `rail`
-    (kept in `checked` once checked); the record before each (rank,
-    stream)'s first twin record is a twin on `rail` of one of its
-    dependencies and starts no later than the twins' first start."""
-    groups, deps = dag.groups, dag.deps
+def _check_twin_groups(dag: EventDag, block: _Block, rail: int, checked: set) -> bool:
+    """Whether each group `block`'s rail-0 rows name has a twin on `rail`
+    declared as the group moved to `rail`: each member + rail, the same
+    axis, rails {rail}.  (group, rail) pairs checked are kept in `checked`."""
+    groups = dag.groups
     for gid in block.groups:
         if (gid, rail) not in checked:
             g, t = groups[gid], groups.get(twin(gid, rail))
@@ -543,40 +529,27 @@ def _check_rail(dag: EventDag, block: _Block, rail: int, stream_tail: dict,
                     or t.members != tuple(m + rail for m in g.members)):
                 return False
             checked.add((gid, rail))
-    tails = []
-    for key, j in block.first.items():
-        stream, rank = key
-        tail = stream_tail.get(stream, {}).get(rank + rail)
-        p_start = None
-        if tail is not None:  # a twin record, (row, rail), or a parsed one
-            p, p_start = tail
-            if type(p) is not tuple or p[1] != rail or p[0] not in deps[j]:
-                return False
-        known = block.span.get(key)
-        if known is not None and p_start is not None and known[0] < p_start:
-            return False
-        tails.append((stream, rank + rail, (block.last[key], rail),
-                      p_start if known is None else known[1]))
-    for stream, rank, pair, start in tails:
-        stream_tail.setdefault(stream, {})[rank] = (pair, start)
     return True
 
 
 def _hold(dag: EventDag, end: int, rails: int, ahead: Dict[int, List[str]],
-          twin_preds: List[Tuple[int, Tuple[int, int]]]) -> bool:
+          tail: Dict[Tuple[str, int], Tuple[int, float]]) -> bool:
     """Finish a held parse whose last block ends at row `end`, which must
-    be the last row: set `rails`; resolve each spanning row's dependency
-    ids to (row, rail) and check that they name every rail's twin of each
-    rail-0 row (as `EventDag.twin_deps`) in an order that expands in order,
-    and each stream predecessor that is a twin record; check the ids."""
-    ids, deps, spans, blocks = dag.ids, dag.deps, dag.spans, dag.blocks
-    if end != len(ids):
+    be the last row: check that the ranks of `tail`'s (stream, rank)s, rail
+    0's, are multiples of `rails` and that no spanning row uses one of its
+    streams; set `rails`; resolve each spanning row's dependency ids to
+    (row, rail) and check that they name every rail's twin of each rail-0
+    row (as `EventDag.twin_deps`) in an order that expands in order; check
+    the ids."""
+    ids, deps, spans, blocks, streams = dag.ids, dag.deps, dag.spans, dag.blocks, dag.streams
+    if end != len(ids) or any(rank % rails for _, rank in tail):
         return False
+    kept_streams = {stream for stream, _ in tail}
     dag.rails = rails
-    preds: Dict[int, List[Tuple[int, int]]] = {}
-    for i, pair in twin_preds:
-        preds.setdefault(i, []).append(pair)
     for i in spans:
+        s = streams[i]
+        if not kept_streams.isdisjoint(s.values() if isinstance(s, dict) else (s,)):
+            return False
         pairs = {(d, 0) for d in deps[i]}
         for name in ahead.get(i, ()):
             try:
@@ -586,8 +559,6 @@ def _hold(dag: EventDag, end: int, rails: int, ahead: Dict[int, List[str]],
         rows = sorted(d for d, l in pairs if not l)
         if pairs != {(d, l) for d in rows for l in (range(rails) if d not in spans else (0,))}:
             return False
-        if not pairs.issuperset(preds.pop(i, ())):
-            return False
         if i in ahead:
             ahead[i], deps[i] = [], rows
         # The held order maps to the expanded one when the rail-0 rows it
@@ -596,8 +567,6 @@ def _hold(dag: EventDag, end: int, rails: int, ahead: Dict[int, List[str]],
         if kept and not (bisect.bisect(blocks, kept[0]) == bisect.bisect(blocks, kept[-1])
                          >= bisect.bisect(blocks, rows[-1])):
             return False
-    if preds:  # a rail-0 row whose stream predecessor is a twin record
-        return False
     order = sorted(ids)
     for x, y in zip(order, order[1:]):
         if x[-3:] == ".l0" and y.startswith(x[:-1]) or y[-3:] == ".l0" and x.startswith(y[:-1]):

@@ -32,12 +32,13 @@ domains on rail l), and only the TP AllReduces, which take no circuit, span
 rails.  So `generate_3d_schedule` emits rail 0's rows and the TP rows
 (`spans`), and sets `EventDag.rails` to the rail count: each other row stands for its twin
 on every rail, and its ranks are rail 0's, multiples of the rail count.  A
-twin is arithmetic, and the `twin*` functions and methods are the one place
-that derives it: on rail l, rank r becomes r + l, the `.l0` that ends rail
-0's event and group ids becomes `.l{l}`, and a dependency on a rail-0 row
-becomes one on that row's twin.  A TP row stands for itself and depends on
-every rail's twin of each rail-0 row it names, so a twin's per-rank joins
-are its row's with each rank + l.  `EventDag.blocks` records how the row-by-row DAG
+twin is arithmetic, and the `twin*` functions and methods derive it: on
+rail l, rank r becomes r + l, the `.l0` that ends rail 0's event and group
+ids becomes `.l{l}`, and a dependency on a rail-0 row becomes one on that
+row's twin.  For speed, `cli._write_sim_outputs`, `trace._twin_template`
+and `SimResult`'s log copies build twin ids and ranks themselves.  A TP
+row stands for itself and depends on every rail's twin of each rail-0 row
+it names, so a twin's per-rank joins are its row's with each rank + l.  `EventDag.blocks` records how the row-by-row DAG
 interleaves the rails (each block repeated rail by rail, the TP rows on rail
 0 only), so `twin_rows` lists every event in that order and `expanded`
 rebuilds that DAG exactly.  Every held id but a TP row's ends in `.l0`, and

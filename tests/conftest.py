@@ -149,6 +149,92 @@ REJECTED_TRACES = {
 }
 
 
+# Two blocks that hold on two rails: each block's rail-0 compute row on
+# rank 0, then its twin on rank 1.
+_A = "a.l0,0,s,compute,,,0,,0.0,1.0\na.l1,1,s,compute,,,0,,0.0,1.0\n"
+_B = "b.l0,0,s,compute,,,0,a.l0,1.0,2.0\nb.l1,1,s,compute,,,0,a.l1,1.0,2.0\n"
+_G = "#group,g.l0,DP,0;2,0\n#group,g.l1,DP,1;3,1\n"
+# A block whose AllReduce starts at 0.0 on rank 0 stream s and at 5.0 on
+# rank 2: the row starts at 5.0, its latest record's start, and so do its
+# twin records, on rank 1 stream s too.
+_AR = (_G + "A.l0,0,s,collective,AllReduce,g.l0,8,,0.0,1.0\n"
+       "A.l0,2,t,collective,AllReduce,g.l0,8,,5.0,6.0\n"
+       "A.l1,1,s,collective,AllReduce,g.l1,8,,5.0,6.0\n"
+       "A.l1,3,t,collective,AllReduce,g.l1,8,,5.0,6.0\n")
+
+# Traces for each condition of the held form (see the `trace` module), each
+# with the rail count it loads with: 1 when the condition fails and the
+# trace loads row by row, 0 when the row-by-row parse rejects it.
+HELD_BREAKS = {
+    "two blocks": (_A + _B, 2),
+    "one block on three rails": (_A + "a.l2,2,s,compute,,,0,,0.0,1.0\n", 3),
+    "a later twin pass of the first block differs": (
+        "a.l0,0,s,compute,,,0,,0.0,1.0\nc.l0,3,s,compute,,,0,,0.0,1.0\n"
+        "a.l1,1,s,compute,,,0,,0.0,1.0\nc.l1,4,s,compute,,,0,,0.0,1.0\n"
+        "a.l2,2,s,compute,,,0,,0.0,1.0\nc.l2,5,s,compute,,,0,,0.0,1.5\n", 1),
+    "a record of a block whose twins were read": (
+        _A + "a.l0,2,s,compute,,,0,,0.0,1.0\n", 1),
+    "a scale-out collective spans rails": (
+        "#group,g,DP,0;1,0;1\na.l0,0,s,compute,,,0,,0.0,1.0\n"
+        "c,0,dp,collective,AllGather,g,8,,0.0,1.0\nc,1,dp,collective,AllGather,g,8,,0.0,1.0\n"
+        "a.l1,1,s,compute,,,0,,0.0,1.0\n", 1),
+    "a rail-0 row depends on a spanning row": (
+        "t,0,tp,compute,,,0,,0.0,1.0\n"
+        "a.l0,0,s,compute,,,0,t,1.0,2.0\na.l1,1,s,compute,,,0,t,1.0,2.0\n", 1),
+    "a rail-0 row ends before it starts": (
+        "a.l0,0,s,compute,,,0,,5.0,\na.l0,2,t,compute,,,0,,0.0,1.0\n"
+        "a.l1,1,s,compute,,,0,,5.0,1.0\na.l1,3,t,compute,,,0,,5.0,1.0\n", 0),
+    "rail-0 rows out of row order on a (stream, rank)": (
+        "y.l0,2,t,compute,,,0,,0.0,1.0\nx.l0,0,s,compute,,,0,,0.0,1.0\n"
+        "y.l0,0,s,compute,,,0,,0.0,1.0\n"
+        "y.l1,1,s,compute,,,0,x.l1,0.0,1.0\ny.l1,3,t,compute,,,0,x.l1,0.0,1.0\n"
+        "x.l1,1,s,compute,,,0,,0.0,1.0\n", 0),
+    "a rail-0 row starts before one of an earlier block": (
+        _AR + "B.l0,0,s,compute,,,0,A.l0,2.0,3.0\nB.l1,1,s,compute,,,0,A.l1,2.0,3.0\n", 0),
+    "a rail-0 row starts after one of an earlier block": (
+        _AR + "B.l0,0,s,compute,,,0,A.l0,7.0,8.0\nB.l1,1,s,compute,,,0,A.l1,7.0,8.0\n", 2),
+    "a group off rail 0": (
+        "#group,g.l0,DP,0;2,1\n#group,g.l1,DP,1;3,1\n"
+        "c.l0,0,dp,collective,AllGather,g.l0,8,,0.0,1.0\n"
+        "c.l0,2,dp,collective,AllGather,g.l0,8,,0.0,1.0\n"
+        "c.l1,1,dp,collective,AllGather,g.l1,8,,0.0,1.0\n"
+        "c.l1,3,dp,collective,AllGather,g.l1,8,,0.0,1.0\n", 1),
+    "a twin group not moved from rail 0": (
+        "#group,g.l0,DP,0;2,0\n#group,g.l1,DP,3;1,1\n"
+        "c.l0,0,dp,collective,AllGather,g.l0,8,,0.0,1.0\n"
+        "c.l0,2,dp,collective,AllGather,g.l0,8,,0.0,1.0\n"
+        "c.l1,1,dp,collective,AllGather,g.l1,8,,0.0,1.0\n"
+        "c.l1,3,dp,collective,AllGather,g.l1,8,,0.0,1.0\n", 1),
+    "a twin record of a later block differs": (
+        _A + "b.l0,0,s,compute,,,0,a.l0,1.0,2.0\nb.l1,1,s,compute,,,0,a.l1,1.0,2.5\n", 1),
+    "a later block has fewer rails": (
+        _A + "a.l2,2,s,compute,,,0,,0.0,1.0\n" + _B, 1),
+    "rows after the last block": (_A + "b.l0,0,s,compute,,,0,a.l0,1.0,2.0\n", 1),
+    "a rail-0 rank no multiple of the rail count": (
+        "a.l0,1,s,compute,,,0,,0.0,1.0\na.l1,2,s,compute,,,0,,0.0,1.0\n", 1),
+    "a spanning row on a rail-0 row's stream": (
+        "a.l0,0,s,compute,,,0,,0.0,1.0\na.l1,1,s,compute,,,0,,0.0,1.0\n"
+        "T,1,s,compute,,,0,a.l0;a.l1,1.0,2.0\n"
+        "b.l0,0,s,compute,,,0,a.l0,2.0,3.0\nb.l1,1,s,compute,,,0,a.l1,2.0,3.0\n", 1),
+    "a spanning row on a stream of its own": (
+        "a.l0,0,s,compute,,,0,,0.0,1.0\na.l1,1,s,compute,,,0,,0.0,1.0\n"
+        "T,1,tp,compute,,,0,a.l0;a.l1,1.0,2.0\n"
+        "b.l0,0,s,compute,,,0,a.l0,2.0,3.0\nb.l1,1,s,compute,,,0,a.l1,2.0,3.0\n", 2),
+    "a spanning row names a twin of no rail": (
+        "a.l0,0,s,compute,,,0,,0.0,1.0\nt,0,tp,compute,,,0,a.l0;a.l1;a.l2,1.0,2.0\n"
+        "a.l1,1,s,compute,,,0,,0.0,1.0\n", 0),
+    "a spanning row misses a rail's twin": (
+        "a.l0,0,s,compute,,,0,,0.0,1.0\nt,0,tp,compute,,,0,a.l0,1.0,2.0\n"
+        "a.l1,1,s,compute,,,0,,0.0,1.0\n", 1),
+    "a spanning row names rail-0 rows of two blocks": (
+        _A + "b.l0,0,s,compute,,,0,a.l0,1.0,2.0\n"
+        "t,0,tp,compute,,,0,a.l0;a.l1;b.l0;b.l1,2.0,3.0\n"
+        "b.l1,1,s,compute,,,0,a.l1,1.0,2.0\n", 1),
+    "a spanning id starts as a rail-0 id less its 0": (
+        "a.l0,0,s,compute,,,0,,0.0,1.0\na.lx,0,tp,compute,,,0,a.l0;a.l1,1.0,2.0\n"
+        "a.l1,1,s,compute,,,0,,0.0,1.0\n", 1),
+}
+
 @pytest.fixture(scope="session")
 def shipped_scenario_path():
     import railsim.cli

@@ -49,6 +49,15 @@ alpha = 1e-6
 delays = 0, 0.01
 """
 
+ECON = Path(DEFAULT_ECON_CONFIG).read_text()
+
+
+def section(text, name):
+    """The `[name]` section of INI `text`, up to the next section."""
+    start = text.index(f"[{name}]")
+    end = text.find("\n[", start)
+    return text[start:] if end < 0 else text[start:end + 1]
+
 
 @pytest.fixture
 def scenario(tmp_path):
@@ -138,6 +147,36 @@ class TestExitCodes:
         assert main(["sim", "--scenario", str(ini), "--out-dir", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,old,new,message", [
+        ("sim", "pp = 2\n", "", "missing config key 'pp'"),
+        ("sim", "pp = 2", "pp = 1.5", "'pp' must be an integer, got 1.5"),
+        ("sim", "provisioning = true", "provisioning = maybe",
+         "bad boolean value for 'provisioning': 'maybe'"),
+        ("sweep", "delays = 0, 0.01", "delays = 0, fast", "bad delay list: '0, fast'"),
+        ("sim", section(SCENARIO, "workload"), "", "missing [workload] section"),
+        ("sim", "[workload]\n", "[workload]\ntrace = t.csv\n",
+         "[workload] must contain either a trace path or generator parameters"),
+        ("gen", section(SCENARIO, "workload"), "[workload]\ntrace = t.csv\n\n",
+         "gen needs generator parameters, not a trace path"),
+        ("econ", section(ECON, "units"), "", "missing [units] section"),
+        ("econ", section(ECON, "reference_topology"), "", "missing [reference_topology]"),
+    ], ids=["missing key", "non-integer pp", "bad boolean", "bad delay list",
+            "no [workload]", "trace and generator keys", "gen on a trace scenario",
+            "econ without [units]", "econ without [reference_topology]"])
+    def test_bad_config_rejected(self, command, old, new, message, tmp_path, monkeypatch,
+                                 capsys):
+        base = ECON if command == "econ" else SCENARIO
+        assert old in base
+        ini = tmp_path / "bad.ini"
+        ini.write_text(base.replace(old, new))
+        run = tmp_path / "run"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        flag = "--config" if command == "econ" else "--scenario"
+        assert main([command, flag, str(ini)]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(run.iterdir())
 
     def test_bad_class_edges(self, scenario, tmp_path, capsys):
         assert main(["windows", "--scenario", scenario, "--classes", "1e6,abc",
@@ -362,6 +401,8 @@ REJECTED_INI = {
     "repeated section": (lambda text: text + re.search(r"^\[.*\]$", text, re.M)[0] + "\n",
                          "repeated"),
     "repeated key": (edit_first_key(lambda line: line + "\n" + line), "repeated"),
+    "a line with no = or :": (edit_first_key(lambda line: line.replace(" = ", " ")),
+                              "expected 'key = value'"),
     "not UTF-8": (edit_first_key(lambda line: line + "\udcff"), "not UTF-8 text"),
 }
 INI_COMMANDS = {

@@ -22,8 +22,8 @@ from railsim import trace
 from railsim.cli import DEFAULT_SCENARIO, _write_sim_outputs, load_scenario, main
 from railsim.workload import GRAD_BYTES_MULTIPLIER, twin
 
-from conftest import (BAD_TRACES, CALIBRATION, HEADER, PROVISIONED, REACTIVE, make_params,
-                      make_topo, perfbench_inputs)
+from conftest import (BAD_TRACES, CALIBRATION, HEADER, HELD_BREAKS, PROVISIONED, REACTIVE,
+                      make_params, make_topo, perfbench_inputs)
 
 
 def small_dag(**kw):
@@ -77,6 +77,16 @@ def generated_trace(pp, dp, m):
 def rows_parse(text):
     """`text` parsed row by row: every record parsed, a row per event."""
     return trace._read(io.StringIO(text), hold=False)
+
+
+def parse_outcome(parse, text):
+    """`parse(text)`'s columns through `expanded()` and its rail count, or
+    the type, message and line of its error and 0."""
+    try:
+        dag = parse(text)
+    except (ParseError, MissingDependency, CyclicDependency) as e:
+        return (type(e), str(e), getattr(e, "line", None)), 0
+    return columns(dag.expanded()), dag.rails
 
 
 # A twin record's event id: a `.l{rail}` ending, rail 1 or above.
@@ -806,6 +816,13 @@ class TestHeldTrace:
         for name in ("timeline.csv", "reconfig.csv"):
             assert (tmp_path / "held" / name).read_bytes() == \
                 (tmp_path / "rows" / name).read_bytes()
+
+    @pytest.mark.parametrize("body,rails", HELD_BREAKS.values(), ids=HELD_BREAKS.keys())
+    def test_held_form_condition(self, body, rails):
+        # Held on `rails` rails, loaded row by row (1) or rejected (0), and
+        # always as the row-by-row parse reads it.
+        text = HEADER + body
+        assert parse_outcome(loads_trace, text) == (parse_outcome(rows_parse, text)[0], rails)
 
     @pytest.mark.parametrize("edit", EDITS)
     def test_edit_loads_row_by_row(self, edit):
