@@ -10,12 +10,13 @@ the slowest member's join.  With provisioning enabled, the engine
 (`fabric._Engine._provision_on_finish`) requests the next phase's rings
 speculatively as soon as the previous phase's traffic completes, so the
 switching delay hides inside the idle window.  The `Controller` realizes
-requests rail by rail: a group's reconfiguration starts only once every
-member rank has requested it (collective-barrier semantics), it is at the
-head of the first-come-first-serve order for every port it touches, and no
-touched port carries ongoing traffic.  A group's circuits stay cached on its
-ports until another group evicts them, so a ring that is still up is reused
-without a new reconfiguration.
+requests in first-come-first-serve order: each scan walks the pending
+requests rail by rail, on each rail by earliest request, then by group id.
+A group's reconfiguration starts only once every member rank has requested
+it (collective-barrier semantics), no request before it in that order still
+waits for one of its ranks, and no touched port carries ongoing traffic.  A
+group's circuits stay cached on its ports until another group evicts them,
+so a ring that is still up is reused without a new reconfiguration.
 """
 
 from __future__ import annotations
@@ -92,18 +93,20 @@ class _Pending:
     speculative: bool
 
     def __post_init__(self) -> None:
-        times = self.times
-        self.order_time = min(times.values())  # FC-FS position: earliest request
-        # The barrier opens once every member rank has requested.
-        self.barrier_time = (max(times.values())
-                             if all(m in times for m in self.group.members) else math.inf)
+        self.rail = next(iter(self.group.rails_touched))  # a scale-out group's one rail
+        self.merge({}, self.speculative)
 
     def merge(self, times: Mapping[int, float], speculative: bool) -> None:
         """Fold a later request of the same group into this one."""
         for rank, t in times.items():
             self.times[rank] = min(self.times.get(rank, float("inf")), t)
         self.speculative = self.speculative and speculative
-        self.__post_init__()
+        times, g = self.times, self.group
+        # FC-FS position: rail, earliest request, group id.
+        self.position = (self.rail, min(times.values()), g.id)
+        # The barrier opens once every member rank has requested.
+        self.barrier_time = (max(times.values())
+                             if all(m in times for m in g.members) else math.inf)
 
 
 class Controller:
@@ -113,15 +116,12 @@ class Controller:
         self.topo = topo
         self.delay = topo.rail_switch.reconfig_delay
         self.groups = groups
-        self.queue: Dict[int, List[_Pending]] = {}  # rail -> FC-FS pending requests
-        self.pending: Dict[str, _Pending] = {}  # group -> its request in `queue`
-        self.ports: Dict[int, List[_Port]] = {}  # rank -> its rail ports
+        self.pending: Dict[str, _Pending] = {}  # group -> its queued request
+        self.ports: Dict[int, List[_Port]] = {}  # rank -> its rail ports and their circuits
         # group -> time its ring is (or becomes) fully configured
         self.ready_at: Dict[str, float] = {}
         self.log: List[ReconfigLogEntry] = []
         self.circuit_intervals: List[tuple] = []  # (rail, rank, port, group, up, down)
-        # group -> its configured (rank, port index, port), by member, then index
-        self.circuits: Dict[str, List[Tuple[int, int, _Port]]] = {}
         for g in groups.values():
             if g.is_scaleout and g.size >= 2 and ports_needed(g) > topo.nic.ports:
                 raise DegreeInfeasible(
@@ -140,51 +140,42 @@ class Controller:
     def request(self, gid: str, times: Dict[int, float], speculative: bool) -> None:
         """Enqueue (or merge) a request; `times` maps issuer rank to issue time."""
         p = self.pending.get(gid)
-        if p is not None:
+        if p is None:
+            self.pending[gid] = _Pending(dict(times), self.groups[gid], speculative)
+        else:
             p.merge(times, speculative)
-            return
-        g = self.groups[gid]
-        rail = next(iter(g.rails_touched))
-        p = self.pending[gid] = _Pending(dict(times), g, speculative)
-        self.queue.setdefault(rail, []).append(p)
 
     def scan(self, now: float, protected: Set[str]) -> List[Tuple[str, float]]:
         """Serve eligible requests in FC-FS order; returns (group, ready_time).
 
-        `protected` groups may not be evicted (they have traffic waiting or a
-        pending request of their own).
+        The order is over `pending`: rail by rail, on each rail by earliest
+        request, then by group id.  A request that cannot be served blocks
+        its ranks for every request after it; a rank sits on one rail, so
+        one set of blocked ranks serves every rail.  `protected` groups may
+        not be evicted (they have traffic waiting or a pending request of
+        their own).
         """
+        pending = self.pending
         grants: List[Tuple[str, float]] = []
-        for rail in sorted(self.queue):
-            q = self.queue[rail]
-            if not q:
+        blocked_ranks: Set[int] = set()
+        for p in sorted(pending.values(), key=lambda p: p.position):
+            members = p.group.members
+            if p.barrier_time > now or not blocked_ranks.isdisjoint(members):
+                blocked_ranks.update(members)
                 continue
-            if len(q) > 1:
-                q.sort(key=lambda p: (p.order_time, p.group.id))
-            blocked_ranks: Set[int] = set()
-            remaining = []
-            for p in q:
-                members = p.group.members
-                if p.barrier_time > now or not blocked_ranks.isdisjoint(members):
-                    blocked_ranks.update(members)
-                    remaining.append(p)
-                    continue
-                ready = self._try_apply(p, now, protected)
-                if ready is None:
-                    blocked_ranks.update(members)
-                    remaining.append(p)
-                else:
-                    gid = p.group.id
-                    del self.pending[gid]
-                    grants.append((gid, ready))
-            self.queue[rail] = remaining
+            ready = self._try_apply(p, now, protected)
+            if ready is None:
+                blocked_ranks.update(members)
+            else:
+                gid = p.group.id
+                del pending[gid]
+                grants.append((gid, ready))
         return grants
 
     def _try_apply(self, p: _Pending, now: float, protected: Set[str]) -> Optional[float]:
         """Configure the group's ring if every touched port is idle."""
         g = p.group
         gid = g.id
-        rail = next(iter(g.rails_touched))
         ready = self.ready_at.get(gid)
         if ready is not None:  # up, or a reconfiguration already in flight
             return ready if ready > now else now
@@ -210,10 +201,8 @@ class Controller:
                 have += candidates[:missing]
             chosen[rank] = have[:need]
         changed = 0
-        circuits = []
         for rank, idxs in chosen.items():
             ports = self._rank_ports(rank)
-            circuits += [(rank, i, ports[i]) for i in sorted(idxs)]
             for i in idxs:
                 port = ports[i]
                 if port.group == gid:
@@ -223,10 +212,9 @@ class Controller:
                 port.group = gid
                 port.reconfig_until = now + self.delay
                 changed += 1
-        self.circuits[gid] = circuits
         ready = now + self.delay if changed else now
         self.ready_at[gid] = ready
-        self.log.append(ReconfigLogEntry(time=now, rail=rail, group=gid,
+        self.log.append(ReconfigLogEntry(time=now, rail=p.rail, group=gid,
                                          speculative=p.speculative, delay=self.delay,
                                          ports_changed=changed))
         return ready
@@ -239,17 +227,21 @@ class Controller:
             (rail, rank, idx, old, port.reconfig_until, now))
         # The evicted group's ring is no longer complete.
         self.ready_at.pop(old, None)
-        self.circuits[old] = [(r, i, p) for r, i, p in self.circuits[old] if p is not port]
         port.group = None
 
     def mark_busy(self, gid: str, start: float, end: float) -> List[Tuple[int, int]]:
         """Mark the group's circuit ports busy for one transfer; returns
-        their (rank, port index) pairs, by member rank, then port index."""
+        their (rank, port index) pairs, by member rank, then port index.
+        A rank holds at most `ports_needed` ports of one group, those
+        `_try_apply` chose for it."""
         used = []
-        for rank, i, port in self.circuits.get(gid, ()):
-            if end > port.busy_until:
-                port.busy_until = end
-            used.append((rank, i))
+        ports = self.ports
+        for rank in self.groups[gid].members:
+            for i, port in enumerate(ports.get(rank, ())):
+                if port.group == gid:
+                    if end > port.busy_until:
+                        port.busy_until = end
+                    used.append((rank, i))
         return used
 
     def close(self, t: float) -> None:

@@ -451,14 +451,12 @@ class _Engine:
             else:
                 break
         if finished != len(indeg):
-            if pending or waiting:
-                # Every started event has finished; count what the rest
-                # of the rows stand for.
-                dag = c.dag
-                stuck = len(dag) - sum(1 if i in dag.spans else dag.rails for i in order)
-                raise ConflictDeadlock(
-                    f"{stuck} events stuck behind the reconfiguration queue")
-            raise CyclicDependency("event DAG contains a cycle")
+            # `Prepared` timed the DAG, so it has no cycle: some unfinished
+            # events wait on circuits.  Every started event has finished;
+            # count what the rest of the rows stand for.
+            dag = c.dag
+            stuck = len(dag) - sum(1 if i in dag.spans else dag.rails for i in order)
+            raise ConflictDeadlock(f"{stuck} events stuck behind the reconfiguration queue")
 
 
 class Prepared:

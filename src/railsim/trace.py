@@ -66,15 +66,16 @@ When any of these fails the parser starts over and reads the file row by
 row, every record parsed and a row per event; so does any trace that raises
 an error, so every error comes from the row-by-row parse.
 
-The parser is the gate for traces: besides malformed records it rejects a
-negative rank, negative bytes, an infinite or nan observed time, a group
-declared twice, a record that ends before it starts, a later record of an
-event whose kind, coll_kind or group_id differs from the first, observed
-starts that go back in time along a (rank, stream), a dependency naming no
-event and a dependency cycle.  The cycle check is an iterative depth-first
-pass over the rows' dependencies, started only from rows that depend on a
-later row: a row read in one record depends only on earlier rows, so every
-cycle passes through one of them.
+The parser is the gate for traces: besides malformed records and `#group`
+lines it rejects a negative rank, negative bytes, an infinite or nan
+observed time, a group declared twice, a group with a negative member or
+rail or a repeated member, a record that ends before it starts, a later
+record of an event whose kind, coll_kind or group_id differs from the first,
+observed starts that go back in time along a (rank, stream), a dependency
+naming no event and a dependency cycle.  The cycle check is an iterative
+depth-first pass over the rows' dependencies, started only from rows that
+depend on a later row: a row read in one record depends only on earlier
+rows, so every cycle passes through one of them.
 """
 
 from __future__ import annotations
@@ -586,6 +587,10 @@ def _declare_group(dag: EventDag, line: str, lineno: int) -> None:
         rails = frozenset(int(r) for r in rails_s.split(";") if r != "")
     except ValueError:
         raise ParseError("non-integer group member or rail", lineno) from None
+    if min(members, default=0) < 0 or min(rails, default=0) < 0:
+        raise ParseError(f"group {gid} has a negative member or rail", lineno)
+    if len(set(members)) != len(members):
+        raise ParseError(f"group {gid} has duplicate members", lineno)
     dag.groups[gid] = CommGroup(id=gid, axis=axis, members=members, rails_touched=rails)
 
 

@@ -146,6 +146,45 @@ REJECTED_TRACES = {
         "a,0,compute,compute,,,0,,0.0,1.0\n"
         "b,0,compute,compute,,,0,,1.0,inf\n",
         "line 3: b has a non-finite observed time"),
+    "too few fields": (
+        "a,0,compute\n",
+        "line 2: expected 10 fields, got 3"),
+    "too many fields": (
+        "a,0,compute,compute,,,0,,0.0,1.0,9\n",
+        "line 2: expected 10 fields, got 11"),
+    "empty event_id": (
+        ",0,compute,compute,,,0,,0.0,1.0\n",
+        "line 2: empty event_id"),
+    "malformed bytes": (
+        "a,0,compute,compute,,,1e3,,0.0,1.0\n",
+        "line 2: malformed numeric field"),
+    "malformed time": (
+        "a,0,compute,compute,,,0,,0.0,1.0s\n",
+        "line 2: malformed numeric field"),
+    "collective without group_id": (
+        "c,0,dp,collective,AllGather,,100,,,\n",
+        "line 2: collective record without group_id"),
+    "unknown kind": (
+        "a,0,compute,barrier,,,0,,0.0,1.0\n",
+        "line 2: unknown event kind 'barrier'"),
+    "malformed #group line": (
+        "#group,g,DP,0;2\n",
+        "line 2: malformed #group line"),
+    "non-integer group member": (
+        "#group,g,DP,0;two,0\n",
+        "line 2: non-integer group member or rail"),
+    # In a held trace, `windows --trace` would copy rail 0's windows onto
+    # rail -1.
+    "group on a negative rail": (
+        "#group,h,PP,0;2,-1\n"
+        "a,0,compute,compute,,,0,,0.0,1.0\n",
+        "line 2: group h has a negative member or rail"),
+    "group with a negative member": (
+        "#group,g,DP,0;-2,0\n",
+        "line 2: group g has a negative member or rail"),
+    "group with a repeated member": (
+        "#group,g,DP,0;2;0,0\n",
+        "line 2: group g has duplicate members"),
 }
 
 

@@ -161,9 +161,17 @@ class TestExitCodes:
          "gen needs generator parameters, not a trace path"),
         ("econ", section(ECON, "units"), "", "missing [units] section"),
         ("econ", section(ECON, "reference_topology"), "", "missing [reference_topology]"),
+        ("sim", "gpus_per_domain = 4", "gpus_per_domain = 0", "need at least 1 GPU per domain"),
+        ("sim", "n_microbatch = 2", "n_microbatch = 0", "need at least one microbatch"),
+        ("sim", "pp = 2", "pp = 0", "pp, dp, tp must all be >= 1"),
+        # 2 x 1 x 8 ranks on 4 domains of 4 GPUs.
+        ("sim", "dp = 2\ntp = 4", "dp = 1\ntp = 8",
+         "TP degree 8 must equal the scale-up size 4"),
     ], ids=["missing key", "non-integer pp", "bad boolean", "bad delay list",
             "no [workload]", "trace and generator keys", "gen on a trace scenario",
-            "econ without [units]", "econ without [reference_topology]"])
+            "econ without [units]", "econ without [reference_topology]",
+            "no GPUs per domain", "no microbatches", "no pipeline stages",
+            "tp differs from G"])
     def test_bad_config_rejected(self, command, old, new, message, tmp_path, monkeypatch,
                                  capsys):
         base = ECON if command == "econ" else SCENARIO

@@ -3,13 +3,14 @@ speculative provisioning as the circuit engine runs them, and the
 port-level circuit controller."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from railsim import (Controller, DegreeInfeasible, EventDag, generate_3d_schedule,
                      loads_trace, make_group, profile_iteration, simulate)
 from railsim.fabric import Prepared
 from railsim.workload import COLLECTIVE, COMPUTE, Event
 
+import scoreboard
 from conftest import HEADER, PROVISIONED, REACTIVE, make_params, make_topo
 
 
@@ -339,37 +340,98 @@ class TestMarkBusy:
             self.check(c, t)
 
 
-# One step of a request/scan sequence on rail 0: a request of a group
-# (reactive or speculative) whose ranks outside a bit mask ask only later,
-# or a scan with some groups protected.
-REQUEST = st.tuples(st.just("request"), st.sampled_from(sorted(TestMarkBusy.GROUPS)),
+class QueueController(Controller):
+    """A reference for `Controller.scan`'s order, kept per rail: one FC-FS
+    list of requests and one set of blocked ranks per rail, the rails in
+    order, each list by earliest request, then group id."""
+
+    def __init__(self, topo, groups):
+        super().__init__(topo, groups)
+        self.queue = {}  # rail -> its pending requests
+
+    def request(self, gid, times, speculative):
+        queued = gid in self.pending
+        super().request(gid, times, speculative)
+        if not queued:
+            rail = next(iter(self.groups[gid].rails_touched))
+            self.queue.setdefault(rail, []).append(self.pending[gid])
+
+    def scan(self, now, protected):
+        grants = []
+        for rail in sorted(self.queue):
+            q = self.queue[rail]
+            q.sort(key=lambda p: (min(p.times.values()), p.group.id))
+            blocked_ranks, remaining = set(), []
+            for p in q:
+                members = p.group.members
+                ready = None
+                if p.barrier_time <= now and blocked_ranks.isdisjoint(members):
+                    ready = self._try_apply(p, now, protected)
+                if ready is None:
+                    blocked_ranks.update(members)
+                    remaining.append(p)
+                else:
+                    del self.pending[p.group.id]
+                    grants.append((p.group.id, ready))
+            self.queue[rail] = remaining
+        return grants
+
+
+# TestMarkBusy's six groups on rail 0 (ranks 0, 2, 4, 6) and three on rail 1
+# (ranks 1, 3, 5, 7).
+TWO_RAILS = {**TestMarkBusy.GROUPS, "a1": [1, 3, 5], "b1": [3, 5, 7], "p17": [1, 7]}
+
+# One step of a request/scan sequence: a request of a group (reactive or
+# speculative) whose ranks outside a bit mask ask only later, or a scan with
+# some groups protected.
+REQUEST = st.tuples(st.just("request"), st.sampled_from(sorted(TWO_RAILS)),
                     st.integers(min_value=1, max_value=15), st.booleans())
-SCAN = st.tuples(st.just("scan"), st.sets(st.sampled_from(sorted(TestMarkBusy.GROUPS))))
+SCAN = st.tuples(st.just("scan"), st.sets(st.sampled_from(sorted(TWO_RAILS))))
 
 
-class TestPending:
-    @settings(max_examples=80, deadline=None)
+class TestScanOrder:
+    @settings(max_examples=100, deadline=None)
     @given(st.lists(st.one_of(REQUEST, SCAN), min_size=1, max_size=30))
-    def test_pending_mirrors_the_queues(self, steps):
-        # Six groups on rail 0's four ranks with 2-port NICs: grants evict
-        # and block each other, and partial requests merge into later ones.
+    # A rail-1 request earlier than a rail-0 request: one scan grants both,
+    # rail 0's first.
+    @example([("request", "a1", 15, False), ("request", "a", 15, False), ("scan", set())])
+    def test_matches_per_rail_queues(self, steps):
+        # With 2-port NICs, grants evict and block each other on each rail,
+        # and partial requests merge into later ones.
         topo = make_topo(num_domains=4, gpus_per_domain=2, nic_ports=2, delay=0.01)
-        c = TestMarkBusy().controller(topo)
+        pair = [cls(topo, {gid: rail_group(gid, members, topo)
+                           for gid, members in TWO_RAILS.items()})
+                for cls in (Controller, QueueController)]
         for k, step in enumerate(steps):
             t = 0.004 * k
             if step[0] == "request":
                 _, gid, mask, speculative = step
                 times = {r: t if mask >> n & 1 else t + 0.02
-                         for n, r in enumerate(c.groups[gid].members)}
-                c.request(gid, times, speculative)
+                         for n, r in enumerate(TWO_RAILS[gid])}
+                for c in pair:
+                    c.request(gid, times, speculative)
             else:
-                for gid, ready in c.scan(t, protected=step[1]):
-                    c.mark_busy(gid, ready, ready + 0.006)
-            queued = {p.group.id: p for q in c.queue.values() for p in q}
-            assert sum(map(len, c.queue.values())) == len(queued)  # one per group
-            assert c.pending == queued
-            for gid in TestMarkBusy.GROUPS:
-                assert (gid in c.pending) == (gid in queued)
+                served = []
+                for c in pair:
+                    grants = c.scan(t, protected=step[1])
+                    served.append((grants, [c.mark_busy(gid, ready, ready + 0.006)
+                                            for gid, ready in grants]))
+                assert served[0] == served[1]
+            c, ref = pair
+            assert c.pending.keys() == ref.pending.keys()
+            assert c.log == ref.log
+            assert c.circuit_intervals == ref.circuit_intervals
+            assert c.ports == ref.ports
+
+
+class TestScoreboard:
+    def test_seed_matches_the_reference(self):
+        # Seed 7's 101 pairs, s043-prov's ConflictDeadlock among them.
+        results, _ = scoreboard.run((7,))
+        reference = [line for line in scoreboard.REFERENCE.read_text().splitlines()
+                     if line.startswith("7/")]
+        assert len(results) == len(reference) == 202
+        assert scoreboard.moved(results, reference) == []
 
 
 # 4 domains x 2 GPUs, rank r in domain r // 2 on rail r % 2.  b (rank 4)
