@@ -105,7 +105,7 @@ def _getfloat(sec, key: str, default: Optional[float] = None) -> float:
 
 def _getint(sec, key: str, default: Optional[int] = None) -> int:
     v = _getfloat(sec, key, float(default) if default is not None else None)
-    if v != int(v):
+    if not math.isfinite(v) or v != int(v):  # int() raises on nan and inf
         raise ConfigError(f"{key!r} must be an integer, got {v}")
     return int(v)
 
@@ -402,6 +402,19 @@ def cmd_windows(args: argparse.Namespace) -> int:
     return 0
 
 
+class _TwinRanks(dict):
+    """rank -> the `{l},{rank + l}` texts of its twins, one per rail of
+    `rails`, each filled on first use."""
+
+    def __init__(self, rails: Sequence[int]):
+        super().__init__()
+        self.rails = rails
+
+    def __missing__(self, rank: int) -> List[str]:
+        texts = self[rank] = [f"{l},{rank + l}" for l in self.rails]
+        return texts
+
+
 def _write_sim_outputs(res: SimResult, out_dir: str) -> None:
     """Write timeline.csv (one row per event and rank, by event id) and
     reconfig.csv.  Timeline rows are written in chunks of about
@@ -409,42 +422,43 @@ def _write_sim_outputs(res: SimResult, out_dir: str) -> None:
     held whole.  The DAG's rows go by id, each row's twins together in the
     text order of their rails, which orders every rail's ids (see the
     `workload` module); a twin's per-rank joins are its row's, each rank
-    moved to the twin's rail."""
+    moved to the twin's rail.  The `{rail},{rank}` texts of the twins come
+    from one table per rank, built as ranks are met, so a one-rank row's
+    twin lines are one join and no twin line formats an integer."""
     os.makedirs(out_dir, exist_ok=True)
     timeline = res.event_times
     dag, start, end = timeline.dag, timeline.start, timeline.end
-    ids, ranks, spans = dag.ids, dag.ranks, dag.spans
-    # (rail, its text) of a rail-0 row's twins, and of a row that stands
-    # for itself, whose id is kept whole.
-    twins = [(l, str(l)) for l in sorted(range(dag.rails), key=str)]
-    alone = [(0, "")]
+    ids, ranks, spans, rails = dag.ids, dag.ranks, dag.spans, dag.rails
+    twin_ranks = _TwinRanks(sorted(range(rails), key=str))
     text = FloatText()
-
-    def lines(chunk) -> str:
-        return "".join([f"{head}{tail},{rank + l},{t},{e}\n" for head, tw, joins, e in chunk
-                        for l, tail in tw for rank, t in joins])
-
     with open(os.path.join(out_dir, "timeline.csv"), "w", encoding="utf-8",
               newline="\n") as f:
         f.write("event_id,rank,start_s,end_s\n")
-        chunk, n = [], 0  # (id head, twins, joins, end text) by row; their lines
+        chunk, n = [], 0  # texts of lines, a held row's twins in one, and the lines' count
         for i in sorted(range(len(ids)), key=ids.__getitem__):
-            rs = ranks[i]
+            rs, e = ranks[i], text[end[i]]
             if len(rs) == 1:  # one rank joins when the event starts
                 joins = ((rs[0], text[start[i]]),)
             else:
                 starts = timeline.starts(i)
                 joins = [(rank, text[starts[rank]]) for rank in sorted(starts)]
-            if dag.rails > 1 and i not in spans:
-                chunk.append((ids[i][:-1], twins, joins, text[end[i]]))
-                n += len(twins) * len(joins)
+            if rails > 1 and i not in spans:
+                head = ids[i][:-1]
+                if len(joins) == 1:
+                    tail = f",{joins[0][1]},{e}\n"
+                    chunk.append(head + (tail + head).join(twin_ranks[joins[0][0]]) + tail)
+                else:
+                    twins = [(twin_ranks[rank], f",{t},{e}\n") for rank, t in joins]
+                    chunk.append("".join([head + texts[k] + tail for k in range(rails)
+                                          for texts, tail in twins]))
+                n += rails * len(joins)
             else:
-                chunk.append((ids[i], alone, joins, text[end[i]]))
+                chunk += [f"{ids[i]},{rank},{t},{e}\n" for rank, t in joins]
                 n += len(joins)
             if n >= WRITE_CHUNK_LINES:
-                f.write(lines(chunk))
+                f.write("".join(chunk))
                 chunk, n = [], 0
-        f.write(lines(chunk))
+        f.write("".join(chunk))
     rrows = []
     for e in sorted(res.reconfig_log, key=lambda e: (e.time, e.rail, e.group)):
         rrows.append(f"{_fmt(e.time)},{e.rail},{e.group},"

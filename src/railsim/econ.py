@@ -20,7 +20,11 @@ from .model import Topology, max_gpus
 
 @dataclass(frozen=True)
 class EconConfig:
-    """Per-unit cost (currency) and power (watts) inputs for fabric BOMs."""
+    """Per-unit cost (currency) and power (watts) inputs for fabric BOMs.
+
+    Each cost and power must be finite and >= 0, so a BOM total and the
+    savings between two fabrics are numbers; the radix and chassis ports
+    are integers of at least 2 and 1."""
 
     electrical_switch_cost: float
     electrical_switch_radix: int
@@ -39,8 +43,9 @@ class EconConfig:
         for name in ("electrical_switch_cost", "electrical_port_power_w",
                      "transceiver_cost", "transceiver_power_w",
                      "ocs_port_cost", "ocs_chassis_power_w"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:  # nan < 0 is false
+                raise ConfigError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

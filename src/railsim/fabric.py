@@ -286,7 +286,9 @@ class Timeline(Mapping):
         ranks = dag.twin_ranks(i, rail)
         if len(ranks) < 2:  # one rank joins when the event starts
             return {ranks[0]: self.start[i]} if ranks else {}
-        return _joins(ranks, [(dag.twin_ranks(d, l), end[d]) for d, l in dag.twin_deps(i, rail)])
+        held = dag.ranks  # twin ranks built here: a spanning row has twins of each dependency
+        return _joins(ranks, [(held[d] if not l else [r + l for r in held[d]], end[d])
+                              for d, l in dag.twin_deps(i, rail)])
 
     def __getitem__(self, eid: str) -> EventTiming:
         i, rail = self.dag.locate(eid)

@@ -35,12 +35,15 @@ the ranks, each + l, and in the tail of the event id, the group id and each
 dependency id (`.l0` on rail 0), so `_twin_template` turns them into text
 pieces between the tails, with `%d` at each rank and a name's `%` escaped,
 once per block; a rail's records are then one join and one format.
-`save_trace` writes each twin pass so.  The parser reads the rail-0 records
-as any others.  A record whose id is the `.l1` twin of a row of the open
-block starts the block's twin records: the parser builds the block's
-template from its rows, and the text of each twin pass must equal the
-template's as one string; that text is not split or parsed.  The trace is
-held when, besides that:
+`save_trace` writes each twin pass so.  As the parser reads the block's
+rail-0 records it checks the conditions below and builds the same pieces
+from the fields it split (a copy record reuses the row's), or from the
+rows as the block closes if a row's records leave rank order or name other
+ids.  The `.l1` twin of the block's first rail-0 record closes the block;
+one loop then compares each twin pass, read as one string, with the
+template's text, which is not split or parsed.  The trace is held when,
+besides that (as when the template was built after reading the rows, but
+for the rule on a rising start):
 
   * every block has twin records for the same rails 1..R-1;
   * each group a rail-0 row names ends in `.l0`, is declared on rail 0, and
@@ -58,7 +61,8 @@ held when, besides that:
     it starts;
   * a rail-0 row depends on rail-0 rows only, has all its records in its
     block and ranks that are multiples of R, and no other held id starts
-    with its id less its final `0`;
+    with its id less its final `0`; its start does not rise at a record
+    read after a later row's first record;
   * the last block has twin records, and the rows a spanning row depends
     on keep their order when expanded.
 
@@ -161,7 +165,7 @@ def _twin_template(dag: EventDag, rows: Sequence[int], deps: Sequence[Sequence[T
         else:
             segs[:2] = [segs[0] + segs[1]]
         head, s = ids[i][:-1].replace("%", "%%"), streams[i]
-        for r in sorted(all_ranks[i]):
+        for r in sorted(set(all_ranks[i])):
             stream = s.get(r, "") if isinstance(s, dict) else s
             record = [carry + head, f",%d,{stream.replace('%', '%%')}{segs[0]}", *segs[1:]]
             carry = record.pop()
@@ -268,27 +272,49 @@ def _read(f, hold: bool) -> EventDag:
     last_eid = last_rest = None
     last_row, last_start = -1, None
     header_seen = False
-    # The held parse: the first row of the open block; the rail count once
-    # the first block's twin records ended (0 before); whether lines were
-    # skipped (`lineno` is off from then on); and (rail, block) of a twin
-    # pass the first block may still have.  (stream, rank) -> the last
-    # rail-0 row on it and the latest start among the rail-0 rows on it, over
-    # the blocks so far.
-    block_start, rails, skipped, trial = 0, 0, False, None
-    kept_tail: Dict[Tuple[str, int], Tuple[int, float]] = {}
+    # The held parse.  `zero`: the record is a rail-0 row's; `later`: and no
+    # copy of the row's first.  The open block's first row, `.l1` prefix,
+    # rail-0 and spanning rows, groups, template (parts, ranks, text after
+    # the last tail, the row's pieces) unless `rebuild`, and `pending` (row,
+    # least start) pairs, checked with each row's end as the block closes.
+    # Rail-0 ranks and streams; the latest start of `later` rows by (stream,
+    # rank), as record order bounds the others.  The rail count, whether
+    # lines were skipped, and the closed block's template, groups, next pass.
+    zero = later = False
+    block_start, first_twin, kept, spans, gids = 0, _NO_TWIN, [], [], set()
+    tparts, tranks, carry, row_t, rebuild, pending = [], [], "", None, False, []
+    zero_ranks, zero_streams, raised = set(), set(), {}
+    rails, skipped, template, twin_groups, pass_l = 0, False, None, None, 0
     checked: set = set()  # (group, rail) of the twin groups checked
     text = FloatText()
     for lineno, raw in enumerate(f, start=1):
-        if trial is not None:  # after a twin pass of the first block
-            l, block = trial
-            want = _twin_text(block.template, l)
-            if want.startswith(raw):
-                if not (_check_twin_groups(dag, block, l, checked)
+        if hold and (pass_l or raw.startswith(first_twin)):
+            if not (pass_l or any(starts[i] is not None and (starts[i] < t or (
+                    ends[i] is not None and ends[i] < starts[i])) for i, t in pending)):
+                # The open block's first twin record: close the block.
+                template = _twin_template(dag, kept, [[(n, True) for n in sorted(
+                    {ids[d] for d in deps[i]}.union(ahead.get(i, ())))] for i in kept],
+                    text) if rebuild else (tparts + [carry], tranks)
+                twin_groups, pass_l = gids, 1
+            want = pass_l and _twin_text(template, pass_l)
+            if want and want.startswith(raw):  # one twin pass of the block, read whole
+                if not (_check_twin_groups(dag, twin_groups, pass_l, checked)
                         and f.read(len(want) - len(raw)) == want[len(raw):]):
                     raise _NotHeld
-                trial = (l + 1, block)
+                if pass_l == 1:  # the next block opens
+                    skipped, block_start = True, len(ids)
+                    dag.blocks.append(block_start)
+                    dag.spans.update(spans)
+                    first_twin, kept, spans, gids, pending = _NO_TWIN, [], [], set(), []
+                    tparts, tranks, carry, rebuild = [], [], "", False
+                    last_eid = last_rest = None
+                pass_l = (pass_l + 1) % rails if rails else pass_l + 1
                 continue
-            rails, trial = l, None
+            if pass_l < 2:  # the block cannot have twins, or its first pass differs
+                hold = zero = _stop(skipped)
+            elif rails:  # a later block lacks a twin pass
+                raise _NotHeld
+            rails, pass_l = rails or pass_l, 0  # the first block's passes ended
         line = raw.rstrip("\n")
         parts = line.split(",", 3)
         if len(parts) < 4 or not header_seen or line[:1] == "#":
@@ -314,29 +340,6 @@ def _read(f, hold: bool) -> EventDag:
             rank = (solo.get(rank_s) or _rank(solo, rank_s, lineno))[0]
             i, start, first, rows = last_row, last_start, False, []
         else:
-            if (hold and eid[-3:] == ".l1" and eid not in index
-                    and index.get(eid[:-1] + "0", -1) >= block_start):
-                # The first twin record of the open block's rows.
-                block = _twin_block(dag, block_start, ahead, text, kept_tail)
-                want = block and _twin_text(block.template, 1)
-                if want and want.startswith(raw):
-                    skipped = True
-                    for l in range(1, rails or 2):
-                        if l > 1:
-                            want, raw = _twin_text(block.template, l), ""
-                        if not (_check_twin_groups(dag, block, l, checked)
-                                and f.read(len(want) - len(raw)) == want[len(raw):]):
-                            raise _NotHeld
-                    if not rails:
-                        trial = (2, block)
-                    block_start = len(ids)
-                    dag.blocks.append(block_start)
-                    dag.spans.update(block.spans)
-                    last_eid = last_rest = None
-                    continue
-                if skipped:
-                    raise _NotHeld
-                hold = False  # parse on row by row
             fields = rest.split(",")
             if len(fields) != 7:
                 raise ParseError(f"expected 10 fields, got {len(fields) + 3}", lineno)
@@ -370,6 +373,7 @@ def _read(f, hold: bool) -> EventDag:
                 raise ParseError(f"unknown event kind {kind!r}", lineno)
             coll_kind = shared.setdefault(coll_kind, coll_kind) or None
             group_id = shared.setdefault(group_id, group_id) or None
+            zero = hold and eid[-3:] == ".l0"
             i = index.get(eid)
             first = i is None
             if first:
@@ -391,21 +395,44 @@ def _read(f, hold: bool) -> EventDag:
                 if hold and i < block_start:  # a row of a block whose twins were read
                     raise _NotHeld
                 if start is not None and (starts[i] is None or start > starts[i]):
+                    if zero and i < len(ids) - 1:  # it rose after a later row was read
+                        hold = zero = _stop(skipped)
                     starts[i] = start
                 if end is not None and (ends[i] is None or end > ends[i]):
                     ends[i] = end
                 if starts[i] is not None and ends[i] is not None:
                     durations[i] = ends[i] - starts[i]
             rows = []
-            if deps_s:
-                for d in deps_s.split(";"):
-                    j = index.get(d)
-                    if j is None:
-                        if d:
-                            ahead.setdefault(i, []).append(d)
-                    elif j != i and j not in rows:
-                        rows.append(j)
+            names = deps_s.split(";") if deps_s else ()
+            for d in names:
+                j = index.get(d)
+                if j is None:
+                    if d:
+                        ahead.setdefault(i, []).append(d)
+                elif j != i and j not in rows:
+                    rows.append(j)
             last_eid, last_rest, last_row, last_start = eid, rest, i, start
+            later = zero and not first
+            if zero:
+                if first:
+                    kept.append(i)
+                    first_twin = first_twin if len(kept) > 1 else eid[:-1] + "1,"
+                    gids.add(group_id)
+                    # Its twins' text after the stream, `_CUT` at each tail (names checked below).
+                    segs = (f",{kind},{coll_kind or ''},{group_id and group_id[:-1] + _CUT or ''},"
+                            f"{size},{deps_s and deps_s[:-1].replace('0;', _CUT + ';') + _CUT}"
+                            ).replace("%", "%%").split(_CUT)
+                    segs[-1] += f",{text[start]},{text[end]}\n"
+                    row_t = (eid[:-1].replace("%", "%%"), segs[0], segs[1:])
+                # Names as written are the template's: once, sorted, ending `.l0`, not the row's id.
+                off = later or (deps_s + ";").count(".l0;") != len(names)
+                if off and any(d and d[-3:] != ".l0" for d in names):  # a row off rail 0
+                    hold = zero = _stop(skipped)
+                rebuild = rebuild or off or eid in names or any(map(str.__ge__, names, names[1:]))
+                if later:  # its times are checked when the block closes
+                    pending.append((i, -math.inf))
+            elif hold and first:  # a row that spans rails
+                spans.append(i)
         if not first:
             row_streams = streams[i]
             if isinstance(row_streams, dict):
@@ -421,12 +448,33 @@ def _read(f, hold: bool) -> EventDag:
             tail_row, tail_start = tail
             if tail_row != i and tail_row not in rows:
                 rows.append(tail_row)
+                # A name the record lacks (of a rail-0 row, by the stream rule).
+                rebuild = rebuild or zero and (first or tail_row not in deps[i])
             if start is None:
+                if zero and tail_start is not None:  # its row must start no earlier
+                    pending.append((i, tail_start))
                 start = tail_start  # a record without a start keeps the stream's
             elif tail_start is not None and start < tail_start:
                 raise ParseError(f"{eid} starts at {start!r}, before an earlier record "
                                  f"on rank {rank} stream {stream!r} ({tail_start!r})", lineno)
         tails[rank] = (i, start)
+        if zero:
+            zero_ranks.add(rank)
+            zero_streams.add(stream)
+            if i < len(ids) - 1 and tail is not None and tail[0] > i:  # not in row order
+                hold = zero = _stop(skipped)
+            t = raised.get((stream, rank)) if raised else None
+            if t is not None and (starts[i] is None or starts[i] < t):
+                pending.append((i, t))
+            for r in ranks[i] if later and starts[i] is not None else ():
+                key = (streams[i].get(r, "") if type(streams[i]) is dict else streams[i], r)
+                raised[key] = max(raised.get(key, -math.inf), starts[i])
+            rebuild = rebuild or not first and rank <= tranks[-1]  # a row's ranks out of order
+            if zero and not rebuild:  # the record's twin in the template
+                record = [carry + row_t[0], f",%d,{stream.replace('%', '%%')}{row_t[1]}", *row_t[2]]
+                carry = record.pop()
+                tparts += record
+                tranks.append(rank)
         if first:
             if len(rows) > 1:
                 rows.sort()
@@ -436,9 +484,10 @@ def _read(f, hold: bool) -> EventDag:
         else:  # the row's second record
             deps[i] = [*deps[i], *rows]
             multi.append(i)
-    if trial is not None:
-        rails = trial[0]
-    if skipped and not _hold(dag, block_start, rails, ahead, kept_tail):
+    if pass_l and rails:  # the last block lacks a twin pass
+        raise _NotHeld
+    rails = rails or pass_l  # the first block's, when its twin passes end the file
+    if skipped and not _hold(dag, block_start, rails, ahead, zero_ranks, zero_streams):
         raise _NotHeld
     for i in sorted(ahead):
         names = sorted(set(ahead[i]))
@@ -459,74 +508,29 @@ def _read(f, hold: bool) -> EventDag:
     return dag
 
 
-class _Block:
-    """The rows of a block whose twin records follow: the rail-0 rows
-    (`kept`), the `_twin_template` of their twins, the rows that span
-    rails and the groups the rail-0 rows name."""
-
-    __slots__ = ("kept", "template", "spans", "groups")
+# No record field holds a newline, and no line starts with two (`_read`).
+_CUT, _NO_TWIN = "\n", "\n\n"
 
 
-# `_twin_block`'s tail of a (stream, rank) no rail-0 row was on yet.
-_NO_TAIL = (None, -math.inf)
+def _stop(skipped: bool) -> bool:
+    """End an attempt to hold: raise _NotHeld once lines were skipped, else
+    give False, and the parse goes on row by row."""
+    if skipped:
+        raise _NotHeld
+    return False
 
 
-def _twin_block(dag: EventDag, a: int, ahead: Dict[int, List[str]], text: FloatText,
-                tail: Dict[Tuple[str, int], Tuple[int, float]]) -> Optional[_Block]:
-    """Rows a.. of `dag` as a block whose twin records follow, or None when
-    they cannot have twins: a spanning scale-out collective, a rail-0 row
-    that depends on a row spanning rails, ends before it starts, or on a
-    (stream, rank) does not depend on the rail-0 row before it or starts
-    before one, or a group off rail 0 or not named `.l0`.  `tail` maps each
-    (stream, rank) to the last rail-0 row on it and the latest start among
-    the rail-0 rows on it, over the blocks so far; it is updated, and so
-    are each row's ranks, sorted."""
-    ids, ranks, streams, deps = dag.ids, dag.ranks, dag.streams, dag.deps
-    starts, ends = dag.observed_start, dag.observed_end
-    groups, group, kinds = dag.groups, dag.group, dag.kind
-    b = _Block()
-    b.kept, b.spans, heads = [], [], []
-    for i in range(a, len(ids)):
-        if ids[i][-3:] != ".l0":
-            if kinds[i] == COLLECTIVE and groups[group[i]].is_scaleout:
-                return None
-            b.spans.append(i)
-            continue
-        rs, s, ds, start = ranks[i], streams[i], deps[i], starts[i]
-        if start is not None and ends[i] is not None and ends[i] < start:
-            return None
-        b.kept.append(i)
-        if len(rs) > 1:
-            rs = ranks[i] = tuple(sorted(set(rs)))
-        for r in rs:
-            key = (s.get(r, "") if isinstance(s, dict) else s, r)
-            prev, latest = tail.get(key, _NO_TAIL)
-            if prev is not None and prev not in ds or start is not None and start < latest:
-                return None
-            # A record without a start keeps the stream's.
-            tail[key] = (i, latest if start is None else start)
-        names = {ids[d] for d in ds}
-        names.update(ahead.get(i, ()))
-        if not all(n[-3:] == ".l0" for n in names):
-            return None
-        heads.append([(n, True) for n in sorted(names)])
-    b.groups = {group[i] for i in b.kept} - {None}
-    for gid in b.groups:
-        if gid[-3:] != ".l0" or groups[gid].rails_touched != {0}:
-            return None
-    b.template = _twin_template(dag, b.kept, heads, text)
-    return b
-
-
-def _check_twin_groups(dag: EventDag, block: _Block, rail: int, checked: set) -> bool:
-    """Whether each group `block`'s rail-0 rows name has a twin on `rail`
-    declared as the group moved to `rail`: each member + rail, the same
-    axis, rails {rail}.  (group, rail) pairs checked are kept in `checked`."""
+def _check_twin_groups(dag: EventDag, gids: set, rail: int, checked: set) -> bool:
+    """Whether each group of `gids`, those a block's rail-0 rows name, ends
+    in `.l0`, is declared on rail 0 and has a twin on `rail` declared as the
+    group moved to `rail`: each member + rail, the same axis, rails {rail}.
+    (group, rail) pairs checked are kept in `checked`."""
     groups = dag.groups
-    for gid in block.groups:
-        if (gid, rail) not in checked:
+    for gid in gids:
+        if gid and (gid, rail) not in checked:
             g, t = groups[gid], groups.get(twin(gid, rail))
-            if (t is None or t.axis != g.axis or t.rails_touched != {rail}
+            if (t is None or gid[-3:] != ".l0" or g.rails_touched != {0} or t.axis != g.axis
+                    or t.rails_touched != {rail}
                     or t.members != tuple(m + rail for m in g.members)):
                 return False
             checked.add((gid, rail))
@@ -534,45 +538,41 @@ def _check_twin_groups(dag: EventDag, block: _Block, rail: int, checked: set) ->
 
 
 def _hold(dag: EventDag, end: int, rails: int, ahead: Dict[int, List[str]],
-          tail: Dict[Tuple[str, int], Tuple[int, float]]) -> bool:
+          zero_ranks: set, zero_streams: set) -> bool:
     """Finish a held parse whose last block ends at row `end`, which must
-    be the last row: check that the ranks of `tail`'s (stream, rank)s, rail
-    0's, are multiples of `rails` and that no spanning row uses one of its
-    streams; set `rails`; resolve each spanning row's dependency ids to
-    (row, rail) and check that they name every rail's twin of each rail-0
-    row (as `EventDag.twin_deps`) in an order that expands in order; check
-    the ids."""
-    ids, deps, spans, blocks, streams = dag.ids, dag.deps, dag.spans, dag.blocks, dag.streams
-    if end != len(ids) or any(rank % rails for _, rank in tail):
+    be the last row: check that rail-0 ranks are multiples of `rails` and
+    that no spanning row uses a rail-0 stream or is a scale-out collective;
+    set `rails`; check that each spanning row names every rail's twin of
+    each rail-0 row it names (as `EventDag.twin_deps`), by those rows' twin
+    ids, in an order that expands in order; check the ids."""
+    ids, index, deps, spans, blocks = dag.ids, dag.index, dag.deps, dag.spans, dag.blocks
+    if end != len(ids) or any(rank % rails for rank in zero_ranks):
         return False
-    kept_streams = {stream for stream, _ in tail}
     dag.rails = rails
+    tails = [str(l) for l in range(1, rails)]
     for i in spans:
-        s = streams[i]
-        if not kept_streams.isdisjoint(s.values() if isinstance(s, dict) else (s,)):
+        s = dag.streams[i]
+        if not zero_streams.isdisjoint(s.values() if isinstance(s, dict) else (s,)) or (
+                dag.kind[i] == COLLECTIVE and dag.groups[dag.group[i]].is_scaleout):
             return False
-        pairs = {(d, 0) for d in deps[i]}
-        for name in ahead.get(i, ()):
-            try:
-                pairs.add(dag.locate(name))
-            except KeyError:
-                return False
-        rows = sorted(d for d, l in pairs if not l)
-        if pairs != {(d, l) for d in rows for l in (range(rails) if d not in spans else (0,))}:
+        # Names of rows read after row i are rail-0 names; the rest name twins.
+        named = set(ahead.get(i, ()))
+        rows = sorted({*deps[i], *(index[n] for n in named if n in index)})
+        kept = [d for d in rows if d not in spans]
+        if {n for n in named if n not in index} != {ids[d][:-1] + t for d in kept for t in tails}:
             return False
         if i in ahead:
             ahead[i], deps[i] = [], rows
         # The held order maps to the expanded one when the rail-0 rows it
         # names sit in one block and no row it names in a later block.
-        kept = [d for d in rows if d not in spans]
         if kept and not (bisect.bisect(blocks, kept[0]) == bisect.bisect(blocks, kept[-1])
                          >= bisect.bisect(blocks, rows[-1])):
             return False
+    # Sorted, ids with a prefix sit together: a neighbour's is enough.
     order = sorted(ids)
-    for x, y in zip(order, order[1:]):
-        if x[-3:] == ".l0" and y.startswith(x[:-1]) or y[-3:] == ".l0" and x.startswith(y[:-1]):
-            return False
-    return True
+    heads = [x[:-1] if x[-3:] == ".l0" else _CUT for x in order]  # no id starts with `_CUT`
+    return not (any(map(str.startswith, order[1:], heads))
+                or any(map(str.startswith, order, heads[1:])))
 
 
 def _declare_group(dag: EventDag, line: str, lineno: int) -> None:

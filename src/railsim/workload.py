@@ -35,8 +35,8 @@ on every rail, and its ranks are rail 0's, multiples of the rail count.  A
 twin is arithmetic, and the `twin*` functions and methods derive it: on
 rail l, rank r becomes r + l, the `.l0` that ends rail 0's event and group
 ids becomes `.l{l}`, and a dependency on a rail-0 row becomes one on that
-row's twin.  For speed, `cli._write_sim_outputs`, `trace._twin_template`
-and `SimResult`'s log copies build twin ids and ranks themselves.  A TP
+row's twin.  For speed, `cli._write_sim_outputs`, the twin templates of
+`trace` and `SimResult`'s log copies build twin ids and ranks themselves.  A TP
 row stands for itself and depends on every rail's twin of each rail-0 row
 it names, so a twin's per-rank joins are its row's with each rank + l.  `EventDag.blocks` records how the row-by-row DAG
 interleaves the rails (each block repeated rail by rail, the TP rows on rail

@@ -5,8 +5,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from railsim import ControlPolicy, TopologySpec, WorkloadParams, build_topology
+
+# CI runs the trace differential check (`test_workload.py`) with
+# `--hypothesis-profile=ci`: ten times the examples of the default profile,
+# which tier-1 runs.
+settings.register_profile("ci", max_examples=10 * settings.default.max_examples)
 
 
 def make_topo(num_domains=4, gpus_per_domain=4, nic_ports=2, kind="ocs",
@@ -269,6 +275,24 @@ HELD_BREAKS = {
         _A + "b.l0,0,s,compute,,,0,a.l0,1.0,2.0\n"
         "t,0,tp,compute,,,0,a.l0;a.l1;b.l0;b.l1,2.0,3.0\n"
         "b.l1,1,s,compute,,,0,a.l1,1.0,2.0\n", 1),
+    # Rail-0 records that leave the template's order: it is built from the
+    # rows when the block closes.
+    "a rail-0 row's records out of rank order": (
+        _G + "A.l0,2,t,collective,AllReduce,g.l0,8,,0.0,1.0\n"
+        "A.l0,0,s,collective,AllReduce,g.l0,8,,0.0,1.0\n"
+        "A.l1,1,s,collective,AllReduce,g.l1,8,,0.0,1.0\n"
+        "A.l1,3,t,collective,AllReduce,g.l1,8,,0.0,1.0\n", 2),
+    "a rail-0 row's records apart": (
+        "x.l0,0,s,compute,,,0,,0.0,1.0\ny.l0,4,s,compute,,,0,,0.0,1.0\n"
+        "x.l0,2,t,compute,,,0,,0.0,1.0\nx.l1,1,s,compute,,,0,,0.0,1.0\n"
+        "x.l1,3,t,compute,,,0,,0.0,1.0\ny.l1,5,s,compute,,,0,,0.0,1.0\n", 2),
+    # x's start rises to 0.5 after y was read; the parse checks rows as it
+    # reads them, so it gives up, though no later row shares a (stream,
+    # rank) with x.
+    "a rail-0 row's start rises after a later row's record": (
+        "x.l0,0,s,compute,,,0,,0.0,1.0\ny.l0,4,s,compute,,,0,,0.0,1.0\n"
+        "x.l0,2,t,compute,,,0,,0.5,1.0\nx.l1,1,s,compute,,,0,,0.5,1.0\n"
+        "x.l1,3,t,compute,,,0,,0.5,1.0\ny.l1,5,s,compute,,,0,,0.0,1.0\n", 1),
     "a spanning id starts as a rail-0 id less its 0": (
         "a.l0,0,s,compute,,,0,,0.0,1.0\na.lx,0,tp,compute,,,0,a.l0;a.l1,1.0,2.0\n"
         "a.l1,1,s,compute,,,0,,0.0,1.0\n", 1),

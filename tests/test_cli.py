@@ -136,9 +136,14 @@ class TestExitCodes:
          "scale-up bandwidth must be finite and positive"),
         ("reconfig_delay = 0.01", "reconfig_delay = inf",
          "reconfiguration delay must be finite and >= 0"),
+        # int() of these raised ValueError or OverflowError: exit 1.
+        ("num_domains = 4", "num_domains = nan", "'num_domains' must be an integer, got nan"),
+        ("num_domains = 4", "num_domains = inf", "'num_domains' must be an integer, got inf"),
+        ("num_domains = 4", "num_domains = 1e400", "'num_domains' must be an integer, got inf"),
     ], ids=["negative alpha", "negative compute time", "nan compute time",
             "negative bytes", "nan port bandwidth", "nan scale-up bandwidth",
-            "infinite delay"])
+            "infinite delay", "nan integer key", "infinite integer key",
+            "integer key past the float range"])
     def test_negative_or_nonfinite_input_rejected(self, old, new, message, tmp_path,
                                                   capsys):
         # Such a value would make simulated time run backwards.
@@ -161,6 +166,13 @@ class TestExitCodes:
          "gen needs generator parameters, not a trace path"),
         ("econ", section(ECON, "units"), "", "missing [units] section"),
         ("econ", section(ECON, "reference_topology"), "", "missing [reference_topology]"),
+        ("econ", "electrical_switch_radix = 64", "electrical_switch_radix = nan",
+         "'electrical_switch_radix' must be an integer, got nan"),
+        # Both exited 0: `cost nan` and `power saving 100.00%`.
+        ("econ", "transceiver_cost = 550", "transceiver_cost = nan",
+         "transceiver_cost must be finite and >= 0"),
+        ("econ", "electrical_port_power_w = 27.3", "electrical_port_power_w = inf",
+         "electrical_port_power_w must be finite and >= 0"),
         ("sim", "gpus_per_domain = 4", "gpus_per_domain = 0", "need at least 1 GPU per domain"),
         ("sim", "n_microbatch = 2", "n_microbatch = 0", "need at least one microbatch"),
         ("sim", "pp = 2", "pp = 0", "pp, dp, tp must all be >= 1"),
@@ -170,6 +182,7 @@ class TestExitCodes:
     ], ids=["missing key", "non-integer pp", "bad boolean", "bad delay list",
             "no [workload]", "trace and generator keys", "gen on a trace scenario",
             "econ without [units]", "econ without [reference_topology]",
+            "econ nan radix", "econ nan unit cost", "econ infinite unit power",
             "no GPUs per domain", "no microbatches", "no pipeline stages",
             "tp differs from G"])
     def test_bad_config_rejected(self, command, old, new, message, tmp_path, monkeypatch,

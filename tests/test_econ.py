@@ -33,6 +33,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             econ(transceiver_cost=-1.0)
 
+    @pytest.mark.parametrize("name", ["electrical_switch_cost", "electrical_port_power_w",
+                                      "transceiver_cost", "transceiver_power_w",
+                                      "ocs_port_cost", "ocs_chassis_power_w"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_rejected(self, name, value):
+        # nan < 0 is false, so nan passed the sign check, and so did inf.
+        with pytest.raises(ConfigError, match=f"{name} must be finite and >= 0"):
+            econ(**{name: value})
+
     def test_radix_floor(self):
         with pytest.raises(ConfigError):
             econ(electrical_switch_radix=1)

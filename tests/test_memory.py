@@ -9,8 +9,10 @@ Python 3.10, 3.11 and 3.12 at these tests' shapes: the loader 580-616
 B/event with a dependents list per event for its cycle check (594 on 3.11),
 441-474 with the depth-first check over `deps` (452 on 3.11), and on 3.11
 190 holding one rail of a rail-symmetric trace, 198 comparing each twin
-pass with one template's text (453 for a trace that is not, parsed row by
-row after the held parse gave up); the trace writer 428-438 with the whole
+pass with one template's text, 188 building that template from the rows
+after reading them and 181 building it as the rail-0 records are read
+(453 for a trace that is not, parsed row by row after the held parse
+gave up); the trace writer 428-438 with the whole
 file's text, 132-135 writing it in chunks.  Writing a DAG that holds one
 rail, on 3.11: 195 B/event formatting each twin as it is written, with
 every rail's event ids kept for naming dependencies, and 24 writing each
@@ -18,7 +20,8 @@ block's twin passes from one template.  `sim` plus writer, on Python
 3.11: 413 B/event compiling and timing every rail of the G=4 shape
 (409-424 on 3.10-3.12), 247 compiling and timing rail 0 and copying its
 times to the other rails, 160 when the DAG holds rail 0 alone and the
-writer formats the twins as it writes.  The generator on the 16x8 shape,
+writer formats the twins as it writes, 143 when it writes them from a
+table of `{rail},{rank}` texts per rank.  The generator on the 16x8 shape,
 on Python 3.11: 371 B/event building every rail's rows, 51 building rail
 0's and the TP rows.
 """

@@ -65,11 +65,13 @@ def timed_trace(topo, params, path):
 
 
 @functools.lru_cache(maxsize=None)
-def generated_trace(pp, dp, m):
+def generated_trace(pp, dp, m, gpus=4):
+    """The timed trace `gen` writes of pp x dp domains of `gpus` GPUs (the
+    rail count), 4 layers and m microbatches."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "t.csv")
-        timed_trace(make_topo(num_domains=pp * dp),
-                    make_params(pp=pp, dp=dp, n_layer=4, n_microbatch=m), path)
+        timed_trace(make_topo(num_domains=pp * dp, gpus_per_domain=gpus),
+                    make_params(pp=pp, dp=dp, tp=gpus, n_layer=4, n_microbatch=m), path)
         with open(path, encoding="utf-8") as f:
             return f.read()
 
@@ -173,9 +175,141 @@ EDITS = {
 }
 
 
+# An event id's tail on any rail, rail 0's included.
+RAIL_ID = re.compile(r"\.l(0|[1-9][0-9]*)$")
+
+
+def rail_head(eid):
+    """A rail-0 id or a twin's id less its rail number, else None."""
+    m = RAIL_ID.search(eid)
+    return m and eid[:m.start() + 2]
+
+
+def records(lines):
+    """Each record of `lines` as (index, fields)."""
+    return [(k, line.split(",")) for k, line in enumerate(lines)
+            if line and not line.startswith("#")]
+
+
+def rewrite(lines, change):
+    """Apply `change(fields)` to every record of `lines`, in place."""
+    for k, rec in records(lines):
+        change(rec)
+        lines[k] = ",".join(rec)
+
+
+def symmetric_end(lines, rnd):
+    # A rail-0 row's end moved later, on each of its twins too.
+    head = rail_head(rnd.choice([r[0] for _, r in records(lines) if r[0].endswith(".l0")]))
+    delta = rnd.choice([0.5, 1e-6])
+
+    def change(rec):
+        if rail_head(rec[0]) == head and rec[9]:
+            rec[9] = repr(float(rec[9]) + delta)
+    rewrite(lines, change)
+
+
+def symmetric_stream(lines, rnd):
+    # A stream of rail-0 rows renamed in every record, with `%`s the twin
+    # template must keep.
+    old = rnd.choice(sorted({r[2] for _, r in records(lines) if r[0].endswith(".l0")}))
+
+    def change(rec):
+        if rec[2] == old:
+            rec[2] = f"{old}%d%%"
+    rewrite(lines, change)
+
+
+def symmetric_id(lines, rnd):
+    # A rail-0 row and its twins renamed, in every dependency list too,
+    # each list sorted again as `save_trace` sorts it.
+    head = rail_head(rnd.choice([r[0] for _, r in records(lines) if r[0].endswith(".l0")]))
+
+    def renamed(eid):
+        return "a%" + eid if rail_head(eid) == head else eid
+
+    def change(rec):
+        rec[0] = renamed(rec[0])
+        if rec[7]:
+            rec[7] = ";".join(sorted(renamed(d) for d in rec[7].split(";")))
+    rewrite(lines, change)
+
+
+def symmetric_rank_start(lines, rnd):
+    # One rank's record of a rail-0 collective starts earlier, as in
+    # `conftest._AR`: the row's start, its latest, and its twins' are kept.
+    recs = records(lines)
+    rows = {}
+    for k, rec in recs:
+        if rec[0].endswith(".l0") and rec[3] == "collective":
+            rows.setdefault(rec[0], []).append(k)
+    k = rnd.choice(rnd.choice([ks for ks in rows.values() if len(ks) > 1]))
+    rec = lines[k].split(",")
+    before = [float(r[8]) for j, r in recs if j < k and r[1:3] == rec[1:3] and r[8]]
+    start = float(rec[8])
+    rec[8] = repr((max(before) + start) / 2 if before else start - 0.5)
+    lines[k] = ",".join(rec)
+
+
+# Edits of a generated trace that keep it rail-symmetric in `save_trace`'s
+# layout, and valid.
+SYMMETRIC_EDITS = {
+    "end time": symmetric_end,
+    "stream name": symmetric_stream,
+    "event id": symmetric_id,
+    "one rank's start of a rail-0 collective": symmetric_rank_start,
+}
+
+
+def raise_twin_start(lines, rnd):
+    # A twin record starts before the record before it on its (rank, stream).
+    recs = records(lines)
+    k = rnd.choice([k for k, rec in recs if TWIN_ID.search(rec[0]) and rec[8]
+                    and any(j < k and r[1:3] == rec[1:3] for j, r in recs)])
+    rec = lines[k].split(",")
+    before = max(float(r[8]) for j, r in recs if j < k and r[1:3] == rec[1:3] and r[8])
+    rec[8] = repr(before - 1.0)
+    lines[k] = ",".join(rec)
+
+
+def raise_unknown_dependency(lines, rnd):
+    k = rnd.choice([k for k, _ in records(lines)])
+    rec = lines[k].split(",")
+    rec[7] = ";".join([*filter(None, rec[7].split(";")), "nosuch.l1"])
+    lines[k] = ",".join(rec)
+
+
+def raise_end_before_start(lines, rnd):
+    k = rnd.choice([k for k, rec in records(lines) if rec[8] and rec[9]])
+    rec = lines[k].split(",")
+    rec[9] = repr(float(rec[8]) - 1.0)
+    lines[k] = ",".join(rec)
+
+
+def raise_cycle(lines, rnd):
+    # The first rail-0 row depends on the last one, and so on every rail.
+    zero = [r[0] for _, r in records(lines) if r[0].endswith(".l0")]
+    first, last = rail_head(zero[0]), rail_head(zero[-1])
+
+    def change(rec):
+        if rail_head(rec[0]) == first:
+            rail = rec[0][len(first):]
+            rec[7] = ";".join(sorted([*filter(None, rec[7].split(";")), last + rail]))
+    rewrite(lines, change)
+
+
+# Edits after which the row-by-row parse raises (the cycle on most shapes).
+RAISING_EDITS = {
+    "a twin record starts before its stream": raise_twin_start,
+    "an unknown dependency": raise_unknown_dependency,
+    "a record ends before it starts": raise_end_before_start,
+    "a cycle on every rail": raise_cycle,
+}
+
+
 def edited(text, edit, rnd):
     header, *lines = text.splitlines()
-    EDITS[edit](lines, rnd)
+    {**EDITS, **SYMMETRIC_EDITS, **RAISING_EDITS}[edit](lines, rnd)
     out = "\n".join([header, *lines]) + "\n"
     assert out != text
     return out
@@ -823,6 +957,25 @@ class TestHeldTrace:
         # always as the row-by-row parse reads it.
         text = HEADER + body
         assert parse_outcome(loads_trace, text) == (parse_outcome(rows_parse, text)[0], rails)
+
+    # (pp, dp, microbatches, G) of the traces the differential check edits:
+    # 2 to 4 rails.
+    EDITED_SHAPES = [(1, 2, 1, 2), (2, 1, 2, 3), (2, 2, 1, 4), (1, 3, 2, 2)]
+
+    # The example count is the Hypothesis profile's: tier-1 runs the default
+    # profile's 100; CI selects `ci` (see conftest), ten times as many.
+    @settings(deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(shape=st.sampled_from(EDITED_SHAPES),
+           edit=st.sampled_from([*SYMMETRIC_EDITS, *RAISING_EDITS, *EDITS]),
+           rnd=st.randoms(use_true_random=False))
+    def test_random_edit_loads_as_row_order(self, shape, edit, rnd):
+        # The trace differential check: a randomly edited trace loads as its
+        # row-by-row parse reads it, or raises its error; one edited the
+        # same on every rail is still held.
+        text = edited(generated_trace(*shape), edit, rnd)
+        held, rails = parse_outcome(loads_trace, text)
+        assert held == parse_outcome(rows_parse, text)[0]
+        assert rails > 1 if edit in SYMMETRIC_EDITS else True
 
     @pytest.mark.parametrize("edit", EDITS)
     def test_edit_loads_row_by_row(self, edit):
