@@ -24,6 +24,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .econ import (EconConfig, FabricBom, electrical_fabric_bom,
@@ -32,6 +33,7 @@ from .errors import (ConfigError, ConflictDeadlock, CyclicDependency,
                      DegreeInfeasible, EmptyInput, InvalidNicConfig,
                      InvalidParams, MissingDependency, NotMember, ParseError,
                      RadixExceeded, UnsupportedKind)
+from . import fabric
 from .fabric import ControlPolicy, SimResult, simulate, sweep_delay
 from .model import Topology, TopologySpec, build_topology
 from .trace import WRITE_CHUNK_LINES, FloatText, load_trace, save_trace
@@ -402,16 +404,21 @@ def cmd_windows(args: argparse.Namespace) -> int:
     return 0
 
 
-class _TwinRanks(dict):
-    """rank -> the `{l},{rank + l}` texts of its twins, one per rail of
-    `rails`, each filled on first use."""
+class _RankTexts(dict):
+    """ranks -> the texts between a `timeline.csv` line's head and its
+    times, one per line in the order they are written, each built on first
+    use: `{rank}` for each distinct rank in order, or with `rails` (rail
+    numbers in their text order), `{l},{rank + l}` for each rail l in turn
+    and each distinct rank in order."""
 
-    def __init__(self, rails: Sequence[int]):
+    def __init__(self, rails: Optional[Sequence[int]] = None):
         super().__init__()
         self.rails = rails
 
-    def __missing__(self, rank: int) -> List[str]:
-        texts = self[rank] = [f"{l},{rank + l}" for l in self.rails]
+    def __missing__(self, rs: tuple) -> List[str]:
+        ranks = sorted(set(rs))
+        texts = self[rs] = ([str(r) for r in ranks] if self.rails is None else
+                            [f"{l},{r + l}" for l in self.rails for r in ranks])
         return texts
 
 
@@ -422,47 +429,59 @@ def _write_sim_outputs(res: SimResult, out_dir: str) -> None:
     held whole.  The DAG's rows go by id, each row's twins together in the
     text order of their rails, which orders every rail's ids (see the
     `workload` module); a twin's per-rank joins are its row's, each rank
-    moved to the twin's rail.  The `{rail},{rank}` texts of the twins come
-    from one table per rank, built as ranks are met, so a one-rank row's
-    twin lines are one join and no twin line formats an integer."""
+    moved to the twin's rail.  A row whose ranks all join at one time (a
+    one-rank row, or one that `fabric._one_join` finds: its last-ending
+    dependencies reach all of its ranks, or one of them reaches none)
+    writes all of its lines, its twins' too, with one join over its ranks'
+    texts; the other rows take per-rank joins from `fabric._joins`, which
+    `Timeline.starts` gives too.  The `{rank}` and `{rail},{rank}` texts
+    come from tables by ranks, built as ranks are met, so no line formats
+    an integer.  reconfig.csv formats its times with the same `FloatText`."""
     os.makedirs(out_dir, exist_ok=True)
     timeline = res.event_times
     dag, start, end = timeline.dag, timeline.start, timeline.end
-    ids, ranks, spans, rails = dag.ids, dag.ranks, dag.spans, dag.rails
-    twin_ranks = _TwinRanks(sorted(range(rails), key=str))
-    text = FloatText()
+    ids, ranks, deps, spans, rails = dag.ids, dag.ranks, dag.deps, dag.spans, dag.rails
+    plain = _RankTexts()
+    twin_texts = _RankTexts(sorted(range(rails), key=str)) if rails > 1 else plain
+    spanning = (rails, spans) if rails > 1 else ()  # `_one_join`'s twins of a row in `spans`
+    one_join, joins_of, text = fabric._one_join, fabric._joins, FloatText()
     with open(os.path.join(out_dir, "timeline.csv"), "w", encoding="utf-8",
               newline="\n") as f:
         f.write("event_id,rank,start_s,end_s\n")
-        chunk, n = [], 0  # texts of lines, a held row's twins in one, and the lines' count
+        chunk, n = [], 0  # texts of lines, a row's and its twins' in one, and the lines' count
         for i in sorted(range(len(ids)), key=ids.__getitem__):
-            rs, e = ranks[i], text[end[i]]
-            if len(rs) == 1:  # one rank joins when the event starts
-                joins = ((rs[0], text[start[i]]),)
-            else:
-                starts = timeline.starts(i)
-                joins = [(rank, text[starts[rank]]) for rank in sorted(starts)]
+            rs = ranks[i]
             if rails > 1 and i not in spans:
-                head = ids[i][:-1]
-                if len(joins) == 1:
-                    tail = f",{joins[0][1]},{e}\n"
-                    chunk.append(head + (tail + head).join(twin_ranks[joins[0][0]]) + tail)
-                else:
-                    twins = [(twin_ranks[rank], f",{t},{e}\n") for rank, t in joins]
-                    chunk.append("".join([head + texts[k] + tail for k in range(rails)
-                                          for texts, tail in twins]))
-                n += rails * len(joins)
+                head, texts, twins = ids[i][:-1], twin_texts, ()
             else:
-                chunk += [f"{ids[i]},{rank},{t},{e}\n" for rank, t in joins]
-                n += len(joins)
+                head, texts, twins = ids[i] + ",", plain, spanning
+            if len(rs) == 1:  # one rank joins when the event starts
+                t = start[i]
+            elif not rs:  # no line
+                continue
+            else:
+                t = one_join(rs, deps[i], ranks, end, *twins)
+            if t is not None:
+                tail = f",{text[t]},{text[end[i]]}\n"
+                lines = texts[rs]
+                chunk.append(head + (tail + head).join(lines) + tail)
+                n += len(lines)
+            else:
+                e = text[end[i]]
+                joins = joins_of(rs, deps[i], ranks, end, *twins)
+                per_rank = [(texts[(rank,)], f",{text[joins[rank]]},{e}\n")
+                            for rank in sorted(joins)]
+                copies = len(per_rank[0][0])  # the rank's lines: one per twin
+                chunk.append("".join([head + lines[k] + tail for k in range(copies)
+                                      for lines, tail in per_rank]))
+                n += copies * len(per_rank)
             if n >= WRITE_CHUNK_LINES:
                 f.write("".join(chunk))
                 chunk, n = [], 0
         f.write("".join(chunk))
-    rrows = []
-    for e in sorted(res.reconfig_log, key=lambda e: (e.time, e.rail, e.group)):
-        rrows.append(f"{_fmt(e.time)},{e.rail},{e.group},"
-                     f"{int(e.speculative)},{_fmt(e.delay)},{e.ports_changed}")
+    rrows = [f"{text[e.time]},{e.rail},{e.group},{int(e.speculative)},{text[e.delay]},"
+             f"{e.ports_changed}"
+             for e in sorted(res.reconfig_log, key=attrgetter("time", "rail", "group"))]
     _write_csv(os.path.join(out_dir, "reconfig.csv"),
                "time_s,rail,group_id,speculative,delay_s,ports_changed", rrows)
 

@@ -38,9 +38,14 @@ An event starts once its last dependency has finished.  Per-rank join times
 (`_joins`: a rank joins at the latest end among the dependencies that
 include it or that share no rank with the event) are computed only when
 asked for: by a circuit request, the `timeline.csv` writer and an
-`EventTiming` lookup.  The circuit engine (`_Engine`) runs from a calendar
-queue: each time's entries in push order, under a heap of the distinct
-times.
+`EventTiming` lookup.  Each of the three first asks `_one_join` whether
+every rank joins at one time, the latest end among the dependencies: it
+reads only the dependencies that end then, and every rank joins then
+exactly when they reach every rank between them or one of them reaches
+none (a rail-0 row, for a row that spans rails, reaching its twins' ranks
+on every rail).  Only the other events take `_joins`.  The circuit engine
+(`_Engine`) runs from a calendar queue: each time's entries in push order,
+under a heap of the distinct times.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .control import Controller, ReconfigLogEntry, profile_iteration
 from .errors import ConflictDeadlock, CyclicDependency, NotMember, UnsupportedKind
@@ -208,27 +213,72 @@ class _CompiledDag:
                 circuit[i] = g.is_scaleout and g.size >= 2
 
 
-def _joins(ranks: tuple, deps: Iterable[Tuple[tuple, float]]) -> Dict[int, float]:
-    """Per-rank issue time of an event on two or more `ranks` whose
-    dependencies are `deps`, (ranks, end) pairs: a rank joins at the latest
-    end among the dependencies that include it or that share no rank with
-    the event, so its latest join is the latest end among all of them."""
-    joins = dict.fromkeys(ranks, 0.0)
+def _joins(rs: tuple, rows: Sequence[int], ranks: List[tuple], end: List[float],
+           rails: int = 1, spans: Set[int] = frozenset()) -> Dict[int, float]:
+    """Per-rank issue time of an event on two or more ranks `rs` whose
+    dependencies are `rows`, read from the `ranks` and `end` columns: a rank
+    joins at the latest end among the dependencies that include it or that
+    share no rank with the event, so its latest join is the latest end among
+    all of them.  With `rails` above 1, for an event that spans rails (in
+    `spans` of a held DAG), each row not in `spans` stands for its twin on
+    every rail, each a dependency of its own."""
+    joins = dict.fromkeys(rs, 0.0)
     everyone = 0.0  # the latest end among dependencies sharing no rank
-    for dep_ranks, e in deps:
-        shared = False
-        for r in dep_ranks:
-            if r in joins:
-                shared = True
-                if e > joins[r]:
-                    joins[r] = e
-        if not shared and e > everyone:
-            everyone = e
+    for d in rows:
+        e = end[d]
+        dr = ranks[d]
+        for twin_ranks in ((dr,) if rails == 1 or d in spans else
+                           [[r + l for r in dr] for l in range(rails)]):
+            shared = False
+            for r in twin_ranks:
+                if r in joins:
+                    shared = True
+                    if e > joins[r]:
+                        joins[r] = e
+            if not shared and e > everyone:
+                everyone = e
     if everyone:
         for r, t in joins.items():
             if everyone > t:
                 joins[r] = everyone
     return joins
+
+
+def _one_join(rs: tuple, rows: Sequence[int], ranks: List[tuple], end: List[float],
+              rails: int = 1, spans: Set[int] = frozenset()) -> Optional[float]:
+    """The time at which every rank of `rs` joins, as `_joins` gives it for
+    the same arguments, when that is one time; else None.
+
+    The latest end among the dependencies bounds every join from above.
+    Every rank joins then exactly when the dependencies that end then reach
+    every rank between them, or one of them reaches no rank (it then counts
+    for every rank); for an event that spans rails, a row not in `spans`
+    reaches its twins' ranks on every rail.  With no dependency ending
+    after 0.0, every rank joins at 0.0."""
+    latest, last = 0.0, ()
+    for d in rows:
+        e = end[d]
+        if e > latest:
+            latest, last = e, (d,)
+        elif e == latest:
+            last += (d,)
+    if not latest:
+        return 0.0
+    left = set(rs)
+    for d in last:
+        if rails == 1 or d in spans:
+            left.difference_update(ranks[d])
+        else:  # a rail-0 row's twins: rank r + l on rail l
+            for r in ranks[d]:
+                left.difference_update(range(r, r + rails))
+        if not left:
+            return latest
+    own = set(rs)
+    for d in last:
+        for l in (0,) if rails == 1 or d in spans else range(rails):
+            if own.isdisjoint([r + l for r in ranks[d]]):
+                return latest
+    return None
 
 
 def _longest_path(c: _CompiledDag) -> Tuple[List[float], List[float], List[int]]:
@@ -267,7 +317,11 @@ class Timeline(Mapping):
     `start`, `end` and `order` are by row of `dag`, the run's DAG, whose
     rows never renumber.  A row's times are its twins', and iteration lists
     each row's twins together; `starts(i, rail)` gives the per-rank join
-    times of row i's twin on `rail`.  A full-connectivity run shares its
+    times of row i's twin on `rail`: every rank at `_one_join`'s one time
+    when there is one, else `_joins`' times.  A held rail-0 row depends on
+    rail-0 rows alone, so its twins' joins are its own, each rank + rail;
+    only a row that spans rails reads twins of its dependencies, and only
+    through those two functions.  A full-connectivity run shares its
     arrays with its `Prepared` simulation, so they are read, never changed.
     """
 
@@ -279,16 +333,15 @@ class Timeline(Mapping):
 
     def starts(self, i: int, rail: int = 0) -> Dict[int, float]:
         dag, end = self.dag, self.end
-        if not rail and i not in dag.spans:  # on rail 0 it depends on the held rows
-            ranks = dag.ranks
-            if len(ranks[i]) > 1:
-                return _joins(ranks[i], [(ranks[d], end[d]) for d in dag.deps[i]])
-        ranks = dag.twin_ranks(i, rail)
-        if len(ranks) < 2:  # one rank joins when the event starts
-            return {ranks[0]: self.start[i]} if ranks else {}
-        held = dag.ranks  # twin ranks built here: a spanning row has twins of each dependency
-        return _joins(ranks, [(held[d] if not l else [r + l for r in held[d]], end[d])
-                              for d, l in dag.twin_deps(i, rail)])
+        ranks, deps = dag.ranks, dag.deps[i]
+        rs = ranks[i]
+        if len(rs) < 2:  # one rank joins when the event starts
+            return {r + rail: self.start[i] for r in rs}
+        twins = (dag.rails, dag.spans) if i in dag.spans else ()
+        one = _one_join(rs, deps, ranks, end, *twins)
+        joins = (_joins(rs, deps, ranks, end, *twins) if one is None
+                 else dict.fromkeys(rs, one))
+        return {r + rail: t for r, t in joins.items()} if rail else joins
 
     def __getitem__(self, eid: str) -> EventTiming:
         i, rail = self.dag.locate(eid)
@@ -420,7 +473,10 @@ class _Engine:
                         continue
                     waiting.setdefault(gid, []).append(x)
                     if gid not in controller.ready_at:  # else its ring is being reconfigured
-                        joins = _joins(ranks[x], [(ranks[d], end[d]) for d in deps[x]])
+                        rs, ds = ranks[x], deps[x]
+                        one = _one_join(rs, ds, ranks, end)
+                        joins = (_joins(rs, ds, ranks, end) if one is None
+                                 else dict.fromkeys(rs, one))
                         controller.request(gid, joins, speculative=False)
                     continue
                 start[x] = now

@@ -156,12 +156,18 @@ class EventDag:
         """Store `event` as a new row, or in place of the row with its id;
         returns the row.  A dependency on an id not (yet) in the DAG is kept
         by name until `resolve`.  A DAG that holds one rail raises
-        ValueError, so its rows never renumber: add to `dag.expanded()`."""
+        ValueError, so its rows never renumber: add to `dag.expanded()`.
+        An event that lists a rank twice raises InvalidParams, as a group
+        with a repeated member does, and changes no row."""
         if self.rails > 1:
             raise ValueError(f"this DAG holds one of its {self.rails} rails; "
                              "add to dag.expanded(), which holds every row")
+        ranks = tuple(event.rank_set)
+        if len(set(ranks)) != len(ranks):
+            twice = next(r for k, r in enumerate(ranks) if r in ranks[:k])
+            raise InvalidParams(f"event {event.id} lists rank {twice} twice")
         row = {name: getattr(event, name) for name in _FIELDS}
-        row.update(ranks=tuple(event.rank_set), streams=dict(event.streams), deps=())
+        row.update(ranks=ranks, streams=dict(event.streams), deps=())
         i = self.index.get(event.id)
         if i is None:
             i = self.index[event.id] = len(self.ids)

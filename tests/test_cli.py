@@ -10,11 +10,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from railsim import loads_trace
-from railsim.cli import (DEFAULT_CLASS_EDGES, DEFAULT_ECON_CONFIG, DEFAULT_SCENARIO,
-                         _read_ini, load_econ_config, load_scenario, main)
+from railsim import (ControlPolicy, Event, EventDag, fabric, generate_3d_schedule,
+                     loads_trace, make_group, save_trace, simulate)
+from railsim.cli import (DEFAULT_CLASS_EDGES, DEFAULT_ECON_CONFIG, DEFAULT_SCENARIO, _fmt,
+                         _read_ini, _write_sim_outputs, load_econ_config, load_scenario, main)
 
-from conftest import BAD_TRACES, HEADER, REJECTED_TRACES, perfbench_inputs
+from conftest import (BAD_TRACES, CALIBRATION, HEADER, REACTIVE, REJECTED_TRACES,
+                      make_params, make_topo, perfbench_inputs)
 
 SCENARIO = """\
 [topology]
@@ -708,3 +710,136 @@ class TestShippedOutputs:
             ini = self.shape(tmp_path, name + ".ini", n_microbatch=3, **keys)
             assert main(["gen", "--scenario", ini, "--out", str(tmp_path / name)]) == 0
         assert self.digests(tmp_path, self.GEN_TRACES) == self.GEN_TRACES
+
+
+def defined_joins(dag, start, end):
+    """Every row's per-rank join times by event id, straight from their
+    definition, for a DAG that holds every row: a one-rank event joins when
+    it starts, and a rank at the latest end among the dependencies that
+    include it or share no rank with the event (0.0 with none)."""
+    ranks, deps = dag.ranks, dag.deps
+    joins = {}
+    for i, eid in enumerate(dag.ids):
+        rs = ranks[i]
+        if len(rs) == 1:
+            joins[eid] = {rs[0]: start[i]}
+            continue
+        apart = [end[d] for d in deps[i] if set(ranks[d]).isdisjoint(rs)]
+        joins[eid] = {r: max([0.0, *apart, *(end[d] for d in deps[i] if r in ranks[d])])
+                      for r in rs}
+    return joins
+
+
+def reference_outputs(res):
+    """timeline.csv and reconfig.csv of a run as written line by line: a line
+    per (event id, rank) from `event_times[eid].starts`, sorted by id and
+    then rank, and the reconfigurations sorted by (time, rail, group)."""
+    timeline = res.event_times
+    lines = ["event_id,rank,start_s,end_s"]
+    for eid in sorted(timeline):
+        t = timeline[eid]
+        lines += [f"{eid},{rank},{_fmt(t.starts[rank])},{_fmt(t.end)}"
+                  for rank in sorted(t.starts)]
+    reconfig = ["time_s,rail,group_id,speculative,delay_s,ports_changed"]
+    reconfig += [f"{_fmt(e.time)},{e.rail},{e.group},{int(e.speculative)},{_fmt(e.delay)},"
+                 f"{e.ports_changed}"
+                 for e in sorted(res.reconfig_log, key=lambda e: (e.time, e.rail, e.group))]
+    return "\n".join(lines) + "\n", "\n".join(reconfig) + "\n"
+
+
+class TestTimelineWriter:
+    """`_write_sim_outputs` of a run, whose rows with one join time are
+    written in one join each and whose twins come from rank tables, against
+    the line-by-line reference of the run of the row-by-row DAG.  Every
+    event's joins, a held run's twins included, are checked against their
+    definition."""
+
+    @staticmethod
+    def check(dag, topo, policy, out):
+        """Return the rows of `dag` whose ranks all join at one time by
+        `fabric._one_join`, and the rows that take per-rank joins."""
+        full = dag.expanded()
+        res, ref = simulate(dag, topo, policy), simulate(full, topo, policy)
+        joins = defined_joins(full, ref.event_times.start, ref.event_times.end)
+        assert {eid: t.starts for eid, t in ref.event_times.items()} == joins
+        assert {eid: t.starts for eid, t in res.event_times.items()} == joins
+        _write_sim_outputs(res, str(out))
+        timeline, reconfig = reference_outputs(ref)
+        assert (out / "timeline.csv").read_text() == timeline
+        assert (out / "reconfig.csv").read_text() == reconfig
+        one, per_rank = set(), set()
+        end = res.event_times.end
+        for i, eid in enumerate(dag.ids):
+            if len(dag.ranks[i]) > 1:
+                twins = (dag.rails, dag.spans) if i in dag.spans else ()
+                t = fabric._one_join(dag.ranks[i], dag.deps[i], dag.ranks, end, *twins)
+                (per_rank if t is None else one).add(eid)
+        return one, per_rank
+
+    @settings(deadline=None)
+    @given(shape=st.sampled_from([(pp, dp) for pp in range(1, 4) for dp in range(1, 4)
+                                  if pp * dp >= 2]),
+           gpus=st.sampled_from((1, 2, 4)), nic_ports=st.sampled_from((2, 4)),
+           m=st.integers(1, 3), delay=st.sampled_from((0.0, 1e-4, 0.5)),
+           provisioning=st.booleans())
+    def test_writer_matches_reference(self, shape, gpus, nic_ports, m, delay, provisioning,
+                                      tmp_path_factory):
+        pp, dp = shape
+        topo = make_topo(num_domains=pp * dp, gpus_per_domain=gpus, nic_ports=nic_ports,
+                         delay=delay)
+        dag = generate_3d_schedule(make_params(pp=pp, dp=dp, tp=gpus, n_layer=pp + 1,
+                                               n_microbatch=m, **CALIBRATION), topo)
+        self.check(dag, topo, ControlPolicy(provisioning=provisioning),
+                   tmp_path_factory.mktemp("sim"))
+
+    # Hand-built rows on ranks 0, 2, 4 and 6 (rail 0 of 4 domains x 2 GPUs),
+    # each depending on one-rank compute rows whose end is their duration
+    # ("c<rank>-<duration>", rooted), on the collective `own` on 0, 2, 4, or
+    # on `idle`, a compute row on no rank that ends at 2.5 (and has no line).
+    CASES = {  # row: (ranks, dependencies)
+        "latest-on-own-ranks": ((0, 2, 4), ("own", "c0-0.5")),
+        "latest-disjoint": ((0, 2), ("c0-0.5", "c6-2.0")),
+        "latest-on-no-rank": ((0, 2), ("c0-0.5", "idle")),
+        "tie-reaches-all-together": ((0, 2, 4), ("c0-2.0", "c2-2.0", "c4-2.0", "c4-0.5")),
+        "tie-misses-a-rank": ((0, 2, 4), ("c0-2.0", "c2-2.0", "c4-0.5")),
+        "no-dependencies": ((0, 2), ()),
+    }
+
+    @pytest.mark.parametrize("delay", [0.0, 0.01])
+    def test_hand_built_rows(self, delay, tmp_path):
+        topo = make_topo(num_domains=4, gpus_per_domain=2, delay=delay)
+        dag = EventDag()
+        dag.add(Event("idle", "compute", (), {}, duration=2.5))
+        computes = {d for _, deps in self.CASES.values() for d in deps if d[0] == "c"}
+        for c in sorted(computes):
+            rank, seconds = c[1:].split("-")
+            dag.add(Event(c, "compute", (int(rank),), {int(rank): "compute"},
+                          duration=float(seconds)))
+        for eid, (rs, deps) in {"own": ((0, 2, 4), ("c6-2.0",)), **self.CASES}.items():
+            gid = "g" + "".join(map(str, rs))
+            dag.groups.setdefault(gid, make_group(gid, "DP", rs, topo))
+            dag.add(Event(eid, "collective", rs, dict.fromkeys(rs, eid), group=gid,
+                          coll_kind="AllGather", bytes=1000, deps=deps))
+        one, per_rank = self.check(dag, topo, REACTIVE, tmp_path)
+        assert per_rank == {"tie-misses-a-rank"}
+        assert one == set(self.CASES) - per_rank | {"own"}
+
+    @pytest.mark.parametrize("scaleup_bw,latest_spans", [(900e9, False), (2e6, True)])
+    def test_held_trace_spanning_rows(self, scaleup_bw, latest_spans, tmp_path):
+        # A TP row depends on its rank's compute row, whose twins reach every
+        # rail, and on the TP row before it: with slow scale-up links the TP
+        # rows end last.
+        topo = make_topo(num_domains=2, gpus_per_domain=2, delay=0.01, scaleup_bw=scaleup_bw)
+        params = make_params(pp=2, dp=1, tp=2, n_layer=3, n_microbatch=2)
+        dag = generate_3d_schedule(params, topo)
+        res = simulate(dag, topo, REACTIVE, force_baseline=True)
+        dag.observed_start, dag.observed_end = list(res.event_times.start), list(res.event_times.end)
+        save_trace(dag, str(tmp_path / "t.csv"))
+        held = loads_trace((tmp_path / "t.csv").read_text())
+        assert held.rails == 2
+        end = simulate(held, topo, REACTIVE).event_times.end
+        latest = {max(held.deps[i], key=end.__getitem__) in held.spans
+                  for i in held.spans if len(held.deps[i]) > 1}
+        assert latest_spans in latest
+        one, per_rank = self.check(held, topo, REACTIVE, tmp_path / "sim")
+        assert {held.ids[i] for i in held.spans} <= one

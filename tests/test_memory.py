@@ -21,7 +21,9 @@ block's twin passes from one template.  `sim` plus writer, on Python
 (409-424 on 3.10-3.12), 247 compiling and timing rail 0 and copying its
 times to the other rails, 160 when the DAG holds rail 0 alone and the
 writer formats the twins as it writes, 143 when it writes them from a
-table of `{rail},{rank}` texts per rank.  The generator on the 16x8 shape,
+table of `{rail},{rank}` texts per rank (142 in a later reading), and 143
+when each row whose ranks join at one time is written in one join over
+a table of texts per rank tuple.  The generator on the 16x8 shape,
 on Python 3.11: 371 B/event building every rail's rows, 51 building rail
 0's and the TP rows.
 """

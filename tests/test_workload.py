@@ -555,6 +555,18 @@ class TestColumns:
         assert dag.events["b"].deps == ("a",)
         assert simulate(dag, topo).event_times["b"].end == 1.5
 
+    def test_add_refuses_a_repeated_rank(self):
+        # A rank listed twice would count twice in a window's volume and be
+        # written as two records that the parser reads back as one.
+        dag = EventDag()
+        dag.add(Event("a", "compute", (0,), {0: "compute"}, duration=1.0))
+        row = columns_digest(dag)
+        for eid in ("sr", "a"):  # a new row, and one in place of a row
+            with pytest.raises(InvalidParams, match=rf"event {eid} lists rank 1 twice"):
+                dag.add(Event(eid, "collective", (0, 1, 1), {0: "pp", 1: "pp"},
+                              group="pp", coll_kind="SendRecv", bytes=100))
+            assert columns_digest(dag) == row
+
 
 class TestValidation:
     """Each bad DAG is rejected by `simulate` and, saved as a trace, by the
